@@ -137,12 +137,18 @@ def coupler(reflectivity, phase=0.0):
 
 
 class QuantumState:
-    """Pure amplitude vector or density operator over an OccupationBasis."""
+    """Pure amplitude vector, density operator, or ket factor K of a
+    density operator rho = K K^dagger, over an OccupationBasis."""
 
-    def __init__(self, basis, amplitudes=None, density=None, validate=True):
-        if (amplitudes is None) == (density is None):
-            raise ValueError("provide exactly one of amplitudes or density")
+    def __init__(self, basis, amplitudes=None, density=None, validate=True,
+                 factor=None):
+        if sum(x is not None for x in (amplitudes, density, factor)) != 1:
+            raise ValueError(
+                "provide exactly one of amplitudes, density or factor")
         self.basis = basis
+        self.amplitudes = None
+        self._density = None
+        self._factor = None
         if amplitudes is not None:
             vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
             if vec.shape[0] != basis.size:
@@ -152,8 +158,7 @@ class QuantumState:
                 if abs(norm - 1.0) > ATOL_STATE:
                     raise ValueError(f"state norm {norm} deviates from 1")
             self.amplitudes = vec
-            self._density = None
-        else:
+        elif density is not None:
             mat = np.asarray(density, dtype=complex)
             if mat.shape != (basis.size, basis.size):
                 raise DimensionError("density shape does not match basis size")
@@ -165,8 +170,16 @@ class QuantumState:
                     raise ValueError(f"density trace {tr} deviates from 1")
                 if np.min(np.linalg.eigvalsh(mat)) < EIG_FLOOR:
                     raise ValueError("density operator has a negative eigenvalue")
-            self.amplitudes = None
             self._density = mat
+        else:
+            fac = np.asarray(factor)
+            if fac.ndim != 2 or fac.shape[0] != basis.size:
+                raise DimensionError("factor must be (basis size, rank)")
+            if validate:
+                tr = np.sum(np.abs(fac) ** 2)
+                if abs(tr - 1.0) > ATOL_STATE:
+                    raise ValueError(f"density trace {tr} deviates from 1")
+            self._factor = fac
 
     @classmethod
     def pure(cls, basis, amplitudes, validate=True):
@@ -175,6 +188,12 @@ class QuantumState:
     @classmethod
     def from_density(cls, basis, matrix, validate=True):
         return cls(basis, density=matrix, validate=validate)
+
+    @classmethod
+    def from_factor(cls, basis, factor, validate=True):
+        """Mixed state rho = K K^dagger from a (dim, rank) factor K; the
+        density matrix is formed only when asked for."""
+        return cls(basis, factor=factor, validate=validate)
 
     @classmethod
     def basis_state(cls, basis, occupation):
@@ -192,9 +211,24 @@ class QuantumState:
 
     def density(self):
         """Density-matrix form (outer product for pure states)."""
-        if self._density is not None:
-            return self._density
-        return np.outer(self.amplitudes, self.amplitudes.conj())
+        if self.amplitudes is not None:
+            return np.outer(self.amplitudes, self.amplitudes.conj())
+        if self._density is None:
+            fac = self._factor
+            self._density = (fac @ fac.conj().T).astype(complex)
+        return self._density
+
+    def ket_factor(self):
+        """(dim, rank) K with rho = K K^dagger: the amplitude column of a
+        pure state, the stored factor, or the eigen-decomposition of a
+        density operator (eigenvalues below zero are round-off)."""
+        if self.amplitudes is not None:
+            return self.amplitudes[:, None]
+        if self._factor is not None:
+            return self._factor
+        evals, evecs = np.linalg.eigh(self._density)
+        keep = evals > 0.0
+        return evecs[:, keep] * np.sqrt(evals[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +273,9 @@ def _sqrt_factorials(occs):
     )
 
 
+_LIFT_ROWS = 16
+
+
 def _lift_sector(u, occs):
     """Lift an m x m mode unitary onto one fixed-photon-number sector.
 
@@ -251,9 +288,13 @@ def _lift_sector(u, occs):
         return np.ones((1, 1), dtype=complex)
     reps = _repetition_indices(occs)
     norms = _sqrt_factorials(occs)
-    sub = u[reps[:, None, :, None], reps[None, :, None, :]]  # (d, d, p, p)
-    per = _permanents(sub)
-    return per / np.outer(norms, norms)
+    out = np.empty((d, d), dtype=complex)
+    # blocks of output rows keep the (rows, d, p, p) gather small
+    for start in range(0, d, _LIFT_ROWS):
+        rows = reps[start : start + _LIFT_ROWS]
+        sub = u[rows[:, None, :, None], reps[None, :, None, :]]
+        out[start : start + _LIFT_ROWS] = _permanents(sub)
+    return out / np.outer(norms, norms)
 
 
 def lift_unitary(u, basis):

@@ -13,10 +13,21 @@ coupler acts on (through, feedback).  A photon found on the feedback
 rail is reinjected: the feedback occupation is measured (which dephases
 across feedback outcomes) and moved back onto the through rail, so the
 map is trace preserving and photon-number conserving.
+
+The engine works on a ket factor K of shape (dim, rank), rho = K K^+:
+a pure input is its amplitude column and a coherent mixture its
+weighted kets.  The input mesh is applied once per distinct input
+object of a sequence.  Each coupler acts only on groups of basis states
+that differ in how the photons of its pair are split, so the bank is
+applied group by group with small (q+1) x (q+1) lifts evaluated from
+precomputed polynomial coefficients; the lifted bank matrix is never
+built.  Reinjection and the output mesh run only where an output is
+measured, one feedback outcome (incoherent branch) at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -99,28 +110,31 @@ def amplitude_encode(v, basis):
     return EncodedInput(QuantumState.pure(basis, amps, validate=False), QUANTUM)
 
 
-def _coherent_ket(k, dim):
-    """Truncated coherent ket with amplitude k over a dim-level ladder,
-    renormalised after truncation.  Computed in log space: the raw
-    coefficients k^n / sqrt(n!) overflow long before n ~ 165."""
-    if k == 0:
-        ket = np.zeros(dim)
-        ket[0] = 1.0
-        return ket
-    n = np.arange(dim, dtype=float)
-    logs = n * math.log(k) - 0.5 * np.array(
-        [math.lgamma(i + 1.0) for i in range(dim)]
-    )
-    logs -= logs.max()
-    ket = np.exp(logs)
-    return ket / np.linalg.norm(ket)
+@functools.lru_cache(maxsize=8)
+def _coherent_kets(n, dim):
+    """(dim, n) read-only table: column k is the truncated coherent ket
+    of amplitude k over a dim-level ladder, renormalised after
+    truncation.  Computed in log space: the raw coefficients
+    k^n / sqrt(n!) overflow long before n ~ 165."""
+    levels = np.arange(dim, dtype=float)
+    log_fact = 0.5 * np.array([math.lgamma(i + 1.0) for i in range(dim)])
+    kets = np.zeros((dim, n))
+    kets[0, 0] = 1.0
+    for k in range(1, n):
+        logs = levels * math.log(k) - log_fact
+        ket = np.exp(logs - logs.max())
+        kets[:, k] = ket / np.linalg.norm(ket)
+    kets.flags.writeable = False
+    return kets
 
 
 def coherent_encode(v, basis, truncation=None):
     """Classical baseline: statistical mixture of fixed coherent kets.
 
     Component j of v weights the truncated coherent ket of amplitude j,
-    so the data enters only through the mixture weights.
+    so the data enters only through the mixture weights.  The state is
+    held as its ket factor, the kets scaled by sqrt(weight) (zero
+    weights dropped), which is exact.
     """
     v = np.asarray(v, dtype=float).reshape(-1)
     if np.any(v < 0):
@@ -135,12 +149,10 @@ def coherent_encode(v, basis, truncation=None):
     dim = basis.size if truncation is None else int(truncation)
     if dim != basis.size:
         raise ValueError("truncation must equal the basis size")
-    kets = np.stack([_coherent_ket(k, dim) for k in range(v.size)])
     weights = v / total
-    rho = (kets.T * weights) @ kets.conj()
-    rho = (rho + rho.conj().T) / 2.0
-    state = QuantumState.from_density(basis, rho.astype(complex),
-                                      validate=False)
+    keep = np.flatnonzero(weights)
+    factor = _coherent_kets(v.size, dim)[:, keep] * np.sqrt(weights[keep])
+    state = QuantumState.from_factor(basis, factor, validate=False)
     return EncodedInput(state, COHERENT)
 
 
@@ -280,32 +292,39 @@ class Reservoir:
     # -- precomputed structure ------------------------------------------------
 
     def _build_layer_structure(self):
-        """The bank couples disjoint (through, feedback) pairs, so its
-        lifted matrix factorises per pair and per pair-photon sector.
-        Everything index-like is precomputed; only the small per-sector
-        coupler lifts depend on the reflectivities."""
+        """Coupler k mixes only the basis states that differ in how the
+        q photons of its (through, feedback) pair are split.  Per pair
+        and q >= 1 these states form groups of q+1, each ordered by
+        feedback occupation (the local index of the two-mode sector).
+        A pair stores all its groups as one index array, slot-major per
+        q, so applying it is one gather, one small matmul per q and one
+        scatter; q = 0 states are left alone."""
         occ = self.basis.occupation_matrix()
         p = self.config.photons
-        self._pair_q = []       # photons in each pair, per basis state
-        self._pair_li = []      # local index inside the pair sector
-        mask = np.ones((self.basis.size, self.basis.size), dtype=bool)
+        self._pair_layout = []   # per pair: (index, [(q, start, stop)])
         for _, thru, fb in self.rails:
+            others = [m for m in range(self.config.modes)
+                      if m not in (thru, fb)]
             q = occ[:, thru] + occ[:, fb]
-            li = q - occ[:, thru]
-            self._pair_q.append(q)
-            self._pair_li.append(li)
-            mask &= q[:, None] == q[None, :]
-        rest_modes = [m for m in range(self.config.modes)
-                      if all(m not in (t, f) for _, t, f in self.rails)]
-        _, rest_id = np.unique(occ[:, rest_modes], axis=0,
-                               return_inverse=True)
-        mask &= rest_id[:, None] == rest_id[None, :]
-        self._layer_mask = mask
-        self._pair_sectors = [_sector(2, q) for q in range(p + 1)]
+            parts, runs, start = [], [], 0
+            for qq in range(1, p + 1):
+                groups = {}
+                for i in np.flatnonzero(q == qq):
+                    slots = groups.setdefault(tuple(occ[i, others]),
+                                              [0] * (qq + 1))
+                    slots[occ[i, fb]] = i
+                part = np.array(list(groups.values()), dtype=int).T.ravel()
+                parts.append(part)
+                runs.append((qq, start, start + part.size))
+                start += part.size
+            self._pair_layout.append((np.concatenate(parts), runs))
+        self._lift_coeffs = [_coupler_lift_coeffs(qq) for qq in range(p + 1)]
+        self._powers = np.arange(p + 1)
 
     def _build_reinjection(self):
-        """Feedback-rail measurement groups and the reinjection index
-        map (feedback occupation moved onto the through rail)."""
+        """Feedback-rail measurement groups, each paired with the output
+        mesh columns of its reinjection targets (feedback occupation
+        moved onto the through rail)."""
         basis = self.basis
         target = np.empty(basis.size, dtype=int)
         patterns = {}
@@ -318,11 +337,11 @@ class Reservoir:
             target[i] = basis.index_of(tuple(occ))
             patterns.setdefault(pat, []).append(i)
         self._reinjection_groups = [
-            (np.array(idx), target[np.array(idx)])
+            (np.array(idx), self.u_out_f[:, target[idx]])
             for idx in patterns.values()
         ]
-        occm = basis.occupation_matrix().astype(float)
-        self._fb_weights = [occm[:, fb] for _, _, fb in self.rails]
+        fb_modes = [fb for _, _, fb in self.rails]
+        self._fb_occ = basis.occupation_matrix()[:, fb_modes].astype(float)
 
     # -- per-step pieces -------------------------------------------------------
 
@@ -333,55 +352,36 @@ class Reservoir:
             u[np.ix_((thru, fb), (thru, fb))] = coupler(mem.R)
         return u
 
-    def _layer_lift(self):
-        d = self.basis.size
-        p = self.config.photons
-        out = self._layer_mask.astype(complex)
-        for k, mem in enumerate(self.memristors):
+    def apply_layer(self, factor):
+        """Memristor bank on a ket factor: the lift of bank_mode_matrix()
+        applied to the (dim, rank) K, one pair and one pair-photon
+        sector at a time.  Returns a new array."""
+        out = np.array(factor, dtype=complex)
+        for (index, runs), mem in zip(self._pair_layout, self.memristors):
             block = coupler(mem.R)
-            table = np.zeros((p + 1, p + 1, p + 1), dtype=complex)
-            for q in range(p + 1):
-                table[q, : q + 1, : q + 1] = _lift_sector(
-                    block, self._pair_sectors[q]
-                )
-            q, li = self._pair_q[k], self._pair_li[k]
-            out *= table[q[:, None], li[:, None], li[None, :]]
+            t_pow = block[0, 0] ** self._powers
+            s_pow = block[0, 1] ** self._powers
+            rows = out[index]
+            for q, start, stop in runs:
+                lift = self._lift_coeffs[q] @ (t_pow[q::-1] * s_pow[: q + 1])
+                run = rows[start:stop]
+                run[...] = (lift @ run.reshape(q + 1, -1)).reshape(run.shape)
+            out[index] = rows
         return out
 
-    def _reinject_density(self, rho):
-        out = np.zeros_like(rho)
-        for idx, tgt in self._reinjection_groups:
-            out[np.ix_(tgt, tgt)] += rho[np.ix_(idx, idx)]
-        return out
+    def feedback_probabilities(self, factor):
+        """Per-memristor feedback-rail photon expectation of rho = K K^+."""
+        diag = (factor.real ** 2 + factor.imag ** 2).sum(axis=1)
+        return diag @ self._fb_occ
 
-    def _reinject_branches(self, vec):
-        """Pure-state channel output as stacked branch vectors (columns)."""
-        cols = []
-        for idx, tgt in self._reinjection_groups:
-            part = vec[idx]
-            if np.any(part != 0):
-                col = np.zeros(vec.size, dtype=complex)
-                col[tgt] = part
-                cols.append(col)
-        return np.stack(cols, axis=1)
-
-    def memristor_layer(self, state):
-        """Apply the memristor bank: couplers on the (through, feedback)
-        pairs, then reinjection.  Returns the post-reinjection state and
-        the per-memristor feedback-rail expectations read off before
-        reinjection (these drive the update law)."""
-        lifted = self._layer_lift()
-        if state.is_pure:
-            vec = lifted @ state.amplitudes
-            diag = np.abs(vec) ** 2
-            rho_mid = np.outer(vec, vec.conj())
-        else:
-            rho_mid = lifted @ state.density() @ lifted.conj().T
-            diag = rho_mid.diagonal().real
-        fb_probs = np.array([diag @ w for w in self._fb_weights])
-        rho_out = self._reinject_density(rho_mid)
-        out = QuantumState.from_density(self.basis, rho_out, validate=False)
-        return out, fb_probs
+    def output_probabilities(self, factor):
+        """Fock distribution after reinjection and the output mesh: each
+        feedback-rail outcome is an incoherent branch."""
+        probs = np.zeros(self.basis.size)
+        for idx, u_cols in self._reinjection_groups:
+            amps = u_cols @ factor[idx]
+            probs += (amps.real ** 2 + amps.imag ** 2).sum(axis=1)
+        return probs
 
     def _advance_memristors(self, fb_probs):
         for mem, fb in zip(self.memristors, fb_probs):
@@ -398,34 +398,19 @@ class Reservoir:
         counts = self._rng.multinomial(self.config.shots, probs)
         return counts / float(self.config.shots)
 
-    def _step(self, x, want_output):
+    def _mesh_input(self, x):
+        """Input mesh applied to the ket factor of an input."""
         state = x.state if isinstance(x, EncodedInput) else x
         if state.dim != self.basis.size:
             raise DimensionError("input state does not match the reservoir")
-        lifted_layer = self._layer_lift()
-        probs = None
-        if state.is_pure:
-            vec = self.u_in_f @ state.amplitudes
-            vec = lifted_layer @ vec
-            diag = np.abs(vec) ** 2
-            fb_probs = np.array([diag @ w for w in self._fb_weights])
-            if want_output:
-                branches = self._reinject_branches(vec)
-                out_branches = self.u_out_f @ branches
-                probs = (np.abs(out_branches) ** 2).sum(axis=1)
-        else:
-            rho = self.u_in_f @ state.density() @ self.u_in_f.conj().T
-            rho = lifted_layer @ rho @ lifted_layer.conj().T
-            diag = rho.diagonal().real
-            fb_probs = np.array([diag @ w for w in self._fb_weights])
-            if want_output:
-                rho = self._reinject_density(rho)
-                rho = self.u_out_f @ rho @ self.u_out_f.conj().T
-                probs = rho.diagonal().real
-        self._advance_memristors(fb_probs)
+        return self.u_in_f @ state.ket_factor()
+
+    def _step(self, meshed, want_output):
+        factor = self.apply_layer(meshed)
+        self._advance_memristors(self.feedback_probabilities(factor))
         self.step_index += 1
         if want_output:
-            return self._measured_probs(probs)
+            return self._measured_probs(self.output_probabilities(factor))
         return None
 
     # -- public API -------------------------------------------------------------
@@ -441,32 +426,40 @@ class Reservoir:
     def step(self, x):
         """Feed one encoded input, return the measured Fock
         distribution, and advance every memristor window."""
-        return self._step(x, want_output=True)
+        return self._step(self._mesh_input(x), want_output=True)
 
     def run_sequence(self, inputs, reset=False):
         """Fold the reservoir over an input sequence and return the
         measured distribution of the final step.  Earlier optical
         states are discarded by construction (memory lives in the
-        reflectivities), so only the last output is computed."""
+        reflectivities), so only the last output is computed, and an
+        input object repeated in the sequence passes the input mesh
+        once."""
         inputs = list(inputs)
         if not inputs:
             raise ValueError("input sequence must be non-empty")
         if reset:
             self.reset()
+        meshed = {}
+        for x in inputs:
+            if id(x) not in meshed:
+                meshed[id(x)] = self._mesh_input(x)
         for x in inputs[:-1]:
-            self._step(x, want_output=False)
-        return self._step(inputs[-1], want_output=True)
+            self._step(meshed[id(x)], want_output=False)
+        return self._step(meshed[id(inputs[-1])], want_output=True)
 
     @property
     def reflectivities(self):
         return np.array([mem.R for mem in self.memristors])
 
 
-def step(reservoir, x):
-    """Functional wrapper: advance `reservoir` by one input."""
-    probs = reservoir.step(x)
-    return probs, reservoir
-
-
-def run_sequence(reservoir, inputs, reset=False):
-    return reservoir.run_sequence(inputs, reset=reset)
+def _coupler_lift_coeffs(q):
+    """(q+1, q+1, q+1) coefficients C of the coupler [[t, s], [s, t]]
+    lifted to the q-photon sector of its two modes, lift[a, b] =
+    sum_j C[a, b, j] t^(q-j) s^j.  Every entry is a homogeneous degree-q
+    polynomial, so C is the discrete Fourier transform of the permanent
+    lift at t = 1 and s on the (q+1)-th roots of unity."""
+    roots = np.exp(2j * np.pi * np.arange(q + 1) / (q + 1))
+    lifts = [_lift_sector(np.array([[1.0, w], [w, 1.0]]), _sector(2, q))
+             for w in roots]
+    return (np.fft.fft(np.stack(lifts, axis=-1), axis=-1) / (q + 1)).real

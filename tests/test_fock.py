@@ -428,6 +428,19 @@ def test_quantum_state_validation():
     not_psd = np.array([[1.2, 0.0], [0.0, -0.2]])
     with pytest.raises(ValueError):
         QuantumState.from_density(basis, not_psd)
+    with pytest.raises(ValueError):
+        QuantumState.from_factor(basis, np.array([[0.9], [0.9]]))
+    with pytest.raises(DimensionError):
+        QuantumState.from_factor(basis, np.ones(2) / np.sqrt(2))
+    with pytest.raises(ValueError):
+        QuantumState(basis)
+    # a factor and its density describe the same state
+    factor = np.array([[0.6, 0.0], [0.0, 0.8]])
+    state = QuantumState.from_factor(basis, factor)
+    assert not state.is_pure
+    assert np.allclose(state.density(), np.diag([0.36, 0.64]))
+    again = QuantumState.from_density(basis, state.density()).ket_factor()
+    assert np.allclose(again @ again.conj().T, state.density())
 
 
 def test_mode_unitary_validation():

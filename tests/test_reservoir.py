@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dense_reservoir import DenseReservoir
 from qumem.fock import (
     DimensionError,
     QuantumState,
@@ -10,8 +11,8 @@ from qumem.fock import (
     fock_probabilities,
     lift_unitary,
     purity,
-    total_photon_expectation,
 )
+from qumem.memristor import R_MIN
 from qumem.reservoir import (
     EncodedInput,
     Reservoir,
@@ -114,25 +115,36 @@ def test_mesh_forced_balanced_coupler():
 # ---------------------------------------------------------------------------
 # memristor layer
 
+def _random_factor(dim, rank, rng):
+    k = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    return k / np.linalg.norm(k)
+
+
 def test_layer_lift_matches_generic_lift():
-    res = Reservoir(ReservoirConfig(modes=9, photons=3, mesh_seed=1, window=3))
+    # the structural layer against the dense permanent lift of the bank
     rng = np.random.default_rng(8)
-    for r_values in ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], rng.uniform(size=3)):
-        for mem, r in zip(res.memristors, r_values):
-            mem.R = float(r)
-        fast = res._layer_lift()
-        generic = lift_unitary(res.bank_mode_matrix(), res.basis)
-        assert np.max(np.abs(fast - generic)) < 1e-10
+    for modes, photons in ((3, 1), (6, 2), (7, 2), (9, 3)):
+        res = Reservoir(ReservoirConfig(modes=modes, photons=photons,
+                                        mesh_seed=1, window=3))
+        for r_value in (0.0, R_MIN, 1.0, None):
+            for mem in res.memristors:
+                mem.R = float(rng.uniform()) if r_value is None else r_value
+            factor = _random_factor(res.basis.size, 3, rng)
+            dense = lift_unitary(res.bank_mode_matrix(), res.basis) @ factor
+            assert np.max(np.abs(res.apply_layer(factor) - dense)) <= 1e-12
 
 
 def test_layer_identity_at_zero_reflectivity():
     res = small_reservoir()
     for mem in res.memristors:
         mem.R = 0.0
-    state = QuantumState.pure(res.basis, [0.6, 0.8, 0.0], validate=False)
-    out, fb = res.memristor_layer(state)
-    assert np.allclose(out.density(), state.density(), atol=1e-12)
-    assert np.allclose(fb, 0.0, atol=1e-14)
+    amps = np.array([0.6, 0.8, 0.0], dtype=complex)
+    out = res.apply_layer(amps[:, None])
+    assert np.allclose(out[:, 0], amps, atol=1e-12)
+    assert np.allclose(res.feedback_probabilities(out), 0.0, atol=1e-14)
+    # nothing on the feedback rail: reinjection leaves the state alone
+    direct = np.abs(res.u_out_f @ amps) ** 2
+    assert np.allclose(res.output_probabilities(out), direct, atol=1e-12)
 
 
 def test_layer_feedback_probability_matches_reflectivity():
@@ -140,10 +152,11 @@ def test_layer_feedback_probability_matches_reflectivity():
     res.memristors[0].R = 0.3
     # single photon on the through rail (mode 1)
     state = QuantumState.basis_state(res.basis, (0, 1, 0))
-    out, fb = res.memristor_layer(state)
-    assert fb[0] == pytest.approx(0.3, abs=1e-12)
+    out = res.apply_layer(state.ket_factor())
+    assert res.feedback_probabilities(out)[0] == pytest.approx(0.3, abs=1e-12)
     # reinjection conserves the photon
-    assert total_photon_expectation(out) == pytest.approx(1.0, abs=1e-12)
+    probs = res.output_probabilities(out)
+    assert probs @ res.basis.totals == pytest.approx(1.0, abs=1e-12)
 
 
 def test_layer_conserves_photons_at_full_reflection():
@@ -153,9 +166,69 @@ def test_layer_conserves_photons_at_full_reflection():
     rng = np.random.default_rng(0)
     amps = rng.normal(size=res.basis.size) + 1j * rng.normal(size=res.basis.size)
     state = QuantumState.pure(res.basis, amps / np.linalg.norm(amps))
-    out, fb = res.memristor_layer(state)
-    assert total_photon_expectation(out) == pytest.approx(2.0, abs=1e-10)
-    assert np.trace(out.density()).real == pytest.approx(1.0, abs=1e-10)
+    out = res.apply_layer(state.ket_factor())
+    layer_probs = np.abs(out[:, 0]) ** 2
+    assert layer_probs.sum() == pytest.approx(1.0, abs=1e-10)
+    assert layer_probs @ res.basis.totals == pytest.approx(2.0, abs=1e-10)
+    # and after reinjection and the output mesh
+    probs = res.output_probabilities(out)
+    assert probs @ res.basis.totals == pytest.approx(2.0, abs=1e-10)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the whole engine against the dense density-matrix reference
+
+def _oracle_inputs(kind, basis, rng):
+    if kind == "pure":
+        return [amplitude_encode(rng.uniform(size=18), basis)
+                for _ in range(8)]
+    if kind == "repeated":
+        return [amplitude_encode(rng.uniform(size=18), basis)] * 8
+    if kind == "coherent":
+        # sparse weights: the factor drops the zero-weight kets
+        return [coherent_encode(rng.uniform(size=18) *
+                                (rng.uniform(size=18) > 0.4), basis)
+                for _ in range(6)]
+    if kind == "density":
+        # a density-matrix state enters through its eigen-factor
+        return [QuantumState.from_density(
+            basis, coherent_encode(rng.uniform(size=18), basis)
+            .state.density()) for _ in range(4)]
+    if kind == "zero_fallback":
+        blank = amplitude_encode(np.zeros(18), basis)
+        return [blank, blank, amplitude_encode(rng.uniform(size=18), basis),
+                blank]
+    raise ValueError(kind)
+
+
+@pytest.mark.parametrize("kind", ["pure", "repeated", "coherent", "density",
+                                  "zero_fallback"])
+@pytest.mark.parametrize("feedback", [True, False])
+def test_run_sequence_matches_dense_engine(kind, feedback):
+    cfg = ReservoirConfig(mesh_seed=21, window=4, feedback=feedback)
+    fast, dense = Reservoir(cfg), DenseReservoir(cfg)
+    rng = np.random.default_rng(5)
+    for _ in range(2):
+        seq = _oracle_inputs(kind, fast.basis, rng)
+        got = fast.run_sequence(seq, reset=True)
+        want = dense.run_sequence(seq, reset=True)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.max(np.abs(fast.reflectivities -
+                             dense.reflectivities)) <= 1e-12
+        assert fast.step_index == dense.step_index == len(seq)
+
+
+def test_sampled_run_sequence_matches_dense_engine():
+    cfg = ReservoirConfig(mesh_seed=23, window=3, shots=500, sample_seed=9)
+    fast, dense = Reservoir(cfg), DenseReservoir(cfg)
+    rng = np.random.default_rng(6)
+    for kind in ("pure", "coherent", "repeated"):
+        seq = _oracle_inputs(kind, fast.basis, rng)
+        assert np.array_equal(fast.run_sequence(seq, reset=True),
+                              dense.run_sequence(seq, reset=True))
+    x = amplitude_encode(rng.uniform(size=18), fast.basis)
+    assert np.array_equal(fast.step(x), dense.step(x))
 
 
 def test_photon_conservation_through_full_step_pipeline():
