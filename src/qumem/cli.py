@@ -16,12 +16,12 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from ._atomic import write_atomic
 from .hysteresis import (
     DetectionConfig,
     DriveConfig,
@@ -156,19 +156,6 @@ def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def write_atomic(path, text):
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def write_json(path, payload):

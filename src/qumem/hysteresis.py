@@ -13,13 +13,13 @@ window integral vanishes and the orbit is the straight line 0.5 n_in.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._atomic import write_atomic
 from .memristor import (
     FROZEN,
     LOWPASS,
@@ -155,16 +155,16 @@ class Trace:
         return 0.5 * abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "n_in", "n_out", "R"])
-            for row in zip(self.t, self.n_in, self.n_out, self.R):
-                writer.writerow([f"{v:.12g}" for v in row])
+        """Columns t, n_in, n_out, R as "%.12g", in the excel CSV dialect
+        (comma-separated, "\r\n" line ends), written atomically."""
+        values = np.column_stack((self.t, self.n_in, self.n_out, self.R))
+        lines = ["t,n_in,n_out,R"] + ["%.12g,%.12g,%.12g,%.12g"] * len(values)
+        text = ("\r\n".join(lines) + "\r\n") % tuple(values.ravel().tolist())
+        write_atomic(path, text, newline="")
 
     def write_meta(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_atomic(path, json.dumps(self.meta, indent=2, sort_keys=True)
+                     + "\n")
 
 
 def _validate_loop(drive, det, window_equivalent):

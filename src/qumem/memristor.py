@@ -187,7 +187,8 @@ class MemristorState:
         self.f_cut = f_cut
         self.r_min = r_min
         self.R = self._clamp(reflectivity)
-        self.window = deque()  # (t, n_in, dt) triples spanning <= T
+        self.window = deque()  # sample timestamps spanning <= T
+        self._terms = deque()  # (n_in - 0.5) dt of each window sample
         self.last_t = float(t0)
 
     def _clamp(self, r):
@@ -202,10 +203,12 @@ class MemristorState:
         if self.law == FROZEN:
             return self
         if self.law == WINDOWED:
-            self.window.append((t, n_in, dt))
-            while self.window and self.window[0][0] <= t - self.T:
+            self.window.append(t)
+            self._terms.append((n_in - 0.5) * dt)
+            while self.window and self.window[0] <= t - self.T:
                 self.window.popleft()
-            integral = sum((n - 0.5) * w for _, n, w in self.window)
+                self._terms.popleft()
+            integral = sum(self._terms)
             self.R = self._clamp(0.5 + integral / self.T)
         else:  # lowpass: exact exponential step, stable at any dt
             decay = math.exp(-2.0 * math.pi * self.f_cut * dt)
@@ -216,6 +219,7 @@ class MemristorState:
         dup = MemristorState(self.R, self.T, self.law, self.f_cut,
                              self.r_min, self.last_t)
         dup.window = deque(self.window)
+        dup._terms = deque(self._terms)
         return dup
 
 

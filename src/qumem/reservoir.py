@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,7 +241,7 @@ class DiscreteMemristor:
         self.r_init = float(r_init)
         self.frozen = frozen
         self.r_min = r_min
-        self.samples = []
+        self._terms = deque(maxlen=self.window)  # n_est - 0.5, oldest first
         self.R = self._clamp(r_init)
 
     def _clamp(self, r):
@@ -249,15 +250,12 @@ class DiscreteMemristor:
     def update(self, n_est):
         if self.frozen:
             return self.R
-        self.samples.append(float(n_est))
-        if len(self.samples) > self.window:
-            del self.samples[0]
-        acc = sum(s - 0.5 for s in self.samples)
-        self.R = self._clamp(0.5 + acc / self.window)
+        self._terms.append(float(n_est) - 0.5)
+        self.R = self._clamp(0.5 + sum(self._terms) / self.window)
         return self.R
 
     def reset(self):
-        self.samples = []
+        self._terms.clear()
         self.R = self._clamp(self.r_init)
 
 

@@ -188,26 +188,49 @@ def simulate_counts(rho_true, settings=None, shots=None, seed=None):
 # ---------------------------------------------------------------------------
 # maximum-likelihood reconstruction
 
-def _cholesky_block(params):
-    """Positive unit-trace 2x2 block from 4 real parameters."""
-    t00, t10r, t10i, t11 = params
-    t = np.array([[t00, 0.0], [t10r + 1j * t10i, t11]], dtype=complex)
-    sigma = t @ t.conj().T
-    tr = np.trace(sigma).real
-    if tr <= 0:
+def _cholesky_blocks(params):
+    """Positive unit-trace 2x2 blocks, (n, 2, 2), from (n, 4) real
+    parameter rows (t00, Re t10, Im t10, t11) of the lower-triangular
+    factor t, sigma = t t^H / tr(t t^H)."""
+    t = np.zeros((len(params), 2, 2), dtype=complex)
+    t[:, 0, 0] = params[:, 0]
+    t[:, 1, 0] = params[:, 1] + 1j * params[:, 2]
+    t[:, 1, 1] = params[:, 3]
+    sigma = t @ t.conj().transpose(0, 2, 1)
+    tr = sigma[:, 0, 0].real + sigma[:, 1, 1].real
+    if np.any(tr <= 0):
         raise FloatingPointError("degenerate Cholesky factor")
-    return sigma / tr
+    return sigma / tr[:, None, None]
 
 
-def _log_likelihood(params, counts, settings):
-    sigma = _cholesky_block(params)
-    ll = 0.0
-    for row, setting in zip(counts, settings):
-        cond = _setting_conditionals(sigma, setting)
-        for n, q in zip(row, cond):
-            if n > 0:
-                ll += n * math.log(max(q, _EPS))
-    return ll
+def _analysis_unitaries(settings):
+    """The settings' coupler unitaries stacked as (S, 2, 2), with their
+    conjugate transposes."""
+    v = np.array([setting.unitary() for setting in settings])
+    return v, v.conj().transpose(0, 2, 1)
+
+
+def _log_likelihoods(params, counts, mats):
+    """Multinomial log-likelihood of each (n, 4) parameter row.
+
+    counts is the (S, 2) click table as nested lists and mats the
+    `_analysis_unitaries` pair.  The click distributions of every row
+    and setting come from one stacked pass; the sum over settings stays
+    a Python loop in setting order with math.log, so each value is
+    bit-for-bit the one a row-by-row evaluation gives."""
+    v, vh = mats
+    rotated = v @ _cholesky_blocks(params)[:, None] @ vh
+    p = np.clip(rotated.diagonal(axis1=-2, axis2=-1).real, 0.0, None)
+    q = (p / (p[..., 0] + p[..., 1])[..., None]).tolist()
+    lls = []
+    for q_row in q:
+        ll = 0.0
+        for row, cond in zip(counts, q_row):
+            for n, qq in zip(row, cond):
+                if n > 0:
+                    ll += n * math.log(max(qq, _EPS))
+        lls.append(ll)
+    return lls
 
 
 def _linear_inversion(counts, settings):
@@ -255,7 +278,10 @@ def mle_reconstruct(counts, p00_estimate, settings=None,
     Cholesky-parameterised positive 2x2 blocks (gradient ascent with
     backtracking, stopping at relative likelihood change rel_tol), then
     installs the separately measured no-photon population p00 and
-    rescales to unit trace.
+    rescales to unit trace.  The gradient is the central difference
+    (step 1e-6) in each of the 4 parameters; its 8 likelihoods are
+    evaluated in one stacked pass, and each equals the value a
+    one-point evaluation gives bit for bit.
     """
     counts = np.asarray(counts, dtype=float)
     settings = default_settings() if settings is None else tuple(settings)
@@ -269,28 +295,26 @@ def mle_reconstruct(counts, p00_estimate, settings=None,
         raise ValueError("p00_estimate must lie in [0, 1]")
 
     params = _cholesky_params(_linear_inversion(counts, settings))
-    ll = _log_likelihood(params, counts, settings)
+    table = counts.tolist()
+    mats = _analysis_unitaries(settings)
+    (ll,) = _log_likelihoods(params[None], table, mats)
     step = 0.1
     h = 1e-6
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        grad = np.zeros(4)
+        points = np.tile(params, (8, 1))  # rows 2i, 2i+1: params[i] +- h
         for i in range(4):
-            up = params.copy()
-            dn = params.copy()
-            up[i] += h
-            dn[i] -= h
-            grad[i] = (
-                _log_likelihood(up, counts, settings)
-                - _log_likelihood(dn, counts, settings)
-            ) / (2 * h)
+            points[2 * i, i] += h
+            points[2 * i + 1, i] -= h
+        lls = _log_likelihoods(points, table, mats)
+        grad = (np.array(lls[0::2]) - lls[1::2]) / (2 * h)
         gnorm = np.linalg.norm(grad)
         if gnorm == 0:
             break
         improved = False
         while step > 1e-14:
             cand = params + step * grad / gnorm
-            cand_ll = _log_likelihood(cand, counts, settings)
+            (cand_ll,) = _log_likelihoods(cand[None], table, mats)
             if cand_ll > ll:
                 improved = True
                 break
@@ -303,7 +327,7 @@ def mle_reconstruct(counts, p00_estimate, settings=None,
         if rel_change < rel_tol:
             break
 
-    block = _cholesky_block(params)
+    block = _cholesky_blocks(params[None])[0]
     rho = np.zeros((3, 3), dtype=complex)
     rho[0, 0] = p00_estimate
     rho[1:, 1:] = (1.0 - p00_estimate) * block

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import reference_device
+from qumem import _atomic
 from qumem.hysteresis import (
     EXACT,
     HIGH_FREQ,
@@ -207,3 +209,36 @@ def test_trace_csv_roundtrip(tmp_path):
     meta_path = tmp_path / "trace.json"
     trace.write_meta(meta_path)
     assert meta_path.read_text().startswith("{")
+
+
+def test_trace_csv_bytes_match_csv_writer(tmp_path):
+    traces = [windowed_run(0.2, noise=POISSON, seed=4, n_periods=1),
+              Trace(np.array([0.0, -0.0, 1e-300, 123456789012345.0]),
+                    np.array([1 / 3, np.inf, -np.inf, np.nan]),
+                    np.array([-2.5e-7, 1e20, 0.1, 7.0]),
+                    np.arange(4)),
+              Trace(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0))]
+    for k, trace in enumerate(traces):
+        got, want = tmp_path / f"got{k}.csv", tmp_path / f"want{k}.csv"
+        trace.write_csv(got)
+        reference_device.write_trace_csv(trace, want)
+        assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("writer", ["write_csv", "write_meta"])
+def test_failed_trace_write_leaves_no_partial_or_temp_file(
+        tmp_path, monkeypatch, writer):
+    trace = windowed_run(0.2, n_periods=1)
+    kept = tmp_path / "kept.out"
+    kept.write_text("old")
+    fresh = tmp_path / "fresh.out"
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(_atomic.os, "replace", fail)
+    for path in (kept, fresh):
+        with pytest.raises(OSError):
+            getattr(trace, writer)(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.out"]
+    assert kept.read_text() == "old"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reference_device
 from qumem.fock import purity
 from qumem.memristor import (
     FROZEN,
@@ -247,6 +248,44 @@ def test_frozen_law_never_moves():
     for k in range(1, 100):
         mem.advance(k * 0.01, 1.0)
     assert mem.R == 0.5
+
+
+def _random_samples(rng, n, dt_scale):
+    """Nondecreasing timestamps with repeats (dt = 0) and n_in values
+    mixing Python and numpy floats."""
+    dts = rng.exponential(dt_scale, n)
+    dts[rng.random(n) < 0.2] = 0.0
+    t = np.cumsum(dts).tolist()
+    n_in = rng.random(n)
+    return [(tk, float(x) if k % 3 else x)
+            for k, (tk, x) in enumerate(zip(t, n_in))]
+
+
+@pytest.mark.parametrize("window", [1e-4, 0.05, 0.3, 2.0])
+def test_windowed_law_matches_triple_window_reference(window):
+    """R after every sample is bit-identical to re-summing (t, n, dt)
+    triples, for windows from shorter than one step to many steps."""
+    rng = np.random.default_rng(int(window * 1e4))
+    mem = MemristorState(0.5, window_seconds=window, law=WINDOWED)
+    ref = reference_device.TripleWindowMemristor(0.5, window_seconds=window)
+    for t, n_in in _random_samples(rng, 600, 0.01):
+        mem.advance(t, n_in)
+        ref.advance(t, n_in)
+        assert mem.R == ref.R
+        assert len(mem.window) == len(ref.window)
+
+
+def test_copy_advances_identically_and_independently():
+    rng = np.random.default_rng(3)
+    samples = _random_samples(rng, 400, 0.01)
+    mem = MemristorState(0.5, window_seconds=0.5, law=WINDOWED)
+    for t, n_in in samples[:200]:
+        mem.advance(t, n_in)
+    dup = mem.copy()
+    before = (mem.R, list(mem.window), mem.last_t)
+    dup_rs = [dup.advance(t, n_in).R for t, n_in in samples[200:]]
+    assert (mem.R, list(mem.window), mem.last_t) == before
+    assert [mem.advance(t, n_in).R for t, n_in in samples[200:]] == dup_rs
 
 
 # ---------------------------------------------------------------------------

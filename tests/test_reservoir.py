@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reference_device
 from dense_reservoir import DenseReservoir
 from qumem.fock import (
     DimensionError,
@@ -14,6 +15,7 @@ from qumem.fock import (
 )
 from qumem.memristor import R_MIN
 from qumem.reservoir import (
+    DiscreteMemristor,
     EncodedInput,
     Reservoir,
     ReservoirConfig,
@@ -248,6 +250,20 @@ def test_step_probabilities_normalised():
     probs = res.step(enc)
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(probs >= 0)
+
+
+@pytest.mark.parametrize("window", [1, 3, 100])
+def test_discrete_memristor_matches_list_window_reference(window):
+    rng = np.random.default_rng(window)
+    mem = DiscreteMemristor(window, r_init=0.4)
+    ref = reference_device.ListDiscreteMemristor(window, r_init=0.4)
+    for k in range(500):
+        if k in (120, 121, 400):
+            mem.reset()
+            ref.reset()
+            assert mem.R == ref.R
+        n_est = rng.random() if k % 2 else np.float64(rng.random())
+        assert mem.update(n_est) == ref.update(n_est)
 
 
 def test_frozen_memristors_make_step_memoryless():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reference_device
 from qumem.fock import fidelity, purity
 from qumem.memristor import QubitInput, dual_rail_purity, output_state_dual_rail
 from qumem.tomography import (
@@ -16,6 +17,8 @@ from qumem.tomography import (
     project_physical,
     reconstruction_roundtrip,
     reference_table,
+    _analysis_unitaries,
+    _log_likelihoods,
     simulate_counts,
     table_fixtures,
 )
@@ -175,6 +178,47 @@ def test_mle_fidelity_improves_with_shots():
     # 20 seeds leave ~2e-4 sampling noise on the plateau mean
     assert all(b >= a - 2.5e-4 for a, b in zip(means, means[1:]))
     assert means[-1] > 0.9995
+
+
+ORACLE_SETTINGS = {
+    "default": None,
+    "three": (TomographySetting(0.0, 0.0, "identity"),
+              TomographySetting(0.5, 0.0, "balanced"),
+              TomographySetting(0.5, -math.pi / 2, "phase-")),
+    "unnamed": (TomographySetting(0.0), TomographySetting(0.5),
+                TomographySetting(0.3, 1.0), TomographySetting(0.7, -2.0)),
+}
+
+
+def test_stacked_log_likelihoods_match_pointwise():
+    rng = np.random.default_rng(5)
+    for settings in ORACLE_SETTINGS.values():
+        settings = default_settings() if settings is None else settings
+        counts = rng.integers(0, 500, size=(len(settings), 2)).astype(float)
+        params = rng.normal(size=(32, 4))
+        got = _log_likelihoods(params, counts.tolist(),
+                               _analysis_unitaries(settings))
+        want = [reference_device.log_likelihood(row, counts, settings)
+                for row in params]
+        assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SETTINGS))
+def test_mle_matches_pointwise_reference_exactly(name):
+    """The stacked likelihood changes no float operation: rho, the
+    final log-likelihood and the iteration count are bit-identical to
+    the one-point-at-a-time ascent, exact and finite-shot."""
+    settings = ORACLE_SETTINGS[name]
+    cases = [(0.3, 0.5, None, None), (0.7, 0.3, 1000, 4),
+             (1.0, 0.7, 1000, 11), (0.3, 0.0, 200, 2)]
+    for beta2, refl, shots, seed in cases:
+        counts = simulate_counts(phased_state(beta2, refl), settings,
+                                 shots, seed=seed)
+        got = mle_reconstruct(counts, 0.2, settings)
+        want = reference_device.mle_reconstruct(counts, 0.2, settings)
+        assert np.array_equal(got.rho, want.rho), (beta2, refl, shots)
+        assert got.purity == want.purity
+        assert got.meta == want.meta
 
 
 def test_mle_rejects_bad_inputs():
