@@ -259,6 +259,9 @@ def _rc_entanglement_features(config, reservoir):
 
 
 def cmd_rc(config, out_dir, check=False):
+    if bool(config["train_features"]) != bool(config["test_features"]):
+        raise ConfigError(
+            "train_features and test_features must be set together")
     out_dir.mkdir(parents=True, exist_ok=True)
     window = config["window"]
     if window is None:

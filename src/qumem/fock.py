@@ -1,10 +1,14 @@
 """Dense multimode Fock-space engine for linear optics.
 
 Basis enumeration, lifting of mode unitaries to the multi-photon
-Hilbert space via matrix permanents, density-operator algebra, and
-photon-counting measurement.  Everything is dense numpy: the systems
-of interest stay small (nine modes with three photons give a
-165-dimensional space, binomial(m+p-1, p) in general).
+Hilbert space, density-operator algebra, and photon-counting
+measurement.  Everything is dense numpy: the systems of interest stay
+small (nine modes with three photons give a 165-dimensional space,
+binomial(m+p-1, p) in general).
+
+A lift is built one photon sector at a time by the creation-operator
+recursion, each sector from the one below, so no matrix permanent is
+formed; `permanent` (Ryser's formula) is kept as a standalone function.
 
 Conventions
 -----------
@@ -18,6 +22,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -31,15 +36,16 @@ class DimensionError(ValueError):
     """Raised for invalid or mismatched Hilbert-space dimensions."""
 
 
+@functools.lru_cache(maxsize=256)
 def _sector(modes, photons):
     """Occupation vectors of `modes` modes holding exactly `photons`
-    photons, in descending lexicographic order."""
+    photons, in descending lexicographic order (a cached tuple)."""
     if modes == 1:
-        return [(photons,)]
+        return ((photons,),)
     out = []
     for k in range(photons, -1, -1):
         out.extend((k,) + tail for tail in _sector(modes - 1, photons - k))
-    return out
+    return tuple(out)
 
 
 class OccupationBasis:
@@ -259,49 +265,80 @@ def permanent(matrix):
     return complex(_permanents(matrix))
 
 
-def _repetition_indices(occs):
-    """Mode index repeated by its occupation, per basis state: (d, p)."""
-    return np.array(
-        [[m for m, n in enumerate(occ) for _ in range(n)] for occ in occs],
-        dtype=int,
-    )
+@functools.lru_cache(maxsize=16)
+def _ladder(modes, photons):
+    """Index tables of the creation-operator recursion, one per sector
+    k = 1..photons, as read-only arrays.
+
+    Column side, per k-photon input state b with first occupied mode j:
+    j, the index of b - e_j in sector k-1, and 1/sqrt(b_j).  Row side,
+    per output state o and slot t over its occupied modes i (padded to
+    min(k, modes) slots), as (slots, d_k) arrays: the index of o - e_i
+    in sector k-1, and the row (o_i - 1) * modes + i of the table that
+    `_lift_sectors` fills with sqrt(o_i) U[i, :] (padding points at its
+    last row, which is zero)."""
+    tables = []
+    prev = {occ: i for i, occ in enumerate(_sector(modes, 0))}
+    for k in range(1, photons + 1):
+        states = _sector(modes, k)
+        width = min(k, modes)
+        rows = np.full((width, len(states)), k * modes, dtype=np.intp)
+        parents = np.zeros((width, len(states)), dtype=np.intp)
+        col_mode = np.empty(len(states), dtype=np.intp)
+        col_parent = np.empty(len(states), dtype=np.intp)
+        col_scale = np.empty(len(states))
+        for b, occ in enumerate(states):
+            occupied = [i for i, n in enumerate(occ) if n]
+            for t, i in enumerate(occupied):
+                rows[t, b] = (occ[i] - 1) * modes + i
+                parents[t, b] = prev[occ[:i] + (occ[i] - 1,) + occ[i + 1:]]
+            col_mode[b] = occupied[0]
+            col_parent[b] = parents[0, b]
+            col_scale[b] = 1.0 / math.sqrt(occ[occupied[0]])
+        table = (rows, parents, col_mode, col_parent, col_scale)
+        for arr in table:
+            arr.flags.writeable = False
+        tables.append(table)
+        prev = {occ: i for i, occ in enumerate(states)}
+    return tuple(tables)
 
 
-def _sqrt_factorials(occs):
-    return np.array(
-        [math.sqrt(math.prod(math.factorial(n) for n in occ)) for occ in occs]
-    )
+def _lift_sectors(u, modes, photons):
+    """Lifts of the mode unitary u onto the sectors 0..photons.
 
+    Column b of the k-photon lift follows from the (k-1)-photon lift by
+    one creation operator, |b> = a_j^+ |b - e_j> / sqrt(b_j) with j the
+    first occupied mode of b, and U a_j^+ U^+ = sum_i U[i, j] a_i^+:
 
-_LIFT_ROWS = 16
+        L_k[o, b] = (1/sqrt(b_j)) sum_i sqrt(o_i) U[i, j] L_{k-1}[o - e_i, b - e_j]
 
-
-def _lift_sector(u, occs):
-    """Lift an m x m mode unitary onto one fixed-photon-number sector.
-
-    <out|U_F|in> = per(U[out|in]) / sqrt(prod out_i! prod in_j!), where
-    U[out|in] repeats row i out_i times and column j in_j times.
+    (Miatto & Quesada, Quantum 4, 366 (2020)).  No permanent is formed.
     """
-    p = sum(occs[0])
-    d = len(occs)
-    if p == 0:
-        return np.ones((1, 1), dtype=complex)
-    reps = _repetition_indices(occs)
-    norms = _sqrt_factorials(occs)
-    out = np.empty((d, d), dtype=complex)
-    # blocks of output rows keep the (rows, d, p, p) gather small
-    for start in range(0, d, _LIFT_ROWS):
-        rows = reps[start : start + _LIFT_ROWS]
-        sub = u[rows[:, None, :, None], reps[None, :, None, :]]
-        out[start : start + _LIFT_ROWS] = _permanents(sub)
-    return out / np.outer(norms, norms)
+    lifts = [np.ones((1, 1), dtype=complex)]
+    for k, (rows, parents, col_mode, col_parent, col_scale) in enumerate(
+            _ladder(modes, photons), start=1):
+        cols = lifts[-1][:, col_parent]
+        u_cols = u[:, col_mode] * col_scale
+        table = np.zeros((k * modes + 1, col_mode.size), dtype=complex)
+        table[:-1] = (np.sqrt(np.arange(1.0, k + 1))[:, None, None]
+                      * u_cols).reshape(k * modes, -1)
+        out = table[rows[0]]
+        out *= cols[parents[0]]
+        for row, parent in zip(rows[1:], parents[1:]):
+            term = table[row]
+            term *= cols[parent]
+            out += term
+        lifts.append(out)
+    return lifts
 
 
 def lift_unitary(u, basis):
     """Lift a mode unitary to the Fock space over `basis`.
 
     For a mixed-sector basis the lift is block diagonal over photon
-    number (a passive unitary conserves total photon number).
+    number (a passive unitary conserves total photon number).  The
+    basis must be in the order of `enumerate_basis` or
+    `enumerate_basis_upto`.
     """
     if isinstance(u, ModeUnitary):
         u = u.matrix
@@ -310,13 +347,19 @@ def lift_unitary(u, basis):
         raise DimensionError(
             f"mode matrix is {u.shape}, basis has {basis.modes} modes"
         )
+    first = basis.photons if basis.fixed_total else 0
+    sectors = range(first, basis.photons + 1)
+    if basis.states != sum((_sector(basis.modes, k) for k in sectors), ()):
+        raise ValueError("lifting needs a basis in enumerate_basis order")
+    lifts = _lift_sectors(u, basis.modes, basis.photons)
     if basis.fixed_total:
-        return _lift_sector(u, basis.states)
+        return lifts[-1]
     out = np.zeros((basis.size, basis.size), dtype=complex)
-    for p in range(basis.photons + 1):
-        idx = np.flatnonzero(basis.totals == p)
-        occs = [basis.states[i] for i in idx]
-        out[np.ix_(idx, idx)] = _lift_sector(u, occs)
+    start = 0
+    for block in lifts:
+        stop = start + block.shape[0]
+        out[start:stop, start:stop] = block
+        start = stop
     return out
 
 

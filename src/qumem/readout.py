@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._atomic import write_atomic
 from .reservoir import (
     COHERENT,
     QUANTUM,
@@ -407,12 +408,12 @@ def write_features_csv(path, probs, labels):
     """Per-sequence probability vectors with labels, one row each."""
     probs = np.asarray(probs, dtype=float)
     labels = np.asarray(labels, dtype=int)
-    with open(path, "w") as fh:
-        fh.write("label," + ",".join(f"p{i}" for i in range(probs.shape[1]))
-                 + "\n")
-        for row, lab in zip(probs, labels):
-            fh.write(str(int(lab)) + "," +
-                     ",".join(f"{v:.12g}" for v in row) + "\n")
+    width = probs.shape[1]
+    row_format = "%d," + ",".join(["%.12g"] * width)
+    lines = ["label," + ",".join(f"p{i}" for i in range(width))]
+    lines.extend(row_format % (lab, *row)
+                 for row, lab in zip(probs.tolist(), labels.tolist()))
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_features_csv(path):

@@ -38,8 +38,7 @@ from .fock import (
     DimensionError,
     ModeUnitary,
     QuantumState,
-    _lift_sector,
-    _sector,
+    _lift_sectors,
     coupler,
     enumerate_basis,
     lift_unitary,
@@ -269,14 +268,14 @@ class Reservoir:
     def __init__(self, config=None, **kwargs):
         self.config = config or ReservoirConfig(**kwargs)
         cfg = self.config
-        self.basis = enumerate_basis(cfg.modes, cfg.photons)
+        geometry = _geometry(cfg.modes, cfg.photons)
+        self.basis = geometry.basis
         rng = np.random.default_rng(cfg.mesh_seed)
         self.u_in = build_mesh(cfg.modes, rng=rng)
         self.u_out = build_mesh(cfg.modes, rng=rng)
         self.u_in_f = lift_unitary(self.u_in, self.basis)
         self.u_out_f = lift_unitary(self.u_out, self.basis)
-        self.rails = [(3 * k, 3 * k + 1, 3 * k + 2)
-                      for k in range(cfg.n_memristors)]
+        self.rails = list(geometry.rails)
         self.memristors = [
             DiscreteMemristor(cfg.window, cfg.r_init,
                               frozen=not cfg.feedback)
@@ -284,62 +283,16 @@ class Reservoir:
         ]
         self.step_index = 0
         self._rng = np.random.default_rng(cfg.sample_seed)
-        self._build_layer_structure()
-        self._build_reinjection()
-
-    # -- precomputed structure ------------------------------------------------
-
-    def _build_layer_structure(self):
-        """Coupler k mixes only the basis states that differ in how the
-        q photons of its (through, feedback) pair are split.  Per pair
-        and q >= 1 these states form groups of q+1, each ordered by
-        feedback occupation (the local index of the two-mode sector).
-        A pair stores all its groups as one index array, slot-major per
-        q, so applying it is one gather, one small matmul per q and one
-        scatter; q = 0 states are left alone."""
-        occ = self.basis.occupation_matrix()
-        p = self.config.photons
-        self._pair_layout = []   # per pair: (index, [(q, start, stop)])
-        for _, thru, fb in self.rails:
-            others = [m for m in range(self.config.modes)
-                      if m not in (thru, fb)]
-            q = occ[:, thru] + occ[:, fb]
-            parts, runs, start = [], [], 0
-            for qq in range(1, p + 1):
-                groups = {}
-                for i in np.flatnonzero(q == qq):
-                    slots = groups.setdefault(tuple(occ[i, others]),
-                                              [0] * (qq + 1))
-                    slots[occ[i, fb]] = i
-                part = np.array(list(groups.values()), dtype=int).T.ravel()
-                parts.append(part)
-                runs.append((qq, start, start + part.size))
-                start += part.size
-            self._pair_layout.append((np.concatenate(parts), runs))
-        self._lift_coeffs = [_coupler_lift_coeffs(qq) for qq in range(p + 1)]
-        self._powers = np.arange(p + 1)
-
-    def _build_reinjection(self):
-        """Feedback-rail measurement groups, each paired with the output
-        mesh columns of its reinjection targets (feedback occupation
-        moved onto the through rail)."""
-        basis = self.basis
-        target = np.empty(basis.size, dtype=int)
-        patterns = {}
-        for i, occupation in enumerate(basis.states):
-            occ = list(occupation)
-            pat = tuple(occ[fb] for _, _, fb in self.rails)
-            for _, thru, fb in self.rails:
-                occ[thru] += occ[fb]
-                occ[fb] = 0
-            target[i] = basis.index_of(tuple(occ))
-            patterns.setdefault(pat, []).append(i)
+        self._pair_layout = geometry.pair_layout
+        self._lift_coeffs = geometry.lift_coeffs
+        self._powers = geometry.powers
+        self._fb_occ = geometry.fb_occ
+        # each feedback-rail outcome with the output mesh columns of its
+        # reinjection targets
         self._reinjection_groups = [
-            (np.array(idx), self.u_out_f[:, target[idx]])
-            for idx in patterns.values()
+            (idx, self.u_out_f[:, targets])
+            for idx, targets in geometry.reinjection
         ]
-        fb_modes = [fb for _, _, fb in self.rails]
-        self._fb_occ = basis.occupation_matrix()[:, fb_modes].astype(float)
 
     # -- per-step pieces -------------------------------------------------------
 
@@ -356,9 +309,9 @@ class Reservoir:
         sector at a time.  Returns a new array."""
         out = np.array(factor, dtype=complex)
         for (index, runs), mem in zip(self._pair_layout, self.memristors):
-            block = coupler(mem.R)
-            t_pow = block[0, 0] ** self._powers
-            s_pow = block[0, 1] ** self._powers
+            # the entries t and i r of coupler(mem.R)
+            t_pow = complex(math.sqrt(1.0 - mem.R)) ** self._powers
+            s_pow = complex(0.0, math.sqrt(mem.R)) ** self._powers
             rows = out[index]
             for q, start, stop in runs:
                 lift = self._lift_coeffs[q] @ (t_pow[q::-1] * s_pow[: q + 1])
@@ -451,13 +404,93 @@ class Reservoir:
         return np.array([mem.R for mem in self.memristors])
 
 
+# ---------------------------------------------------------------------------
+# structure shared by every reservoir of one geometry
+
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True)
+class _Geometry:
+    """Read-only structure of a (modes, photons) reservoir: it depends
+    on no seed, mesh or memristor state."""
+
+    basis: object
+    rails: tuple
+    pair_layout: tuple   # per pair: (index, ((q, start, stop), ...))
+    lift_coeffs: tuple   # per q: _coupler_lift_coeffs(q)
+    powers: np.ndarray
+    reinjection: tuple   # per feedback pattern: (indices, target indices)
+    fb_occ: np.ndarray   # (dim, n_memristors) feedback-rail occupations
+
+
+def _pair_layout(occ, photons, thru, fb):
+    """Coupler (thru, fb) mixes only the basis states that differ in how
+    the q photons of its pair are split.  For q >= 1 these states form
+    groups of q+1, each ordered by feedback occupation (the local index
+    of the two-mode sector).  All groups are stored as one index array,
+    slot-major per q, so applying the coupler is one gather, one small
+    matmul per q and one scatter; q = 0 states are left alone."""
+    others = [m for m in range(occ.shape[1]) if m not in (thru, fb)]
+    q = occ[:, thru] + occ[:, fb]
+    parts, runs, start = [], [], 0
+    for qq in range(1, photons + 1):
+        groups = {}
+        for i in np.flatnonzero(q == qq):
+            slots = groups.setdefault(tuple(occ[i, others]), [0] * (qq + 1))
+            slots[occ[i, fb]] = i
+        part = np.array(list(groups.values()), dtype=int).T.ravel()
+        parts.append(part)
+        runs.append((qq, start, start + part.size))
+        start += part.size
+    return _read_only(np.concatenate(parts)), tuple(runs)
+
+
+def _reinjection(basis, rails):
+    """Feedback-rail measurement groups, each with its reinjection
+    targets (feedback occupation moved onto the through rail)."""
+    target = np.empty(basis.size, dtype=int)
+    patterns = {}
+    for i, occupation in enumerate(basis.states):
+        occ = list(occupation)
+        pat = tuple(occ[fb] for _, _, fb in rails)
+        for _, thru, fb in rails:
+            occ[thru] += occ[fb]
+            occ[fb] = 0
+        target[i] = basis.index_of(tuple(occ))
+        patterns.setdefault(pat, []).append(i)
+    return tuple((_read_only(np.array(idx)), _read_only(target[idx]))
+                 for idx in patterns.values())
+
+
+@functools.lru_cache(maxsize=8)
+def _geometry(modes, photons):
+    basis = enumerate_basis(modes, photons)
+    _read_only(basis.totals)
+    rails = tuple((3 * k, 3 * k + 1, 3 * k + 2) for k in range(modes // 3))
+    occ = basis.occupation_matrix()
+    return _Geometry(
+        basis=basis,
+        rails=rails,
+        pair_layout=tuple(_pair_layout(occ, photons, thru, fb)
+                          for _, thru, fb in rails),
+        lift_coeffs=tuple(_read_only(_coupler_lift_coeffs(q))
+                          for q in range(photons + 1)),
+        powers=_read_only(np.arange(photons + 1)),
+        reinjection=_reinjection(basis, rails),
+        fb_occ=_read_only(occ[:, [fb for _, _, fb in rails]].astype(float)),
+    )
+
+
 def _coupler_lift_coeffs(q):
     """(q+1, q+1, q+1) coefficients C of the coupler [[t, s], [s, t]]
     lifted to the q-photon sector of its two modes, lift[a, b] =
     sum_j C[a, b, j] t^(q-j) s^j.  Every entry is a homogeneous degree-q
-    polynomial, so C is the discrete Fourier transform of the permanent
-    lift at t = 1 and s on the (q+1)-th roots of unity."""
+    polynomial, so C is the discrete Fourier transform of the lift at
+    t = 1 and s on the (q+1)-th roots of unity."""
     roots = np.exp(2j * np.pi * np.arange(q + 1) / (q + 1))
-    lifts = [_lift_sector(np.array([[1.0, w], [w, 1.0]]), _sector(2, q))
+    lifts = [_lift_sectors(np.array([[1.0, w], [w, 1.0]]), 2, q)[q]
              for w in roots]
     return (np.fft.fft(np.stack(lifts, axis=-1), axis=-1) / (q + 1)).real

@@ -234,13 +234,24 @@ def _log_likelihoods(params, counts, mats):
 
 
 def _linear_inversion(counts, settings):
-    """Moment-based initial block estimate from the click frequencies."""
+    """Moment-based initial block estimate from the click frequencies.
+
+    Settings are recognised by their coupler, whatever their names:
+    R = 0 measures the populations, and R = 1/2 at relative phase 0 and
+    -pi/2 the imaginary and the real part of the coherence.  A moment
+    no setting measures is taken at its maximally mixed value."""
     freqs = {}
     for row, setting in zip(counts, settings):
         total = row.sum()
-        freqs[setting.name or (setting.reflectivity, setting.phase)] = (
-            row[0] / total if total > 0 else 0.5
-        )
+        freq = row[0] / total if total > 0 else 0.5
+        phase = math.remainder(setting.phase, 2.0 * math.pi)
+        if setting.reflectivity == 0.0:
+            freqs["identity"] = freq
+        elif setting.reflectivity == 0.5 and abs(phase) < 1e-12:
+            freqs["balanced"] = freq
+        elif (setting.reflectivity == 0.5
+              and abs(phase + math.pi / 2) < 1e-12):
+            freqs["phase-"] = freq
     a = freqs.get("identity", 0.5)
     im = freqs.get("balanced", 0.5) - 0.5
     re = freqs.get("phase-", 0.5) - 0.5

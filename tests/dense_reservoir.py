@@ -11,7 +11,8 @@ ket-factor engine can be checked against it step for step.
 
 import numpy as np
 
-from qumem.fock import DimensionError, _lift_sector, _sector, coupler
+from permanent_lift import lift_sector
+from qumem.fock import DimensionError, _sector, coupler
 from qumem.reservoir import EncodedInput, Reservoir
 
 
@@ -59,7 +60,7 @@ class DenseReservoir(Reservoir):
             block = coupler(mem.R)
             table = np.zeros((p + 1, p + 1, p + 1), dtype=complex)
             for q in range(p + 1):
-                table[q, : q + 1, : q + 1] = _lift_sector(
+                table[q, : q + 1, : q + 1] = lift_sector(
                     block, self._pair_sectors[q])
             q, li = self._pair_q[k], self._pair_li[k]
             out *= table[q[:, None], li[:, None], li[None, :]]

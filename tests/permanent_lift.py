@@ -1,0 +1,62 @@
+"""Slow oracle for the Fock lift: matrix permanents by Ryser's formula.
+
+This is the lift the library used before the creation-operator
+recursion, <out|U_F|in> = per(U[out|in]) / sqrt(prod out_i! prod in_j!)
+(Scheel, quant-ph/0406127), kept so tests can check the recursion
+against an independent evaluation of every entry.
+"""
+
+import math
+
+import numpy as np
+
+from qumem.fock import _permanents
+
+_LIFT_ROWS = 16
+
+
+def _repetition_indices(occs):
+    """Mode index repeated by its occupation, per basis state: (d, p)."""
+    return np.array(
+        [[m for m, n in enumerate(occ) for _ in range(n)] for occ in occs],
+        dtype=int,
+    )
+
+
+def _sqrt_factorials(occs):
+    return np.array(
+        [math.sqrt(math.prod(math.factorial(n) for n in occ)) for occ in occs]
+    )
+
+
+def lift_sector(u, occs):
+    """Lift an m x m mode unitary onto one fixed-photon-number sector
+    listed by `occs`, in that order.  U[out|in] repeats row i out_i
+    times and column j in_j times."""
+    p = sum(occs[0])
+    d = len(occs)
+    if p == 0:
+        return np.ones((1, 1), dtype=complex)
+    u = np.asarray(u, dtype=complex)
+    reps = _repetition_indices(occs)
+    norms = _sqrt_factorials(occs)
+    out = np.empty((d, d), dtype=complex)
+    # blocks of output rows keep the (rows, d, p, p) gather small
+    for start in range(0, d, _LIFT_ROWS):
+        rows = reps[start : start + _LIFT_ROWS]
+        sub = u[rows[:, None, :, None], reps[None, :, None, :]]
+        out[start : start + _LIFT_ROWS] = _permanents(sub)
+    return out / np.outer(norms, norms)
+
+
+def permanent_lift(u, basis):
+    """Lift over a fixed-sector or mixed-sector basis; block diagonal
+    over photon number in the mixed case."""
+    u = np.asarray(u, dtype=complex)
+    if basis.fixed_total:
+        return lift_sector(u, basis.states)
+    out = np.zeros((basis.size, basis.size), dtype=complex)
+    for p in range(basis.photons + 1):
+        idx = np.flatnonzero(basis.totals == p)
+        out[np.ix_(idx, idx)] = lift_sector(u, [basis.states[i] for i in idx])
+    return out

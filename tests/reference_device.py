@@ -4,10 +4,10 @@ These are the straightforward forms the library's fast paths replace:
 the MLE tomography that evaluates its likelihood one parameter point
 and one analysis setting at a time, the windowed memristor law that
 re-sums (t, n_in, dt) window triples on every step, the discrete
-reservoir memristor that keeps its samples in a list, and the trace
-CSV written through `csv.writer`.  The fast paths perform the same
-floating-point operations in the same order, so tests compare the two
-for exact equality.
+reservoir memristor that keeps its samples in a list, the trace CSV
+written through `csv.writer`, and the feature CSV written in place row
+by row.  The fast paths perform the same floating-point operations in
+the same order, so tests compare the two for exact equality.
 """
 
 from __future__ import annotations
@@ -184,3 +184,17 @@ def write_trace_csv(trace, path):
         writer.writerow(["t", "n_in", "n_out", "R"])
         for row in zip(trace.t, trace.n_in, trace.n_out, trace.R):
             writer.writerow([f"{v:.12g}" for v in row])
+
+
+# ---------------------------------------------------------------------------
+# feature CSV
+
+def write_features_csv(path, probs, labels):
+    probs = np.asarray(probs, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    with open(path, "w") as fh:
+        fh.write("label," + ",".join(f"p{i}" for i in range(probs.shape[1]))
+                 + "\n")
+        for row, lab in zip(probs, labels):
+            fh.write(str(int(lab)) + "," +
+                     ",".join(f"{v:.12g}" for v in row) + "\n")

@@ -244,6 +244,18 @@ def test_rc_missing_feature_csv_exits_3(tmp_path):
                    "--out", str(tmp_path / "o")) == EXIT_DATA
 
 
+@pytest.mark.parametrize("key", ["train_features", "test_features"])
+def test_rc_one_feature_csv_exits_2(tmp_path, key):
+    features = tmp_path / "features.csv"
+    features.write_text("label,p0\n0,1\n")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({key: str(features)}))
+    out = tmp_path / "o"
+    assert run_cli("rc", "entanglement", "--config", str(config),
+                   "--out", str(out)) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_hysteresis_writes_meta_sidecars(tmp_path):
     config = fast_hysteresis_config(tmp_path, ratios=[0.5])
     out = tmp_path / "out"

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from permanent_lift import permanent_lift
 from qumem.fock import (
+    OccupationBasis,
     DimensionError,
     ModeUnitary,
     QuantumState,
@@ -177,6 +181,67 @@ def test_lift_matches_brute_force_oracle():
                     lift_unitary(u, basis), brute_force_lift(u, basis),
                     atol=1e-10,
                 )
+
+
+def lift_basis(modes, photons, mixed):
+    if mixed:
+        return enumerate_basis_upto(modes, photons)
+    return enumerate_basis(modes, photons)
+
+
+# (modes, photons, mixed-sector basis) with modes <= 4 and photons <= 3
+geometries = st.tuples(st.integers(1, 4), st.integers(0, 3), st.booleans())
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometries, seeds)
+def test_lift_matches_permanent_oracle(geometry, seed):
+    modes, photons, mixed = geometry
+    basis = lift_basis(modes, photons, mixed)
+    u = haar_unitary(modes, np.random.default_rng(seed))
+    dev = np.max(np.abs(lift_unitary(u, basis) - permanent_lift(u, basis)))
+    assert dev <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometries, seeds)
+def test_lift_is_multiplicative_and_unitary(geometry, seed):
+    modes, photons, mixed = geometry
+    basis = lift_basis(modes, photons, mixed)
+    rng = np.random.default_rng(seed)
+    u, v = haar_unitary(modes, rng), haar_unitary(modes, rng)
+    lu, lv = lift_unitary(u, basis), lift_unitary(v, basis)
+    assert np.max(np.abs(lift_unitary(u @ v, basis) - lu @ lv)) <= 1e-12
+    assert np.max(np.abs(lu.conj().T @ lu - np.eye(basis.size))) <= 1e-12
+
+
+def test_lift_matches_permanent_oracle_at_reservoir_size():
+    rng = np.random.default_rng(37)
+    for basis in (enumerate_basis(9, 3), enumerate_basis_upto(6, 3)):
+        u = haar_unitary(basis.modes, rng)
+        dev = np.max(np.abs(lift_unitary(u, basis) - permanent_lift(u, basis)))
+        assert dev <= 1e-12
+
+
+def test_lift_mixed_basis_is_block_diagonal_over_photon_number():
+    rng = np.random.default_rng(41)
+    basis = enumerate_basis_upto(4, 3)
+    u = haar_unitary(4, rng)
+    lifted = lift_unitary(u, basis)
+    same = basis.totals[:, None] == basis.totals[None, :]
+    assert np.all(lifted[~same] == 0)
+    for p in range(4):
+        idx = np.flatnonzero(basis.totals == p)
+        block = lifted[np.ix_(idx, idx)]
+        assert np.array_equal(block, lift_unitary(u, enumerate_basis(4, p)))
+
+
+def test_lift_rejects_reordered_basis():
+    basis = enumerate_basis(3, 2)
+    shuffled = OccupationBasis(3, 2, basis.states[::-1], fixed_total=True)
+    with pytest.raises(ValueError):
+        lift_unitary(np.eye(3), shuffled)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import struct
 import numpy as np
 import pytest
 
+import reference_device
+from qumem import _atomic
 from qumem.readout import (
     DataError,
     read_features_csv,
@@ -273,6 +275,39 @@ def test_features_csv_roundtrip(tmp_path):
     probs2, labels2 = read_features_csv(path)
     assert np.allclose(probs2, probs, atol=1e-10)
     assert np.array_equal(labels2, labels)
+
+
+def test_features_csv_bytes_match_row_writer(tmp_path):
+    rng = np.random.default_rng(10)
+    cases = [
+        (rng.dirichlet(np.ones(165), size=5), rng.integers(0, 3, size=5)),
+        (np.array([[0.0, -0.0, 1e-300, 123456789012345.0],
+                   [1 / 3, np.inf, -np.inf, np.nan]]), np.array([-1, 12])),
+        (np.zeros((0, 4)), np.zeros(0, dtype=int)),
+    ]
+    for k, (probs, labels) in enumerate(cases):
+        got, want = tmp_path / f"got{k}.csv", tmp_path / f"want{k}.csv"
+        write_features_csv(got, probs, labels)
+        reference_device.write_features_csv(want, probs, labels)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_failed_features_write_leaves_no_partial_or_temp_file(
+        tmp_path, monkeypatch):
+    probs, labels = np.full((3, 4), 0.25), np.array([0, 1, 2])
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old")
+    fresh = tmp_path / "fresh.csv"
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(_atomic.os, "replace", fail)
+    for path in (kept, fresh):
+        with pytest.raises(OSError):
+            write_features_csv(path, probs, labels)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
+    assert kept.read_text() == "old"
 
 
 def test_features_csv_rejects_garbage(tmp_path):

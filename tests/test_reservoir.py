@@ -8,6 +8,7 @@ from dense_reservoir import DenseReservoir
 from qumem.fock import (
     DimensionError,
     QuantumState,
+    coupler,
     enumerate_basis,
     fock_probabilities,
     lift_unitary,
@@ -123,7 +124,7 @@ def _random_factor(dim, rank, rng):
 
 
 def test_layer_lift_matches_generic_lift():
-    # the structural layer against the dense permanent lift of the bank
+    # the structural layer against the generic Fock lift of the bank
     rng = np.random.default_rng(8)
     for modes, photons in ((3, 1), (6, 2), (7, 2), (9, 3)):
         res = Reservoir(ReservoirConfig(modes=modes, photons=photons,
@@ -134,6 +135,50 @@ def test_layer_lift_matches_generic_lift():
             factor = _random_factor(res.basis.size, 3, rng)
             dense = lift_unitary(res.bank_mode_matrix(), res.basis) @ factor
             assert np.max(np.abs(res.apply_layer(factor) - dense)) <= 1e-12
+
+
+def _coupler_matrix_layer(res, factor):
+    """apply_layer with t and i r read off a validated coupler(R)."""
+    out = np.array(factor, dtype=complex)
+    for (index, runs), mem in zip(res._pair_layout, res.memristors):
+        block = coupler(mem.R)
+        t_pow = block[0, 0] ** res._powers
+        s_pow = block[0, 1] ** res._powers
+        rows = out[index]
+        for q, start, stop in runs:
+            lift = res._lift_coeffs[q] @ (t_pow[q::-1] * s_pow[: q + 1])
+            run = rows[start:stop]
+            run[...] = (lift @ run.reshape(q + 1, -1)).reshape(run.shape)
+        out[index] = rows
+    return out
+
+
+def test_layer_coupler_entries_match_coupler_matrix_exactly():
+    rng = np.random.default_rng(12)
+    res = Reservoir(ReservoirConfig(mesh_seed=4, window=3))
+    # one reflectivity per memristor
+    r_sets = [(r,) * 3 for r in (0.0, R_MIN, 1.0, *rng.uniform(size=5))]
+    r_sets.append(tuple(rng.uniform(size=3)))
+    for r_set in r_sets:
+        for mem, r_value in zip(res.memristors, r_set):
+            mem.R = float(r_value)
+        factor = _random_factor(res.basis.size, 2, rng)
+        assert np.array_equal(res.apply_layer(factor),
+                              _coupler_matrix_layer(res, factor))
+
+
+def test_reservoirs_share_read_only_geometry_but_not_meshes():
+    a = Reservoir(ReservoirConfig(mesh_seed=1, window=3))
+    b = Reservoir(ReservoirConfig(mesh_seed=2, window=5, feedback=False))
+    assert a.basis is b.basis
+    assert a._pair_layout is b._pair_layout
+    for index, _ in a._pair_layout:
+        assert not index.flags.writeable
+    assert not a._fb_occ.flags.writeable
+    assert all(not c.flags.writeable for c in a._lift_coeffs)
+    assert not np.allclose(a.u_in_f, b.u_in_f)
+    assert np.array_equal(a.u_in_f, lift_unitary(a.u_in, a.basis))
+    assert np.array_equal(b.u_out_f, lift_unitary(b.u_out, b.basis))
 
 
 def test_layer_identity_at_zero_reflectivity():

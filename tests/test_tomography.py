@@ -221,6 +221,27 @@ def test_mle_matches_pointwise_reference_exactly(name):
         assert got.meta == want.meta
 
 
+def test_unnamed_default_settings_start_like_named_ones():
+    """The initial estimate reads each setting's coupler, not its name,
+    so the default settings without names reconstruct identically."""
+    named = default_settings()
+    unnamed = tuple(TomographySetting(s.reflectivity, s.phase)
+                    for s in named)
+    cases = [(0.3, 0.5, None, None), (0.7, 0.3, None, None),
+             (0.7, 0.3, 1000, 4), (1.0, 0.7, 1000, 11)]
+    for beta2, refl, shots, seed in cases:
+        counts = simulate_counts(phased_state(beta2, refl), named,
+                                 shots, seed=seed)
+        got = mle_reconstruct(counts, 0.2, unnamed)
+        want = mle_reconstruct(counts, 0.2, named)
+        assert np.array_equal(got.rho, want.rho), (beta2, refl, shots)
+        assert got.meta["log_likelihood"] == want.meta["log_likelihood"]
+        assert got.meta["iterations"] == want.meta["iterations"]
+    # exact counts: the moment estimate is already the optimum
+    exact = simulate_counts(phased_state(0.3, 0.5), named, None)
+    assert mle_reconstruct(exact, 0.2, unnamed).meta["iterations"] == 1
+
+
 def test_mle_rejects_bad_inputs():
     counts = np.ones((4, 2))
     with pytest.raises(ValueError):
