@@ -36,15 +36,12 @@ from .memristor import (
     output_state_dual_rail,
     output_state_single_rail,
     purity_closed_form,
-    update_lowpass,
-    update_windowed,
 )
 from .hysteresis import (
     DetectionConfig,
     DriveConfig,
     Trace,
     classify_regime,
-    detection_estimate,
     run_closed_loop,
     run_lpf_loop,
 )
@@ -59,7 +56,6 @@ from .reservoir import (
     sample_separable,
 )
 from .readout import (
-    LabeledExample,
     ReadoutModel,
     build_entanglement_dataset,
     columns_as_sequence,

@@ -258,10 +258,33 @@ def _rc_entanglement_features(config, reservoir):
     return (x_train, y_train), (x_test, y_test), 2
 
 
+def _read_feature_sets(config, n_out):
+    """Train and test (probs, labels) from the feature CSVs, checked
+    for a common width and labels in [0, n_out)."""
+    sets = []
+    for key in ("train_features", "test_features"):
+        probs, labels = read_features_csv(config[key])
+        if np.any((labels < 0) | (labels >= n_out)):
+            raise DataError(f"{config[key]}: labels outside [0, {n_out})")
+        sets.append((probs, labels))
+    (train_probs, _), (test_probs, _) = sets
+    if train_probs.shape[1] != test_probs.shape[1]:
+        raise DataError(
+            f"train features have {train_probs.shape[1]} columns, "
+            f"test features {test_probs.shape[1]}")
+    return sets
+
+
 def cmd_rc(config, out_dir, check=False):
     if bool(config["train_features"]) != bool(config["test_features"]):
         raise ConfigError(
             "train_features and test_features must be set together")
+    if config["task"] == "entanglement" and not config["train_features"]:
+        for key in ("n_train", "n_test"):
+            if config[key] % 2:
+                raise ConfigError(
+                    f"{key} must be even for entanglement (balanced "
+                    f"classes), got {config[key]}")
     out_dir.mkdir(parents=True, exist_ok=True)
     window = config["window"]
     if window is None:
@@ -275,8 +298,7 @@ def cmd_rc(config, out_dir, check=False):
     reservoir = Reservoir(rc_config)
     n_out = 3 if config["task"] == "mnist" else 2
     if config["train_features"] and config["test_features"]:
-        train_set = read_features_csv(config["train_features"])
-        test_set = read_features_csv(config["test_features"])
+        train_set, test_set = _read_feature_sets(config, n_out)
     elif config["task"] == "mnist":
         train_set, test_set, n_out = _rc_mnist_features(config, reservoir)
     elif config["task"] == "entanglement":

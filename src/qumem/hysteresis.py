@@ -115,13 +115,6 @@ class DetectorModel:
         return self.filtered
 
 
-def detection_estimate(true_rate, det, dt):
-    """One-shot rate estimate.  Accepts a DetectorModel (carrying RC
-    filter state across calls) or a DetectionConfig (fresh model)."""
-    model = det if isinstance(det, DetectorModel) else DetectorModel(det)
-    return model.estimate(true_rate, dt)
-
-
 @dataclass
 class Trace:
     """Closed-loop run record: columns (t, n_in, n_out, R)."""

@@ -223,22 +223,6 @@ class MemristorState:
         return dup
 
 
-def update_windowed(state, sample):
-    """Advance a windowed-law memristor by one (t, n_in) sample."""
-    if state.law != WINDOWED:
-        raise ValueError("state law is not 'windowed'")
-    t, n_in = sample
-    return state.advance(t, n_in)
-
-
-def update_lowpass(state, sample):
-    """Advance a low-pass-law memristor by one (t, n_in) sample."""
-    if state.law != LOWPASS:
-        raise ValueError("state law is not 'lowpass'")
-    t, n_in = sample
-    return state.advance(t, n_in)
-
-
 @dataclass(frozen=True)
 class ClassicalMemristorState:
     """Doped/intrinsic junction memristor: doped thickness w inside a

@@ -45,19 +45,6 @@ class DataError(Exception):
     """Raised for malformed or insufficient dataset files."""
 
 
-@dataclass(frozen=True)
-class LabeledExample:
-    """One reservoir output distribution with its class index."""
-
-    probs: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        total = float(np.sum(self.probs))
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"probs sum to {total}, expected 1")
-
-
 # ---------------------------------------------------------------------------
 # model
 
@@ -144,26 +131,16 @@ class TrainResult:
     test_accuracy: float = None
 
 
-def _as_arrays(data):
-    if isinstance(data, tuple):
-        x, y = data
-        return np.asarray(x, dtype=float), np.asarray(y, dtype=int)
-    x = np.stack([ex.probs for ex in data])
-    y = np.array([ex.label for ex in data], dtype=int)
-    return x, y
-
-
 def train(model, data, epochs=15, lr=0.05, seed=0, batch_size=32,
           test_data=None):
     """Mini-batch SGD on cross-entropy; deterministic given seed.
 
-    `data` is either (X, y) arrays or a list of LabeledExample.
-    Returns the trained model together with per-epoch losses and final
-    train/test accuracies.
+    `data` and `test_data` are (X, y) pairs: feature rows and class
+    indices.  Returns the trained model together with per-epoch losses
+    and final train/test accuracies.
     """
-    if isinstance(data, tuple) and len(data[1]) == 0:
-        raise ValueError("training data must be non-empty")
-    x, y = _as_arrays(data)
+    x = np.asarray(data[0], dtype=float)
+    y = np.asarray(data[1], dtype=int)
     if x.shape[0] == 0:
         raise ValueError("training data must be non-empty")
     model = model.copy()
@@ -182,8 +159,7 @@ def train(model, data, epochs=15, lr=0.05, seed=0, batch_size=32,
         losses.append(epoch_loss / n)
     result = TrainResult(model, losses, train_accuracy=accuracy(model, x, y))
     if test_data is not None:
-        xt, yt = _as_arrays(test_data)
-        result.test_accuracy = accuracy(model, xt, yt)
+        result.test_accuracy = accuracy(model, *test_data)
     return result
 
 

@@ -5,8 +5,9 @@ the classical baseline) on an m-mode, p-photon Fock space, scrambled by
 a fixed random coupler mesh, passed through a bank of floor(m/3)
 memristors, scrambled again, and measured in the Fock basis.  Memory
 lives only in the memristor reflectivities: each step consumes a fresh
-encoded input, and the feedback-port statistics of that step drive a
-discrete sliding-window update of every reflectivity.
+encoded input, and the feedback-port statistics of that step drive
+every memristor, a `MemristorState` running the sliding-window law at
+unit time steps (one step is one second of its window).
 
 Each memristor owns a triple of rails (bypass, through, feedback); its
 coupler acts on (through, feedback).  A photon found on the feedback
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +43,7 @@ from .fock import (
     enumerate_basis,
     lift_unitary,
 )
-from .memristor import R_MIN
+from .memristor import FROZEN, WINDOWED, MemristorState, estimate_n_in
 
 QUANTUM = "quantum"
 COHERENT = "coherent"
@@ -57,7 +57,7 @@ class ReservoirConfig:
     photons: int = 3
     mesh_seed: int = 2021
     shots: int = None        # None: exact Fock distribution
-    window: int = 12         # memristor memory, in steps
+    window: int = 12         # MemristorState window, in unit steps
     feedback: bool = True    # False freezes every reflectivity at r_init
     r_init: float = 0.5
     sample_seed: int = None
@@ -231,33 +231,6 @@ def entanglement_entropy(state, d_loc):
 # ---------------------------------------------------------------------------
 # the reservoir
 
-class DiscreteMemristor:
-    """Sliding-window reflectivity update in discrete time:
-    R = clamp(0.5 + (1/W) sum_{last W steps} (n_est - 0.5))."""
-
-    def __init__(self, window, r_init=0.5, frozen=False, r_min=R_MIN):
-        self.window = int(window)
-        self.r_init = float(r_init)
-        self.frozen = frozen
-        self.r_min = r_min
-        self._terms = deque(maxlen=self.window)  # n_est - 0.5, oldest first
-        self.R = self._clamp(r_init)
-
-    def _clamp(self, r):
-        return min(max(r, self.r_min), 1.0)
-
-    def update(self, n_est):
-        if self.frozen:
-            return self.R
-        self._terms.append(float(n_est) - 0.5)
-        self.R = self._clamp(0.5 + sum(self._terms) / self.window)
-        return self.R
-
-    def reset(self):
-        self._terms.clear()
-        self.R = self._clamp(self.r_init)
-
-
 class Reservoir:
     """Fixed input/output meshes around a bank of memristor couplers.
 
@@ -276,12 +249,7 @@ class Reservoir:
         self.u_in_f = lift_unitary(self.u_in, self.basis)
         self.u_out_f = lift_unitary(self.u_out, self.basis)
         self.rails = list(geometry.rails)
-        self.memristors = [
-            DiscreteMemristor(cfg.window, cfg.r_init,
-                              frozen=not cfg.feedback)
-            for _ in self.rails
-        ]
-        self.step_index = 0
+        self.reset()
         self._rng = np.random.default_rng(cfg.sample_seed)
         self._pair_layout = geometry.pair_layout
         self._lift_coeffs = geometry.lift_coeffs
@@ -335,11 +303,13 @@ class Reservoir:
         return probs
 
     def _advance_memristors(self, fb_probs):
-        for mem, fb in zip(self.memristors, fb_probs):
-            if mem.frozen:
-                continue
-            n_est = min(max(fb / mem.R, 0.0), 1.0)
-            mem.update(n_est)
+        """One unit time step of every memristor, fed the input
+        estimated from its feedback-rail expectation."""
+        self.step_index += 1
+        t = float(self.step_index)
+        # Python floats: numpy scalars make the window's sum ~3x slower
+        for mem, fb in zip(self.memristors, fb_probs.tolist()):
+            mem.advance(t, estimate_n_in(fb, mem.R))
 
     def _measured_probs(self, probs):
         probs = np.clip(probs, 0.0, None)
@@ -359,7 +329,6 @@ class Reservoir:
     def _step(self, meshed, want_output):
         factor = self.apply_layer(meshed)
         self._advance_memristors(self.feedback_probabilities(factor))
-        self.step_index += 1
         if want_output:
             return self._measured_probs(self.output_probabilities(factor))
         return None
@@ -367,10 +336,14 @@ class Reservoir:
     # -- public API -------------------------------------------------------------
 
     def reset(self):
-        """Clear the memristor memories (new example); the sampling RNG
-        stream is left running."""
-        for mem in self.memristors:
-            mem.reset()
+        """Fresh memristors at r_init and time 0 (new example); the
+        sampling RNG stream is left running."""
+        cfg = self.config
+        law = WINDOWED if cfg.feedback else FROZEN
+        self.memristors = [
+            MemristorState(cfg.r_init, window_seconds=cfg.window, law=law)
+            for _ in self.rails
+        ]
         self.step_index = 0
         return self
 

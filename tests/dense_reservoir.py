@@ -107,7 +107,6 @@ class DenseReservoir(Reservoir):
                 rho = self.u_out_f @ rho @ self.u_out_f.conj().T
                 probs = rho.diagonal().real
         self._advance_memristors(fb_probs)
-        self.step_index += 1
         if want_output:
             return self._measured_probs(probs)
         return None

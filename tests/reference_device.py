@@ -4,7 +4,7 @@ These are the straightforward forms the library's fast paths replace:
 the MLE tomography that evaluates its likelihood one parameter point
 and one analysis setting at a time, the windowed memristor law that
 re-sums (t, n_in, dt) window triples on every step, the discrete
-reservoir memristor that keeps its samples in a list, the trace CSV
+window of the reservoir's memristor bank kept as a list, the trace CSV
 written through `csv.writer`, and the feature CSV written in place row
 by row.  The fast paths perform the same floating-point operations in
 the same order, so tests compare the two for exact equality.

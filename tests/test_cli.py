@@ -256,6 +256,48 @@ def test_rc_one_feature_csv_exits_2(tmp_path, key):
     assert not out.exists()
 
 
+def feature_csv_config(tmp_path, train_text, test_text):
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    train.write_text(train_text)
+    test.write_text(test_text)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"train_features": str(train),
+                                  "test_features": str(test)}))
+    return config
+
+
+@pytest.mark.parametrize("label", ["2", "-1"])
+def test_rc_feature_label_out_of_range_exits_3(tmp_path, capsys, label):
+    # entanglement has two classes: labels must lie in [0, 2)
+    config = feature_csv_config(tmp_path, f"label,p0\n0,0.5\n{label},0.5\n",
+                                "label,p0\n0,0.5\n1,0.5\n")
+    assert run_cli("rc", "entanglement", "--config", str(config),
+                   "--out", str(tmp_path / "o")) == EXIT_DATA
+    assert "labels outside [0, 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("test_text", [
+    "label,p0,p1\n0,0.5,0.5\n1,1,0\n",  # would not broadcast
+    "label,p0\n0,1\n1,1\n",             # would broadcast silently
+])
+def test_rc_feature_width_mismatch_exits_3(tmp_path, capsys, test_text):
+    config = feature_csv_config(
+        tmp_path, "label,p0,p1,p2\n0,0.5,0.5,0\n1,1,0,0\n", test_text)
+    assert run_cli("rc", "entanglement", "--config", str(config),
+                   "--out", str(tmp_path / "o")) == EXIT_DATA
+    assert "train features have 3 columns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["n_train", "n_test"])
+def test_rc_entanglement_odd_split_exits_2(tmp_path, key):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"n_train": 4, "n_test": 4, key: 3}))
+    out = tmp_path / "o"
+    assert run_cli("rc", "entanglement", "--config", str(config),
+                   "--out", str(out)) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_hysteresis_writes_meta_sidecars(tmp_path):
     config = fast_hysteresis_config(tmp_path, ratios=[0.5])
     out = tmp_path / "out"

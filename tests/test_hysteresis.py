@@ -16,7 +16,6 @@ from qumem.hysteresis import (
     DriveConfig,
     Trace,
     classify_regime,
-    detection_estimate,
     hf_reference,
     lf_reference,
     rms,
@@ -99,10 +98,10 @@ def test_drive_config_needs_fine_dt():
 
 def test_detection_exact_scaling():
     det = DetectionConfig(max_rate=3e4, noise=EXACT)
-    assert detection_estimate(3e4, det, 1e-3) == pytest.approx(1.0)
-    assert detection_estimate(1.5e4, det, 1e-3) == pytest.approx(0.5)
+    assert DetectorModel(det).estimate(3e4, 1e-3) == pytest.approx(1.0)
+    assert DetectorModel(det).estimate(1.5e4, 1e-3) == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        detection_estimate(4e4, det, 1e-3)
+        DetectorModel(det).estimate(4e4, 1e-3)
 
 
 def test_detection_poisson_converges_to_rate():

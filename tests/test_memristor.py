@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_device
 from qumem.fock import purity
@@ -23,8 +25,6 @@ from qumem.memristor import (
     output_state_dual_rail,
     output_state_single_rail,
     purity_closed_form,
-    update_lowpass,
-    update_windowed,
 )
 
 
@@ -159,7 +159,7 @@ def test_windowed_constant_one_saturates():
     mem = MemristorState(0.5, window_seconds=1.0, law=WINDOWED)
     dt = 1e-3
     for k in range(1, 1001):
-        update_windowed(mem, (k * dt, 1.0))
+        mem.advance(k * dt, 1.0)
     assert mem.R == pytest.approx(1.0, abs=1e-12)
 
 
@@ -167,7 +167,7 @@ def test_windowed_constant_half_is_fixed_point():
     mem = MemristorState(0.5, window_seconds=1.0, law=WINDOWED)
     dt = 1e-3
     for k in range(1, 2001):
-        update_windowed(mem, (k * dt, 0.5))
+        mem.advance(k * dt, 0.5)
         assert mem.R == pytest.approx(0.5, abs=1e-12)
 
 
@@ -178,7 +178,7 @@ def test_windowed_full_period_integral_vanishes():
     n_steps = 2000  # two periods
     for k in range(1, n_steps + 1):
         t = k * dt
-        update_windowed(mem, (t, math.sin(math.pi * t / t_osc) ** 2))
+        mem.advance(t, math.sin(math.pi * t / t_osc) ** 2)
     assert mem.R == pytest.approx(0.5, abs=1e-9)
 
 
@@ -187,15 +187,15 @@ def test_windowed_stays_clamped_under_any_stream():
     mem = MemristorState(0.5, window_seconds=0.05, law=WINDOWED)
     dt = 1e-3
     for k in range(1, 3000):
-        update_windowed(mem, (k * dt, float(rng.uniform())))
+        mem.advance(k * dt, float(rng.uniform()))
         assert R_MIN <= mem.R <= 1.0
 
 
 def test_windowed_rejects_decreasing_time():
     mem = MemristorState(0.5, window_seconds=1.0, law=WINDOWED)
-    update_windowed(mem, (1.0, 0.7))
+    mem.advance(1.0, 0.7)
     with pytest.raises(ValueError):
-        update_windowed(mem, (0.5, 0.7))
+        mem.advance(0.5, 0.7)
 
 
 def test_lowpass_step_response():
@@ -204,7 +204,7 @@ def test_lowpass_step_response():
     dt = 1e-4
     times, values = [], []
     for k in range(1, 5001):
-        update_lowpass(mem, (k * dt, 1.0))
+        mem.advance(k * dt, 1.0)
         times.append(k * dt)
         values.append(mem.R)
     expected = 1.0 - np.exp(-2 * math.pi * f_cut * np.array(times))
@@ -214,7 +214,7 @@ def test_lowpass_step_response():
 def test_lowpass_dc_gain():
     mem = MemristorState(0.5, law=LOWPASS, f_cut=2.0)
     for k in range(1, 20001):
-        update_lowpass(mem, (k * 1e-3, 0.8))
+        mem.advance(k * 1e-3, 0.8)
     assert mem.R == pytest.approx(0.8, abs=1e-9)
 
 
@@ -226,7 +226,7 @@ def test_lowpass_attenuates_fast_oscillation():
     rs = []
     for k in range(1, 100001):
         t = k * dt
-        update_lowpass(mem, (t, math.sin(math.pi * f_osc * t) ** 2))
+        mem.advance(t, math.sin(math.pi * f_osc * t) ** 2)
         if t > 5.0 / f_cut:
             rs.append(mem.R)
     rs = np.array(rs)
@@ -234,20 +234,32 @@ def test_lowpass_attenuates_fast_oscillation():
     assert rs.max() - rs.min() < 0.05
 
 
-def test_law_wrappers_enforce_law():
-    mem = MemristorState(0.5, law=WINDOWED)
-    with pytest.raises(ValueError):
-        update_lowpass(mem, (0.1, 0.5))
-    lp = MemristorState(0.5, law=LOWPASS, f_cut=1.0)
-    with pytest.raises(ValueError):
-        update_windowed(lp, (0.1, 0.5))
-
-
 def test_frozen_law_never_moves():
     mem = MemristorState(0.5, law=FROZEN)
     for k in range(1, 100):
         mem.advance(k * 0.01, 1.0)
     assert mem.R == 0.5
+
+
+# (dt >= 0, n_in) samples: repeated timestamps, gaps far longer than the
+# window, and inputs outside the physical [0, 1] range
+samples = st.lists(
+    st.tuples(st.floats(0.0, 1e3), st.floats(-1e3, 1e3)), max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([WINDOWED, LOWPASS]), st.floats(0.0, 1.0),
+       st.floats(1e-4, 1e2), st.floats(0.0, 1e3), samples)
+def test_laws_keep_reflectivity_in_bounds(law, r0, scale, t0, stream):
+    # scale is the window (windowed) or the cutoff frequency (lowpass)
+    mem = MemristorState(r0, window_seconds=scale, law=law, f_cut=scale,
+                         t0=t0)
+    assert R_MIN <= mem.R <= 1.0
+    t = t0
+    for dt, n_in in stream:
+        t += dt
+        mem.advance(t, n_in)
+        assert R_MIN <= mem.R <= 1.0
 
 
 def _random_samples(rng, n, dt_scale):

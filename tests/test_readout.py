@@ -9,7 +9,6 @@ from qumem.readout import (
     DataError,
     read_features_csv,
     write_features_csv,
-    LabeledExample,
     MnistSubset,
     ReadoutModel,
     accuracy,
@@ -73,12 +72,6 @@ def test_presoftmax_is_linear():
 def test_parameter_count_matches_reported_scale():
     model = ReadoutModel.initialize(165, 10, 3)
     assert model.n_parameters == 1680
-
-
-def test_labeled_example_validates_sum():
-    with pytest.raises(ValueError):
-        LabeledExample(np.array([0.5, 0.6]), 0)
-    LabeledExample(np.array([0.5, 0.5]), 1)
 
 
 # ---------------------------------------------------------------------------

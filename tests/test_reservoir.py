@@ -16,7 +16,6 @@ from qumem.fock import (
 )
 from qumem.memristor import R_MIN
 from qumem.reservoir import (
-    DiscreteMemristor,
     EncodedInput,
     Reservoir,
     ReservoirConfig,
@@ -297,18 +296,32 @@ def test_step_probabilities_normalised():
     assert np.all(probs >= 0)
 
 
+@pytest.mark.parametrize("feedback", [True, False])
 @pytest.mark.parametrize("window", [1, 3, 100])
-def test_discrete_memristor_matches_list_window_reference(window):
+def test_memristor_bank_matches_list_window_reference(window, feedback):
+    """The bank's MemristorState window law at unit steps, with the
+    feedback inversion, is bit-identical to a discrete window of the
+    last `window` clamped estimates, across resets."""
     rng = np.random.default_rng(window)
-    mem = DiscreteMemristor(window, r_init=0.4)
-    ref = reference_device.ListDiscreteMemristor(window, r_init=0.4)
+    res = Reservoir(ReservoirConfig(modes=9, photons=1, window=window,
+                                    r_init=0.4, feedback=feedback))
+    refs = [reference_device.ListDiscreteMemristor(window, r_init=0.4,
+                                                   frozen=not feedback)
+            for _ in res.memristors]
     for k in range(500):
         if k in (120, 121, 400):
-            mem.reset()
-            ref.reset()
-            assert mem.R == ref.R
-        n_est = rng.random() if k % 2 else np.float64(rng.random())
-        assert mem.update(n_est) == ref.update(n_est)
+            res.reset()
+            for ref in refs:
+                ref.reset()
+            assert res.reflectivities.tolist() == [ref.R for ref in refs]
+        # np.float64 feedback expectations: some above R (estimate
+        # clamped to 1), some zero (R driven to the floor at window 1)
+        fb_probs = rng.random(len(refs))
+        fb_probs[rng.random(len(refs)) < 0.2] = 0.0
+        for ref, fb in zip(refs, fb_probs):
+            ref.update(min(max(fb / ref.R, 0.0), 1.0))
+        res._advance_memristors(fb_probs)
+        assert res.reflectivities.tolist() == [ref.R for ref in refs]
 
 
 def test_frozen_memristors_make_step_memoryless():
