@@ -285,27 +285,26 @@ def cmd_rc(config, out_dir, check=False):
                 raise ConfigError(
                     f"{key} must be even for entanglement (balanced "
                     f"classes), got {config[key]}")
-    out_dir.mkdir(parents=True, exist_ok=True)
     window = config["window"]
     if window is None:
         window = 12 if config["task"] == "mnist" else config["copies"]
-    rc_config = ReservoirConfig(
-        modes=config["modes"], photons=config["photons"],
-        mesh_seed=config["mesh_seed"], shots=config["shots"],
-        window=window, feedback=bool(config["feedback"]),
-        sample_seed=config["seed"],
-    )
-    reservoir = Reservoir(rc_config)
     n_out = 3 if config["task"] == "mnist" else 2
-    if config["train_features"] and config["test_features"]:
+    if config["train_features"]:
         train_set, test_set = _read_feature_sets(config, n_out)
-    elif config["task"] == "mnist":
-        train_set, test_set, n_out = _rc_mnist_features(config, reservoir)
-    elif config["task"] == "entanglement":
-        train_set, test_set, n_out = _rc_entanglement_features(
-            config, reservoir)
     else:
-        raise ConfigError(f"unknown task {config['task']!r}")
+        features = {"mnist": _rc_mnist_features,
+                    "entanglement": _rc_entanglement_features}.get(
+                        config["task"])
+        if features is None:
+            raise ConfigError(f"unknown task {config['task']!r}")
+        reservoir = Reservoir(ReservoirConfig(
+            modes=config["modes"], photons=config["photons"],
+            mesh_seed=config["mesh_seed"], shots=config["shots"],
+            window=window, feedback=bool(config["feedback"]),
+            sample_seed=config["seed"],
+        ))
+        train_set, test_set, n_out = features(config, reservoir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_features_csv(out_dir / "train_features.csv", *train_set)
     write_features_csv(out_dir / "test_features.csv", *test_set)
     x_train, x_test = standardize(to_readout_features(train_set[0]),

@@ -2,7 +2,10 @@
 
 Basis enumeration, lifting of mode unitaries to the multi-photon
 Hilbert space, density-operator algebra, and photon-counting
-measurement.  Everything is dense numpy: the systems of interest stay
+measurement.  A state has one stored form, a ket factor K with
+rho = K K^dagger: one column for a pure state, one weighted ket per
+column for a mixture.  Evolution and photon counting act on K; the
+density matrix is formed only when asked for.  Everything is dense numpy: the systems of interest stay
 small (nine modes with three photons give a 165-dimensional space,
 binomial(m+p-1, p) in general).
 
@@ -143,98 +146,83 @@ def coupler(reflectivity, phase=0.0):
 
 
 class QuantumState:
-    """Pure amplitude vector, density operator, or ket factor K of a
-    density operator rho = K K^dagger, over an OccupationBasis."""
+    """A state over an OccupationBasis, held as a ket factor K of shape
+    (dim, rank) with rho = K K^dagger.  A pure state is the one column
+    of its amplitudes; a mixture has one column per weighted ket.  The
+    density matrix is formed only when asked for, then cached."""
 
-    def __init__(self, basis, amplitudes=None, density=None, validate=True,
-                 factor=None):
-        if sum(x is not None for x in (amplitudes, density, factor)) != 1:
-            raise ValueError(
-                "provide exactly one of amplitudes, density or factor")
+    def __init__(self, basis, factor, validate=True):
+        fac = np.asarray(factor)
+        if fac.ndim != 2 or fac.shape[0] != basis.size:
+            raise DimensionError("factor must be (basis size, rank)")
+        if validate:
+            tr = np.sum(np.abs(fac) ** 2)
+            if abs(tr - 1.0) > ATOL_STATE:
+                raise ValueError(f"state trace {tr} deviates from 1")
         self.basis = basis
-        self.amplitudes = None
+        self._factor = fac
         self._density = None
-        self._factor = None
-        if amplitudes is not None:
-            vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
-            if vec.shape[0] != basis.size:
-                raise DimensionError("amplitude length does not match basis size")
-            if validate:
-                norm = np.sum(np.abs(vec) ** 2)
-                if abs(norm - 1.0) > ATOL_STATE:
-                    raise ValueError(f"state norm {norm} deviates from 1")
-            self.amplitudes = vec
-        elif density is not None:
-            mat = np.asarray(density, dtype=complex)
-            if mat.shape != (basis.size, basis.size):
-                raise DimensionError("density shape does not match basis size")
-            if validate:
-                if np.max(np.abs(mat - mat.conj().T)) > ATOL_STATE:
-                    raise ValueError("density operator is not Hermitian")
-                tr = np.trace(mat).real
-                if abs(tr - 1.0) > ATOL_STATE:
-                    raise ValueError(f"density trace {tr} deviates from 1")
-                if np.min(np.linalg.eigvalsh(mat)) < EIG_FLOOR:
-                    raise ValueError("density operator has a negative eigenvalue")
-            self._density = mat
-        else:
-            fac = np.asarray(factor)
-            if fac.ndim != 2 or fac.shape[0] != basis.size:
-                raise DimensionError("factor must be (basis size, rank)")
-            if validate:
-                tr = np.sum(np.abs(fac) ** 2)
-                if abs(tr - 1.0) > ATOL_STATE:
-                    raise ValueError(f"density trace {tr} deviates from 1")
-            self._factor = fac
 
     @classmethod
     def pure(cls, basis, amplitudes, validate=True):
-        return cls(basis, amplitudes=amplitudes, validate=validate)
+        vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        return cls(basis, vec[:, None], validate=validate)
 
     @classmethod
     def from_density(cls, basis, matrix, validate=True):
-        return cls(basis, density=matrix, validate=validate)
-
-    @classmethod
-    def from_factor(cls, basis, factor, validate=True):
-        """Mixed state rho = K K^dagger from a (dim, rank) factor K; the
-        density matrix is formed only when asked for."""
-        return cls(basis, factor=factor, validate=validate)
+        """State of a density operator, factored by one eigen-
+        decomposition.  Eigenvalues within 8 dim ulps of the largest
+        are round-off zeros and are dropped, so a projector gives a
+        pure state.  density() returns the given matrix."""
+        mat = np.asarray(matrix, dtype=complex)
+        if mat.shape != (basis.size, basis.size):
+            raise DimensionError("density shape does not match basis size")
+        if validate:
+            if np.max(np.abs(mat - mat.conj().T)) > ATOL_STATE:
+                raise ValueError("density operator is not Hermitian")
+            tr = np.trace(mat).real
+            if abs(tr - 1.0) > ATOL_STATE:
+                raise ValueError(f"density trace {tr} deviates from 1")
+        evals, evecs = np.linalg.eigh(mat)
+        if validate and evals[0] < EIG_FLOOR:
+            raise ValueError("density operator has a negative eigenvalue")
+        ulp = max(evals[-1], 0.0) * np.finfo(float).eps
+        keep = evals > 8 * mat.shape[0] * ulp
+        state = cls(basis, evecs[:, keep] * np.sqrt(evals[keep]),
+                    validate=False)
+        state._density = mat
+        return state
 
     @classmethod
     def basis_state(cls, basis, occupation):
         vec = np.zeros(basis.size, dtype=complex)
         vec[basis.index_of(occupation)] = 1.0
-        return cls(basis, amplitudes=vec, validate=False)
+        return cls.pure(basis, vec, validate=False)
 
     @property
     def is_pure(self):
-        return self.amplitudes is not None
+        """Rank one: a single ket."""
+        return self._factor.shape[1] == 1
+
+    @property
+    def amplitudes(self):
+        """Amplitude vector of a pure state; None for a mixture."""
+        return self._factor[:, 0] if self.is_pure else None
 
     @property
     def dim(self):
         return self.basis.size
 
     def density(self):
-        """Density-matrix form (outer product for pure states)."""
-        if self.amplitudes is not None:
-            return np.outer(self.amplitudes, self.amplitudes.conj())
+        """Density matrix K K^dagger (cached)."""
         if self._density is None:
             fac = self._factor
             self._density = (fac @ fac.conj().T).astype(complex)
         return self._density
 
     def ket_factor(self):
-        """(dim, rank) K with rho = K K^dagger: the amplitude column of a
-        pure state, the stored factor, or the eigen-decomposition of a
-        density operator (eigenvalues below zero are round-off)."""
-        if self.amplitudes is not None:
-            return self.amplitudes[:, None]
-        if self._factor is not None:
-            return self._factor
-        evals, evecs = np.linalg.eigh(self._density)
-        keep = evals > 0.0
-        return evecs[:, keep] * np.sqrt(evals[keep])
+        """(dim, rank) K with rho = K K^dagger."""
+        return self._factor
 
 
 # ---------------------------------------------------------------------------
@@ -364,15 +352,12 @@ def lift_unitary(u, basis):
 
 
 def apply(state, lifted):
-    """Evolve a state by a lifted unitary: U|psi> or U rho U^dagger."""
+    """Evolve a state by a lifted unitary, K -> U K (U rho U^dagger)."""
     lifted = np.asarray(lifted)
     if lifted.shape != (state.dim, state.dim):
         raise DimensionError("lifted unitary does not match state dimension")
-    if state.is_pure:
-        return QuantumState.pure(state.basis, lifted @ state.amplitudes,
-                                 validate=False)
-    rho = lifted @ state.density() @ lifted.conj().T
-    return QuantumState.from_density(state.basis, rho, validate=False)
+    return QuantumState(state.basis, lifted @ state.ket_factor(),
+                        validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +422,7 @@ def fidelity(rho, sigma):
 
 def fock_probabilities(state):
     """Diagonal of the density operator: photon-counting distribution."""
-    if state.is_pure:
-        probs = np.abs(state.amplitudes) ** 2
-    else:
-        probs = state.density().diagonal().real
+    probs = (np.abs(state.ket_factor()) ** 2).sum(axis=1)
     return np.clip(probs, 0.0, None)
 
 

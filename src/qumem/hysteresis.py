@@ -128,13 +128,6 @@ class Trace:
     def __len__(self):
         return len(self.t)
 
-    def period_slice(self, index, steps_per_period):
-        """Rows of one drive period (0-based)."""
-        lo = index * steps_per_period
-        hi = lo + steps_per_period
-        return Trace(self.t[lo:hi], self.n_in[lo:hi], self.n_out[lo:hi],
-                     self.R[lo:hi], dict(self.meta))
-
     def steady(self, warmup_periods=1):
         """Drop the first `warmup_periods` drive periods."""
         spp = self.meta["steps_per_period"]
@@ -170,7 +163,7 @@ def _validate_loop(drive, det, window_equivalent):
         )
 
 
-def _run(drive, mem, det, law_label):
+def _run(drive, mem, det):
     detector = DetectorModel(det)
     n_steps = drive.n_periods * drive.steps_per_period
     t_arr = np.empty(n_steps)
@@ -194,7 +187,7 @@ def _run(drive, mem, det, law_label):
         "dt": drive.dt,
         "n_periods": drive.n_periods,
         "steps_per_period": drive.steps_per_period,
-        "law": law_label,
+        "law": mem.law,
         "T": mem.T if mem.law == WINDOWED else None,
         "f_cut": mem.f_cut,
         "noise": det.noise,
@@ -216,7 +209,7 @@ def run_closed_loop(drive, mem, det=DetectionConfig()):
         raise ValueError("use run_lpf_loop for the low-pass law")
     if mem.law == WINDOWED:
         _validate_loop(drive, det, mem.T)
-    return _run(drive, mem, det, mem.law)
+    return _run(drive, mem, det)
 
 
 def run_lpf_loop(drive, f_cut, det=DetectionConfig()):
@@ -226,7 +219,7 @@ def run_lpf_loop(drive, f_cut, det=DetectionConfig()):
         raise ValueError("f_cut must be positive")
     _validate_loop(drive, det, 1.0 / f_cut)
     mem = MemristorState(reflectivity=0.0, law=LOWPASS, f_cut=f_cut)
-    return _run(drive, mem, det, LOWPASS)
+    return _run(drive, mem, det)
 
 
 def classify_regime(T, T_osc):

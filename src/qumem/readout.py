@@ -101,12 +101,6 @@ def accuracy(model, x, y):
     return float(np.mean(predict(model, x) == np.asarray(y)))
 
 
-def cross_entropy(model, x, y):
-    p = forward(model, x)
-    n = p.shape[0]
-    return float(-np.mean(np.log(np.clip(p[np.arange(n), y], 1e-12, None))))
-
-
 def loss_and_gradients(model, x, y):
     """Mean cross-entropy over the batch and its exact gradients."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -409,6 +403,6 @@ def state_features(reservoir, states, copies=100, reset=True):
     """Final reservoir distribution after `copies` repeats of each state."""
     rows = []
     for state in states:
-        seq = [EncodedInput(state, QUANTUM)] * copies
+        seq = [EncodedInput(state)] * copies
         rows.append(reservoir.run_sequence(seq, reset=reset))
     return np.stack(rows)

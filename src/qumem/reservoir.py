@@ -79,10 +79,10 @@ class ReservoirConfig:
 
 @dataclass
 class EncodedInput:
-    """A reservoir input state plus its encoding provenance."""
+    """A reservoir input state, flagged when an all-zero vector fell
+    back to the first basis state."""
 
     state: QuantumState
-    kind: str = QUANTUM
     zero_fallback: bool = False
 
 
@@ -105,9 +105,9 @@ def amplitude_encode(v, basis):
     if norm == 0.0:
         amps[0] = 1.0
         state = QuantumState.pure(basis, amps, validate=False)
-        return EncodedInput(state, QUANTUM, zero_fallback=True)
+        return EncodedInput(state, zero_fallback=True)
     amps[: v.size] = v / norm
-    return EncodedInput(QuantumState.pure(basis, amps, validate=False), QUANTUM)
+    return EncodedInput(QuantumState.pure(basis, amps, validate=False))
 
 
 @functools.lru_cache(maxsize=8)
@@ -152,8 +152,7 @@ def coherent_encode(v, basis, truncation=None):
     weights = v / total
     keep = np.flatnonzero(weights)
     factor = _coherent_kets(v.size, dim)[:, keep] * np.sqrt(weights[keep])
-    state = QuantumState.from_factor(basis, factor, validate=False)
-    return EncodedInput(state, COHERENT)
+    return EncodedInput(QuantumState(basis, factor, validate=False))
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +233,8 @@ def entanglement_entropy(state, d_loc):
 class Reservoir:
     """Fixed input/output meshes around a bank of memristor couplers.
 
-    Single-writer: step() and run_sequence() mutate the memristor bank
-    and the step counter.  Distinct instances are independent.
+    Single-writer: run_sequence() mutates the memristor bank and the
+    step counter.  Distinct instances are independent.
     """
 
     def __init__(self, config=None, **kwargs):
@@ -326,13 +325,6 @@ class Reservoir:
             raise DimensionError("input state does not match the reservoir")
         return self.u_in_f @ state.ket_factor()
 
-    def _step(self, meshed, want_output):
-        factor = self.apply_layer(meshed)
-        self._advance_memristors(self.feedback_probabilities(factor))
-        if want_output:
-            return self._measured_probs(self.output_probabilities(factor))
-        return None
-
     # -- public API -------------------------------------------------------------
 
     def reset(self):
@@ -346,11 +338,6 @@ class Reservoir:
         ]
         self.step_index = 0
         return self
-
-    def step(self, x):
-        """Feed one encoded input, return the measured Fock
-        distribution, and advance every memristor window."""
-        return self._step(self._mesh_input(x), want_output=True)
 
     def run_sequence(self, inputs, reset=False):
         """Fold the reservoir over an input sequence and return the
@@ -368,9 +355,10 @@ class Reservoir:
         for x in inputs:
             if id(x) not in meshed:
                 meshed[id(x)] = self._mesh_input(x)
-        for x in inputs[:-1]:
-            self._step(meshed[id(x)], want_output=False)
-        return self._step(meshed[id(inputs[-1])], want_output=True)
+        for x in inputs:
+            factor = self.apply_layer(meshed[id(x)])
+            self._advance_memristors(self.feedback_probabilities(factor))
+        return self._measured_probs(self.output_probabilities(factor))
 
     @property
     def reflectivities(self):

@@ -111,9 +111,6 @@ class DenseReservoir(Reservoir):
             return self._measured_probs(probs)
         return None
 
-    def step(self, x):
-        return self._dense_step(x, want_output=True)
-
     def run_sequence(self, inputs, reset=False):
         inputs = list(inputs)
         if not inputs:

@@ -271,9 +271,11 @@ def test_rc_feature_label_out_of_range_exits_3(tmp_path, capsys, label):
     # entanglement has two classes: labels must lie in [0, 2)
     config = feature_csv_config(tmp_path, f"label,p0\n0,0.5\n{label},0.5\n",
                                 "label,p0\n0,0.5\n1,0.5\n")
+    out = tmp_path / "o"
     assert run_cli("rc", "entanglement", "--config", str(config),
-                   "--out", str(tmp_path / "o")) == EXIT_DATA
+                   "--out", str(out)) == EXIT_DATA
     assert "labels outside [0, 2)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("test_text", [

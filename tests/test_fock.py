@@ -494,18 +494,49 @@ def test_quantum_state_validation():
     with pytest.raises(ValueError):
         QuantumState.from_density(basis, not_psd)
     with pytest.raises(ValueError):
-        QuantumState.from_factor(basis, np.array([[0.9], [0.9]]))
+        QuantumState(basis, np.array([[0.9], [0.9]]))
     with pytest.raises(DimensionError):
-        QuantumState.from_factor(basis, np.ones(2) / np.sqrt(2))
-    with pytest.raises(ValueError):
-        QuantumState(basis)
+        QuantumState(basis, np.ones(2) / np.sqrt(2))
     # a factor and its density describe the same state
     factor = np.array([[0.6, 0.0], [0.0, 0.8]])
-    state = QuantumState.from_factor(basis, factor)
+    state = QuantumState(basis, factor)
     assert not state.is_pure
     assert np.allclose(state.density(), np.diag([0.36, 0.64]))
     again = QuantumState.from_density(basis, state.density()).ket_factor()
     assert np.allclose(again @ again.conj().T, state.density())
+
+
+def random_factor(dim, rank, rng):
+    k = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    return k / np.linalg.norm(k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometries, seeds, st.data())
+def test_density_factor_round_trip_and_rank(geometry, seed, data):
+    basis = lift_basis(*geometry)
+    rank = data.draw(st.integers(1, basis.size))
+    factor = random_factor(basis.size, rank, np.random.default_rng(seed))
+    rho = factor @ factor.conj().T
+    state = QuantumState.from_density(basis, rho)
+    k = state.ket_factor()
+    assert np.max(np.abs(k @ k.conj().T - rho)) <= 1e-12
+    assert state.density() is rho
+    assert k.shape[1] == rank
+    for s in (state, QuantumState(basis, factor)):
+        assert s.is_pure == (rank == 1)
+        assert (s.amplitudes is None) == (rank > 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometries, seeds)
+def test_pure_state_amplitudes_and_probabilities_bit_exact(geometry, seed):
+    basis = lift_basis(*geometry)
+    v = random_factor(basis.size, 1, np.random.default_rng(seed))[:, 0]
+    state = QuantumState.pure(basis, v)
+    assert state.is_pure
+    assert np.array_equal(state.amplitudes, v)
+    assert np.array_equal(fock_probabilities(state), np.abs(v) ** 2)
 
 
 def test_mode_unitary_validation():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_device
 from dense_reservoir import DenseReservoir
@@ -16,7 +18,6 @@ from qumem.fock import (
 )
 from qumem.memristor import R_MIN
 from qumem.reservoir import (
-    EncodedInput,
     Reservoir,
     ReservoirConfig,
     amplitude_encode,
@@ -222,6 +223,23 @@ def test_layer_conserves_photons_at_full_reflection():
     assert probs.sum() == pytest.approx(1.0, abs=1e-10)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(3, 1), (6, 2), (7, 2), (9, 3)]),
+       st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_layer_and_reinjection_conserve_probability_and_photons(
+        geometry, seed, rank):
+    modes, photons = geometry
+    res = Reservoir(ReservoirConfig(modes=modes, photons=photons,
+                                    mesh_seed=seed, window=3))
+    rng = np.random.default_rng(seed)
+    for mem in res.memristors:
+        mem.R = float(rng.uniform(R_MIN, 1.0))
+    factor = _random_factor(res.basis.size, rank, rng)
+    probs = res.output_probabilities(res.apply_layer(factor))
+    assert abs(probs.sum() - 1.0) <= 1e-12
+    assert abs(probs @ res.basis.totals - photons) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # the whole engine against the dense density-matrix reference
 
@@ -274,13 +292,13 @@ def test_sampled_run_sequence_matches_dense_engine():
         assert np.array_equal(fast.run_sequence(seq, reset=True),
                               dense.run_sequence(seq, reset=True))
     x = amplitude_encode(rng.uniform(size=18), fast.basis)
-    assert np.array_equal(fast.step(x), dense.step(x))
+    assert np.array_equal(fast.run_sequence([x]), dense.run_sequence([x]))
 
 
 def test_photon_conservation_through_full_step_pipeline():
     res = Reservoir(ReservoirConfig(modes=9, photons=3, mesh_seed=3, window=5))
     enc = amplitude_encode(np.arange(1.0, 19.0), res.basis)
-    probs = res.step(enc)
+    probs = res.run_sequence([enc])
     occ = res.basis.occupation_matrix()
     assert probs @ occ.sum(axis=1) == pytest.approx(3.0, abs=1e-9)
 
@@ -291,7 +309,7 @@ def test_photon_conservation_through_full_step_pipeline():
 def test_step_probabilities_normalised():
     res = Reservoir(ReservoirConfig(modes=9, photons=3, mesh_seed=6, window=4))
     enc = amplitude_encode(np.linspace(0.2, 1.0, 18), res.basis)
-    probs = res.step(enc)
+    probs = res.run_sequence([enc])
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(probs >= 0)
 
@@ -328,9 +346,9 @@ def test_frozen_memristors_make_step_memoryless():
     res = Reservoir(ReservoirConfig(modes=9, photons=3, mesh_seed=6,
                                     window=4, feedback=False))
     enc = amplitude_encode(np.linspace(0.2, 1.0, 18), res.basis)
-    first = res.step(enc)
+    first = res.run_sequence([enc])
     for _ in range(3):
-        again = res.step(enc)
+        again = res.run_sequence([enc])
         assert np.allclose(again, first, atol=1e-12)
 
 
@@ -364,13 +382,6 @@ def test_frozen_output_depends_only_on_last_input():
     assert np.allclose(final_probs(cols), final_probs(perm), atol=1e-12)
 
 
-def test_run_sequence_single_step_equivalence():
-    enc = amplitude_encode(np.linspace(0.1, 1.0, 18), BASIS93)
-    res_a = Reservoir(ReservoirConfig(mesh_seed=11, window=3))
-    res_b = Reservoir(ReservoirConfig(mesh_seed=11, window=3))
-    assert np.allclose(res_a.run_sequence([enc]), res_b.step(enc), atol=1e-14)
-
-
 def test_run_sequence_deterministic():
     def run(seed):
         res = Reservoir(ReservoirConfig(mesh_seed=13, window=4,
@@ -390,10 +401,10 @@ def test_run_sequence_empty_rejected():
 def test_sampled_probs_converge_to_exact():
     exact = Reservoir(ReservoirConfig(mesh_seed=15, window=3))
     enc = amplitude_encode(np.linspace(0.3, 1.0, 18), exact.basis)
-    p_exact = exact.step(enc)
+    p_exact = exact.run_sequence([enc])
     sampled = Reservoir(ReservoirConfig(mesh_seed=15, window=3,
                                         shots=100000, sample_seed=1))
-    p_sampled = sampled.step(enc)
+    p_sampled = sampled.run_sequence([enc])
     mask = p_exact > 1e-12
     kl = float(np.sum(p_exact[mask] *
                       np.log(p_exact[mask] /
@@ -406,7 +417,7 @@ def test_reflectivities_move_with_feedback():
     enc = amplitude_encode(np.ones(18), res.basis)
     before = res.reflectivities.copy()
     for _ in range(4):
-        res.step(enc)
+        res.run_sequence([enc])
     assert np.max(np.abs(res.reflectivities - before)) > 1e-6
     res.reset()
     assert np.allclose(res.reflectivities, before)
@@ -415,7 +426,7 @@ def test_reflectivities_move_with_feedback():
 def test_coherent_input_through_reservoir():
     res = Reservoir(ReservoirConfig(mesh_seed=19, window=3))
     enc = coherent_encode(np.linspace(0.5, 2.0, 18), res.basis)
-    probs = res.step(enc)
+    probs = res.run_sequence([enc])
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(probs >= -1e-12)
 
