@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -347,14 +348,34 @@ def cmd_rc(config, out_dir, check=False):
     return metrics
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_tomography_config(config):
+    shots, seed, phi = config["shots"], config["seed"], config["phi_global"]
+    if shots is not None and not (_is_int(shots) and shots >= 1):
+        raise ConfigError(
+            f"shots must be null (exact) or an integer >= 1, got {shots!r}")
+    if not (_is_int(seed) and seed >= 0):
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    if (isinstance(phi, bool) or not isinstance(phi, (int, float))
+            or not math.isfinite(phi)):
+        raise ConfigError(
+            f"phi_global must be a finite real number, got {phi!r}")
+
+
 def cmd_tomography(config, out_dir, check=False):
+    _check_tomography_config(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     shots = config["shots"]
     rows = []
+    ascents = {}  # one ascent per distinct count table of this command
     for fixture in table_fixtures(config["phi_global"]):
         report = reconstruction_roundtrip(
             fixture.beta2, fixture.reflectivity, shots=shots,
-            seed=config["seed"], phi_global=config["phi_global"])
+            seed=config["seed"], phi_global=config["phi_global"],
+            ascents=ascents)
         rows.append({
             "beta2": fixture.beta2,
             "reflectivity": fixture.reflectivity,

@@ -7,7 +7,12 @@ density matrix is estimated separately from the feedback-port rate and
 the matrix is rescaled to unit trace after insertion.
 
 The lower 2x2 block is reconstructed from the per-setting click counts
-by maximum likelihood over a Cholesky-parameterised positive block.
+by maximum likelihood over a Cholesky-parameterised positive block
+(James, Kwiat, Munro & White, PRA 64, 052312 (2001)).  The ascent
+depends only on the count table, the settings and the stopping rule,
+not on p00; a caller reconstructing a batch of states can hand one
+`ascents` dict to every call so that equal count tables (the
+characterisation grid draws several) run their ascent once.
 
 On the fabricated device the surviving qubit's coherence carries an
 extra phase: the through arm of the splitter contributes asin(sqrt(R))
@@ -215,20 +220,23 @@ def _log_likelihoods(params, counts, mats):
 
     counts is the (S, 2) click table as nested lists and mats the
     `_analysis_unitaries` pair.  The click distributions of every row
-    and setting come from one stacked pass; the sum over settings stays
-    a Python loop in setting order with math.log, so each value is
-    bit-for-bit the one a row-by-row evaluation gives."""
+    and setting come from one stacked pass; each row's terms n log q
+    over the positive-count cells are then added to 0.0 one by one in
+    setting order with math.log, so each value is bit-for-bit the one
+    a row-by-row evaluation gives."""
     v, vh = mats
     rotated = v @ _cholesky_blocks(params)[:, None] @ vh
-    p = np.clip(rotated.diagonal(axis1=-2, axis2=-1).real, 0.0, None)
-    q = (p / (p[..., 0] + p[..., 1])[..., None]).tolist()
+    p = np.maximum(rotated.diagonal(axis1=-2, axis2=-1).real, 0.0)
+    q = p / (p[..., 0] + p[..., 1])[..., None]
+    cells = [n for row in counts for n in row]
+    positive = [k for k, n in enumerate(cells) if n > 0]
+    ns = [cells[k] for k in positive]
+    q = np.maximum(q.reshape(len(params), -1)[:, positive], _EPS)
     lls = []
-    for q_row in q:
+    for q_row in q.tolist():
         ll = 0.0
-        for row, cond in zip(counts, q_row):
-            for n, qq in zip(row, cond):
-                if n > 0:
-                    ll += n * math.log(max(qq, _EPS))
+        for n, log_q in zip(ns, map(math.log, q_row)):
+            ll += n * log_q
         lls.append(ll)
     return lls
 
@@ -282,7 +290,7 @@ class ReconstructionReport:
 
 
 def mle_reconstruct(counts, p00_estimate, settings=None,
-                    rel_tol=1e-9, max_iter=2000):
+                    rel_tol=1e-9, max_iter=2000, *, ascents=None):
     """Maximum-likelihood 3x3 reconstruction.
 
     Maximises the multinomial likelihood of the kept-rail counts over
@@ -292,7 +300,16 @@ def mle_reconstruct(counts, p00_estimate, settings=None,
     rescales to unit trace.  The gradient is the central difference
     (step 1e-6) in each of the 4 parameters; its 8 likelihoods are
     evaluated in one stacked pass, and each equals the value a
-    one-point evaluation gives bit for bit.
+    one-point evaluation gives bit for bit.  The backtracking line
+    search tries a step and its half in one stacked pass and takes the
+    first that improves; halving is exact, so the path is the one a
+    halve-and-retry search walks.
+
+    ascents, if given, is a dict the caller keeps for a batch of
+    reconstructions: the ascent of a count table (with these settings,
+    rel_tol and max_iter) already in it is reused, and a new one is
+    stored.  Only p00 is installed afresh, so a reused report equals a
+    fresh one bit for bit, meta included.
     """
     counts = np.asarray(counts, dtype=float)
     settings = default_settings() if settings is None else tuple(settings)
@@ -305,6 +322,17 @@ def mle_reconstruct(counts, p00_estimate, settings=None,
     if not 0.0 <= p00_estimate <= 1.0:
         raise ValueError("p00_estimate must lie in [0, 1]")
 
+    if ascents is None:
+        ascents = {}
+    key = (counts.tobytes(), settings, rel_tol, max_iter)
+    if key not in ascents:
+        ascents[key] = _ascend(counts, settings, rel_tol, max_iter)
+    return _install_p00(*ascents[key], p00_estimate)
+
+
+def _ascend(counts, settings, rel_tol, max_iter):
+    """The likelihood ascent of `mle_reconstruct`: (unit-trace block,
+    final log-likelihood, iterations)."""
     params = _cholesky_params(_linear_inversion(counts, settings))
     table = counts.tolist()
     mats = _analysis_unitaries(settings)
@@ -323,13 +351,16 @@ def mle_reconstruct(counts, p00_estimate, settings=None,
         if gnorm == 0:
             break
         improved = False
-        while step > 1e-14:
-            cand = params + step * grad / gnorm
-            (cand_ll,) = _log_likelihoods(cand[None], table, mats)
-            if cand_ll > ll:
-                improved = True
-                break
-            step *= 0.5
+        while step > 1e-14 and not improved:
+            cands = params + np.array([[step], [step * 0.5]]) * grad / gnorm
+            for cand, cand_ll in zip(cands,
+                                     _log_likelihoods(cands, table, mats)):
+                if cand_ll > ll:
+                    improved = True
+                    break
+                step *= 0.5
+                if step <= 1e-14:
+                    break
         if not improved:
             break
         rel_change = abs(cand_ll - ll) / max(abs(ll), 1.0)
@@ -337,8 +368,12 @@ def mle_reconstruct(counts, p00_estimate, settings=None,
         step *= 1.5
         if rel_change < rel_tol:
             break
+    return _cholesky_blocks(params[None])[0], ll, iterations
 
-    block = _cholesky_blocks(params[None])[0]
+
+def _install_p00(block, log_likelihood, iterations, p00_estimate):
+    """The 3x3 report of an ascent's block with p00 in the vacuum corner,
+    rescaled to unit trace."""
     rho = np.zeros((3, 3), dtype=complex)
     rho[0, 0] = p00_estimate
     rho[1:, 1:] = (1.0 - p00_estimate) * block
@@ -346,16 +381,18 @@ def mle_reconstruct(counts, p00_estimate, settings=None,
     return ReconstructionReport(
         rho=rho,
         purity=purity(rho),
-        meta={"log_likelihood": ll, "iterations": iterations},
+        meta={"log_likelihood": log_likelihood, "iterations": iterations},
     )
 
 
 def reconstruction_roundtrip(beta2, reflectivity, shots=None, seed=None,
-                             settings=None, phi_global=PHI_GLOBAL):
+                             settings=None, phi_global=PHI_GLOBAL, *,
+                             ascents=None):
     """Generate counts from the phased theory state and reconstruct it.
 
     In exact mode p00 is taken from the state; with finite shots it is
-    estimated from a binomial draw of the feedback-port rate.
+    estimated from a binomial draw of the feedback-port rate.  ascents
+    is handed to `mle_reconstruct`.
     """
     rho_true = apply_phase_model(
         output_state_dual_rail(QubitInput.from_beta2(beta2), reflectivity),
@@ -377,7 +414,7 @@ def reconstruction_roundtrip(beta2, reflectivity, shots=None, seed=None,
         report = ReconstructionReport(rho=rho, purity=purity(rho),
                                       meta={"degenerate": True})
     else:
-        report = mle_reconstruct(counts, p00, settings)
+        report = mle_reconstruct(counts, p00, settings, ascents=ascents)
     report.fidelity_to_theory = fidelity(report.rho, rho_true)
     report.meta.update(
         beta2=beta2, reflectivity=reflectivity,

@@ -134,6 +134,34 @@ def test_tomography_sampled_embeds_seed(tmp_path):
     assert payload["config"]["shots"] == 2000
 
 
+@pytest.mark.parametrize("config, flags", [
+    (None, ("--shots", "0")),
+    (None, ("--shots", "-5")),
+    (None, ("--seed", "-1")),
+    ({"shots": 0}, ()),
+    ({"shots": 2.5}, ()),
+    ({"shots": True}, ()),
+    ({"shots": "abc"}, ()),
+    ({"seed": -1}, ()),
+    ({"seed": 1.5}, ()),
+    ({"seed": True}, ()),
+    ({"phi_global": "x"}, ()),
+    ({"phi_global": float("nan")}, ()),
+    ({"phi_global": float("inf")}, ()),
+], ids=["flag-shots-0", "flag-shots-neg", "flag-seed-neg", "shots-0",
+        "shots-float", "shots-bool", "shots-str", "seed-neg", "seed-float",
+        "seed-bool", "phi-str", "phi-nan", "phi-inf"])
+def test_tomography_bad_config_exits_2_before_writing(tmp_path, config,
+                                                      flags):
+    args = ["tomography", "--out", str(tmp_path / "o"), *flags]
+    if config is not None:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        args += ["--config", str(path)]
+    assert run_cli(*args) == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
+
+
 def test_rc_mnist_without_data_exits_3(tmp_path, monkeypatch):
     monkeypatch.delenv("QUMEM_DATA_DIR", raising=False)
     assert run_cli("rc", "mnist", "--out", str(tmp_path / "o")) == EXIT_DATA

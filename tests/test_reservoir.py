@@ -240,6 +240,29 @@ def test_layer_and_reinjection_conserve_probability_and_photons(
     assert abs(probs @ res.basis.totals - photons) <= 1e-12
 
 
+@pytest.mark.parametrize("rank", [1, 3])
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 9]), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(R_MIN, 1.0), min_size=3, max_size=3))
+def test_single_photon_feedback_is_reflectivity_times_through_population(
+        rank, modes, seed, reflectivities):
+    """With one photon and an empty feedback rail, each coupler sends
+    the fraction R of its through-rail population to its feedback rail."""
+    res = Reservoir(ReservoirConfig(modes=modes, photons=1, mesh_seed=seed,
+                                    window=3))
+    for mem, r in zip(res.memristors, reflectivities):
+        mem.R = r
+    occ = res.basis.occupation_matrix()
+    thru = [t for _, t, _ in res.rails]
+    fb = [f for _, _, f in res.rails]
+    factor = _random_factor(res.basis.size, rank, np.random.default_rng(seed))
+    factor[occ[:, fb].sum(axis=1) > 0] = 0.0
+    population = (np.abs(factor) ** 2).sum(axis=1) @ occ[:, thru]
+    got = res.feedback_probabilities(res.apply_layer(factor))
+    want = res.reflectivities * population
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # the whole engine against the dense density-matrix reference
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import reference_device
+from qumem import tomography
+from qumem.cli import TOMOGRAPHY_DEFAULTS, cmd_tomography
 from qumem.fock import fidelity, purity
 from qumem.memristor import QubitInput, dual_rail_purity, output_state_dual_rail
 from qumem.tomography import (
@@ -240,6 +242,80 @@ def test_unnamed_default_settings_start_like_named_ones():
     # exact counts: the moment estimate is already the optimum
     exact = simulate_counts(phased_state(0.3, 0.5), named, None)
     assert mle_reconstruct(exact, 0.2, unnamed).meta["iterations"] == 1
+
+
+def count_calls(monkeypatch, name):
+    """A list that grows by one per call of tomography.<name>."""
+    calls = []
+    original = getattr(tomography, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(tomography, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 10])
+def test_command_ascent_reuse_matches_fresh_roundtrips(tmp_path, seed,
+                                                       monkeypatch):
+    """The command shares one ascent dict over its 16 fixtures; every row
+    equals a fresh reconstruction bit for bit."""
+    config = dict(TOMOGRAPHY_DEFAULTS, shots=1000, seed=seed)
+    ascended = count_calls(monkeypatch, "_ascend")
+    states = cmd_tomography(config, tmp_path)["states"]
+    monkeypatch.undo()
+    # the β² = 1 rows at R < 1 draw the same counts, and so do the R = 1
+    # rows and (0, 0): 15 reconstructions, 10 distinct ascents
+    assert len(ascended) == 10
+    ascents = {}
+    for fx, row in zip(table_fixtures(), states):
+        fresh = reconstruction_roundtrip(fx.beta2, fx.reflectivity,
+                                         shots=1000, seed=seed)
+        shared = reconstruction_roundtrip(fx.beta2, fx.reflectivity,
+                                          shots=1000, seed=seed,
+                                          ascents=ascents)
+        assert np.array_equal(shared.rho, fresh.rho)
+        assert shared.fidelity_to_theory == fresh.fidelity_to_theory
+        assert shared.purity == fresh.purity
+        assert shared.meta == fresh.meta
+        assert row["fidelity"] == fresh.fidelity_to_theory
+        assert row["purity"] == fresh.purity
+
+
+def test_shared_ascent_skips_the_likelihood(monkeypatch):
+    counts = simulate_counts(phased_state(0.7, 0.3), shots=1000, seed=4)
+    ascents = {}
+    first = mle_reconstruct(counts, 0.2, ascents=ascents)
+    calls = count_calls(monkeypatch, "_log_likelihoods")
+    again = mle_reconstruct(counts.copy(), 0.4, ascents=ascents)
+    assert calls == []
+    fresh = mle_reconstruct(counts, 0.4)
+    per_ascent = len(calls)
+    assert per_ascent > 0
+    # nothing outlives the caller's dict: without one, every call ascends
+    mle_reconstruct(counts, 0.4)
+    assert len(calls) == 2 * per_ascent
+    assert np.array_equal(again.rho, fresh.rho)
+    assert again.purity == fresh.purity
+    assert again.meta == fresh.meta == first.meta
+    assert again.meta is not first.meta
+
+
+def test_ascents_are_keyed_by_settings_and_tolerance(monkeypatch):
+    counts = simulate_counts(phased_state(0.3, 0.5), shots=1000, seed=2)
+    other = ORACLE_SETTINGS["unnamed"]
+    ascents = {}
+    mle_reconstruct(counts, 0.2, ascents=ascents)
+    calls = count_calls(monkeypatch, "_log_likelihoods")
+    mle_reconstruct(counts, 0.2, other, ascents=ascents)
+    assert calls
+    del calls[:]
+    loose = mle_reconstruct(counts, 0.2, rel_tol=1e-6, ascents=ascents)
+    assert calls
+    assert len(ascents) == 3
+    assert loose.meta == mle_reconstruct(counts, 0.2, rel_tol=1e-6).meta
 
 
 def test_mle_rejects_bad_inputs():
