@@ -26,6 +26,7 @@ from ._atomic import write_atomic
 from .hysteresis import (
     DetectionConfig,
     DriveConfig,
+    _validate_loop,
     classify_regime,
     hf_reference,
     lf_reference,
@@ -167,18 +168,60 @@ def write_json(path, payload):
 # ---------------------------------------------------------------------------
 # commands
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _check_hysteresis_config(config):
+    """Type and range checks the drive and detection configs leave to
+    the caller; those two check their own fields."""
+    law, f_cut = config["law"], config["f_cut"]
+    if law not in (WINDOWED, LOWPASS, FROZEN):
+        raise ConfigError(f"unknown law {law!r}")
+    if law == LOWPASS and not (_is_real(f_cut) and f_cut > 0):
+        raise ConfigError(
+            f"f_cut must be a finite number > 0, got {f_cut!r}")
+    ratios = config["ratios"]
+    if (not isinstance(ratios, list) or not ratios
+            or not all(_is_real(r) and r > 0 for r in ratios)):
+        raise ConfigError(
+            f"ratios must be a non-empty list of finite numbers > 0, "
+            f"got {ratios!r}")
+    n_periods, warmup = config["n_periods"], config["warmup_periods"]
+    if not (_is_int(n_periods) and n_periods >= 1):
+        raise ConfigError(
+            f"n_periods must be an integer >= 1, got {n_periods!r}")
+    if not (_is_int(warmup) and 0 <= warmup < n_periods):
+        raise ConfigError(
+            f"warmup_periods must be an integer in [0, n_periods), "
+            f"got {warmup!r}")
+    if not (_is_int(config["seed"]) and config["seed"] >= 0):
+        raise ConfigError(
+            f"seed must be an integer >= 0, got {config['seed']!r}")
+
+
 def cmd_hysteresis(config, out_dir, check=False):
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _check_hysteresis_config(config)
     det = DetectionConfig(max_rate=config["max_rate"], rc=config["rc"],
                           noise=config["noise"], seed=config["seed"])
-    summary = {"config": config, "panels": []}
+    drive = DriveConfig(T_osc=config["T_osc"], n_periods=config["n_periods"],
+                        dt=config["dt"])
     ratios = list(config["ratios"])
     if check and config["law"] == WINDOWED and 0.01 not in ratios:
         ratios.append(0.01)  # the true low-frequency limit panel
+    t_osc = config["T_osc"]
+    if config["law"] == LOWPASS:
+        _validate_loop(drive, det, 1.0 / config["f_cut"])
+    elif config["law"] == WINDOWED:
+        _validate_loop(drive, det, min(ratios) * t_osc)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    summary = {"config": config, "panels": []}
     for ratio in ratios:
-        t_osc = config["T_osc"]
-        drive = DriveConfig(T_osc=t_osc, n_periods=config["n_periods"],
-                            dt=config["dt"])
         if config["law"] == LOWPASS:
             trace = run_lpf_loop(drive, config["f_cut"], det)
         else:
@@ -211,8 +254,10 @@ def cmd_hysteresis(config, out_dir, check=False):
 
 
 def cmd_purity_map(config, out_dir, check=False):
-    out_dir.mkdir(parents=True, exist_ok=True)
     n = config["grid"]
+    if not (_is_int(n) and n >= 2):
+        raise ConfigError(f"grid must be an integer >= 2, got {n!r}")
+    out_dir.mkdir(parents=True, exist_ok=True)
     beta2 = np.linspace(0.0, 1.0, n)
     refl = np.linspace(0.0, 1.0, n)
     lines = ["beta2,R,purity"]
@@ -348,10 +393,6 @@ def cmd_rc(config, out_dir, check=False):
     return metrics
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_tomography_config(config):
     shots, seed, phi = config["shots"], config["seed"], config["phi_global"]
     if shots is not None and not (_is_int(shots) and shots >= 1):
@@ -359,8 +400,7 @@ def _check_tomography_config(config):
             f"shots must be null (exact) or an integer >= 1, got {shots!r}")
     if not (_is_int(seed) and seed >= 0):
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-    if (isinstance(phi, bool) or not isinstance(phi, (int, float))
-            or not math.isfinite(phi)):
+    if not _is_real(phi):
         raise ConfigError(
             f"phi_global must be a finite real number, got {phi!r}")
 

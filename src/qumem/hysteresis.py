@@ -45,12 +45,14 @@ class DriveConfig:
     dt: float = None
 
     def __post_init__(self):
-        if self.T_osc <= 0:
-            raise ValueError("T_osc must be positive")
+        if not 0 < self.T_osc < math.inf:
+            raise ValueError("T_osc must be positive and finite")
         if self.n_periods < 1:
             raise ValueError("n_periods must be >= 1")
         if self.dt is None:
             object.__setattr__(self, "dt", self.T_osc / 1000.0)
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         if self.dt > self.T_osc / 200.0:
             raise ValueError("dt must resolve the drive (dt <= T_osc/200)")
 
@@ -80,10 +82,10 @@ class DetectionConfig:
     seed: int = None
 
     def __post_init__(self):
-        if self.max_rate <= 0:
-            raise ValueError("max_rate must be positive")
-        if self.rc <= 0:
-            raise ValueError("rc must be positive")
+        if not 0 < self.max_rate < math.inf:
+            raise ValueError("max_rate must be positive and finite")
+        if not 0 < self.rc < math.inf:
+            raise ValueError("rc must be positive and finite")
         if self.noise not in (EXACT, POISSON):
             raise ValueError("noise must be 'exact' or 'poisson'")
 

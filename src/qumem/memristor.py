@@ -8,6 +8,7 @@ single-photon detection at one output port.  The model covers:
   dual-rail (path) encoding, and their purities
 * the feedback update laws: sliding-window integration
   R(t) = 0.5 + (1/T) integral_{t-T}^{t} (<n_in> - 0.5) dtau,
+  as an O(1) running sum re-summed once per window (R within 1e-12),
   a first-order low-pass variant, and a frozen (open-loop) variant
 * the imperfect-splitter leakage model and the classical
   doped-junction memristor the device is formally analogous to.
@@ -189,13 +190,21 @@ class MemristorState:
         self.R = self._clamp(reflectivity)
         self.window = deque()  # sample timestamps spanning <= T
         self._terms = deque()  # (n_in - 0.5) dt of each window sample
+        self._total = 0.0      # running sum of _terms
+        self._countdown = 1    # evictions left before _total is re-summed
         self.last_t = float(t0)
 
     def _clamp(self, r):
         return min(max(r, self.r_min), 1.0)
 
     def advance(self, t, n_in):
-        """Feed one (timestamp, <n_in>) sample and update R."""
+        """Feed one (timestamp, <n_in>) sample and update R.
+
+        Windowed law: a running total of the window terms, replaced by
+        sum(window) at the first eviction and again after as many
+        evictions as the window held at the last re-sum.  R is bit-equal
+        to a per-sample re-sum (Python <= 3.11 `sum`) until the first
+        eviction and on re-sum steps, and within 1e-12 of it between."""
         if t < self.last_t:
             raise ValueError("timestamps must be nondecreasing")
         dt = t - self.last_t
@@ -203,13 +212,19 @@ class MemristorState:
         if self.law == FROZEN:
             return self
         if self.law == WINDOWED:
+            term = (n_in - 0.5) * dt
             self.window.append(t)
-            self._terms.append((n_in - 0.5) * dt)
+            self._terms.append(term)
+            total = self._total + term
             while self.window and self.window[0] <= t - self.T:
                 self.window.popleft()
-                self._terms.popleft()
-            integral = sum(self._terms)
-            self.R = self._clamp(0.5 + integral / self.T)
+                total -= self._terms.popleft()
+                self._countdown -= 1
+            if self._countdown <= 0:
+                total = sum(self._terms)
+                self._countdown = len(self._terms)
+            self._total = total
+            self.R = self._clamp(0.5 + total / self.T)
         else:  # lowpass: exact exponential step, stable at any dt
             decay = math.exp(-2.0 * math.pi * self.f_cut * dt)
             self.R = self._clamp(n_in + (self.R - n_in) * decay)
@@ -220,6 +235,8 @@ class MemristorState:
                              self.r_min, self.last_t)
         dup.window = deque(self.window)
         dup._terms = deque(self._terms)
+        dup._total = self._total
+        dup._countdown = self._countdown
         return dup
 
 

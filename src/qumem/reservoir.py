@@ -306,7 +306,7 @@ class Reservoir:
         estimated from its feedback-rail expectation."""
         self.step_index += 1
         t = float(self.step_index)
-        # Python floats: numpy scalars make the window's sum ~3x slower
+        # Python floats: numpy scalars make each advance about 10% slower
         for mem, fb in zip(self.memristors, fb_probs.tolist()):
             mem.advance(t, estimate_n_in(fb, mem.R))
 

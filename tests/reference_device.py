@@ -7,13 +7,16 @@ re-sums (t, n_in, dt) window triples on every step, the discrete
 window of the reservoir's memristor bank kept as a list, the trace CSV
 written through `csv.writer`, and the feature CSV written in place row
 by row.  The fast paths perform the same floating-point operations in
-the same order, so tests compare the two for exact equality.
+the same order, so tests compare the two for exact equality; the
+windowed law's running sum is compared to 1e-12, and exactly on the
+steps `ResumCountdown` names.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 from collections import deque
 
 import numpy as np
@@ -144,6 +147,32 @@ class TripleWindowMemristor:
         integral = sum((n - 0.5) * w for _, n, w in self.window)
         self.R = self._clamp(0.5 + integral / self.T)
         return self
+
+
+# builtin sum adds floats in order before Python 3.12 (which compensates),
+# so only there does a running total equal it before the first eviction
+IN_ORDER_SUM = sys.version_info < (3, 12)
+
+
+class ResumCountdown:
+    """The windowed law's re-sum cadence, followed from the window length:
+    the first eviction re-sums, and so does the step that brings the
+    evictions since the last re-sum to the window length at that re-sum."""
+
+    def __init__(self):
+        self.left = 1
+        self.evicted = False
+
+    def exact_after(self, len_before, len_after):
+        """Whether R must equal the per-sample re-sum after a step that
+        took the window from `len_before` to `len_after` samples."""
+        gone = len_before + 1 - len_after
+        self.evicted = self.evicted or gone > 0
+        self.left -= gone
+        if self.left <= 0:
+            self.left = len_after
+            return True
+        return IN_ORDER_SUM and not self.evicted
 
 
 class ListDiscreteMemristor:

@@ -98,6 +98,38 @@ def test_invalid_config_value_exits_2(tmp_path):
                    "--out", str(tmp_path / "o")) == EXIT_CONFIG
 
 
+def _exits_2_before_writing(tmp_path, command, config):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", str(path),
+                   "--out", str(out)) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [
+    {"T_osc": 0}, {"T_osc": float("nan")}, {"n_periods": 0},
+    {"n_periods": 1.5}, {"dt": 0}, {"dt": -0.01}, {"dt": float("inf")},
+    {"dt": 1.0}, {"ratios": [0]}, {"ratios": []}, {"ratios": 0.5},
+    {"rc": 0}, {"max_rate": float("nan")}, {"noise": "gauss"},
+    {"law": "linear"}, {"law": "lowpass", "f_cut": 0}, {"seed": -1},
+    {"warmup_periods": 2},
+    {"noise": "poisson", "rc": 1.0, "ratios": [1.0, 0.05]},
+    {"noise": "poisson", "law": "lowpass", "f_cut": 20.0},
+], ids=["T_osc-0", "T_osc-nan", "n_periods-0", "n_periods-float", "dt-0",
+        "dt-neg", "dt-inf", "dt-coarse", "ratio-0", "ratios-empty",
+        "ratios-scalar", "rc-0", "max_rate-nan", "noise-unknown",
+        "law-unknown", "f_cut-0", "seed-neg", "warmup-all",
+        "rc-over-window", "rc-over-lowpass-window"])
+def test_hysteresis_bad_config_exits_2_before_writing(tmp_path, config):
+    _exits_2_before_writing(tmp_path, "hysteresis", config)
+
+
+@pytest.mark.parametrize("grid", ["x", -3, 0, 1, 2.5, True])
+def test_purity_map_bad_grid_exits_2_before_writing(tmp_path, grid):
+    _exits_2_before_writing(tmp_path, "purity-map", {"grid": grid})
+
+
 def test_purity_map_command(tmp_path):
     out = tmp_path / "out"
     config = tmp_path / "c.json"

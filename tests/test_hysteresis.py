@@ -93,6 +93,15 @@ def test_drive_config_needs_fine_dt():
         DriveConfig(T_osc=1.0, dt=0.01)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"dt": 0.0}, {"dt": -0.001}, {"dt": float("nan")}, {"dt": float("inf")},
+    {"T_osc": float("inf")}, {"T_osc": float("nan")},
+], ids=["dt-0", "dt-neg", "dt-nan", "dt-inf", "T_osc-inf", "T_osc-nan"])
+def test_drive_config_rejects_nonpositive_or_nonfinite_steps(kwargs):
+    with pytest.raises(ValueError, match="positive and finite"):
+        DriveConfig(**{"T_osc": 1.0, **kwargs})
+
+
 # ---------------------------------------------------------------------------
 # detection model
 

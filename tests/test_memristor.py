@@ -273,18 +273,72 @@ def _random_samples(rng, n, dt_scale):
             for k, (tk, x) in enumerate(zip(t, n_in))]
 
 
+def _advance_with_reference(mem, ref, samples, cadence):
+    """Advance the law and its per-sample re-sum oracle side by side: R
+    within 1e-12 on every step, bit-equal on the steps `cadence` names,
+    and window lengths equal.  Returns the law's R after each step."""
+    rs = []
+    for t, n_in in samples:
+        before = len(ref.window)
+        mem.advance(t, n_in)
+        ref.advance(t, n_in)
+        assert abs(mem.R - ref.R) <= 1e-12
+        if cadence.exact_after(before, len(ref.window)):
+            assert mem.R == ref.R
+        assert len(mem.window) == len(ref.window)
+        rs.append(mem.R)
+    return rs
+
+
 @pytest.mark.parametrize("window", [1e-4, 0.05, 0.3, 2.0])
 def test_windowed_law_matches_triple_window_reference(window):
-    """R after every sample is bit-identical to re-summing (t, n, dt)
-    triples, for windows from shorter than one step to many steps."""
+    """R after every sample is within 1e-12 of re-summing (t, n, dt)
+    triples, and bit-identical before the first eviction and on re-sum
+    steps, for windows from shorter than one step to many steps."""
     rng = np.random.default_rng(int(window * 1e4))
     mem = MemristorState(0.5, window_seconds=window, law=WINDOWED)
     ref = reference_device.TripleWindowMemristor(0.5, window_seconds=window)
-    for t, n_in in _random_samples(rng, 600, 0.01):
-        mem.advance(t, n_in)
-        ref.advance(t, n_in)
-        assert mem.R == ref.R
-        assert len(mem.window) == len(ref.window)
+    _advance_with_reference(mem, ref, _random_samples(rng, 600, 0.01),
+                            reference_device.ResumCountdown())
+
+
+@pytest.mark.parametrize("window_samples", [50, 1000])
+def test_windowed_law_matches_reference_over_long_runs(window_samples):
+    """20k steps at the hysteresis panels' fixed dt, with their shortest
+    and longest windows: the running sum's drift stays within 1e-12."""
+    dt = 0.01
+    rng = np.random.default_rng(window_samples)
+    samples = [((k + 1) * dt, x)
+               for k, x in enumerate(rng.random(20000).tolist())]
+    mem = MemristorState(0.5, window_seconds=window_samples * dt)
+    ref = reference_device.TripleWindowMemristor(
+        0.5, window_seconds=window_samples * dt)
+    _advance_with_reference(mem, ref, samples,
+                            reference_device.ResumCountdown())
+
+
+# dt: repeated timestamps, steps inside the window, gaps longer than it
+law_samples = st.lists(
+    st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 1.0),
+                        st.floats(10.0, 1e3)),
+              st.floats(0.0, 1.0)),
+    max_size=150)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-3, 10.0), law_samples, st.data())
+def test_running_window_sum_matches_reference_and_copies(window, steps,
+                                                         data):
+    mem = MemristorState(0.5, window_seconds=window)
+    ref = reference_device.TripleWindowMemristor(0.5, window_seconds=window)
+    cadence = reference_device.ResumCountdown()
+    samples = list(zip(np.cumsum([dt for dt, _ in steps]).tolist(),
+                       [n_in for _, n_in in steps]))
+    split = data.draw(st.integers(0, len(samples)))
+    _advance_with_reference(mem, ref, samples[:split], cadence)
+    dup = mem.copy()
+    rs = _advance_with_reference(mem, ref, samples[split:], cadence)
+    assert [dup.advance(t, n_in).R for t, n_in in samples[split:]] == rs
 
 
 def test_copy_advances_identically_and_independently():
