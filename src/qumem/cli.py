@@ -54,7 +54,7 @@ from .readout import (
     train,
     write_features_csv,
 )
-from .reservoir import Reservoir, ReservoirConfig
+from .reservoir import COHERENT, QUANTUM, Reservoir, ReservoirConfig
 from .tomography import (
     PHI_GLOBAL,
     fit_global_phase,
@@ -144,9 +144,7 @@ def resolve_config(defaults, path=None, overrides=None):
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         config.update(loaded)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            config[key] = value
+    config.update(overrides or {})
     return config
 
 
@@ -212,7 +210,10 @@ def cmd_hysteresis(config, out_dir, check=False):
     drive = DriveConfig(T_osc=config["T_osc"], n_periods=config["n_periods"],
                         dt=config["dt"])
     ratios = list(config["ratios"])
-    if check and config["law"] == WINDOWED and 0.01 not in ratios:
+    # only the windowed law with exact noise has checked thresholds
+    checked = (check and config["law"] == WINDOWED
+               and config["noise"] == "exact")
+    if checked and 0.01 not in ratios:
         ratios.append(0.01)  # the true low-frequency limit panel
     t_osc = config["T_osc"]
     if config["law"] == LOWPASS:
@@ -244,7 +245,7 @@ def cmd_hysteresis(config, out_dir, check=False):
         }
         summary["panels"].append(panel)
     write_json(out_dir / "summary.json", summary)
-    if check and config["law"] == WINDOWED and config["noise"] == "exact":
+    if checked:
         by_ratio = {p["ratio"]: p for p in summary["panels"]}
         if by_ratio[min(by_ratio)]["rms_vs_lf_limit"] > 0.02:
             raise CheckFailure("low-frequency panel misses the LF limit")
@@ -289,7 +290,7 @@ def _rc_mnist_features(config, reservoir):
                              config["encoding"])
     x_test = image_features(reservoir, subset.test_images,
                             config["encoding"])
-    return (x_train, subset.train_labels), (x_test, subset.test_labels), 3
+    return (x_train, subset.train_labels), (x_test, subset.test_labels)
 
 
 def _rc_entanglement_features(config, reservoir):
@@ -301,7 +302,17 @@ def _rc_entanglement_features(config, reservoir):
         basis=reservoir.basis)
     x_train = state_features(reservoir, states_train, config["copies"])
     x_test = state_features(reservoir, states_test, config["copies"])
-    return (x_train, y_train), (x_test, y_test), 2
+    return (x_train, y_train), (x_test, y_test)
+
+
+# task -> (feature builder, class count, sequence length: the default
+# memristor window); a digit image is fed as its 12 columns
+RC_TASKS = {
+    "mnist": (_rc_mnist_features, lambda config: len(config["digits"]),
+              lambda config: 12),
+    "entanglement": (_rc_entanglement_features, lambda config: 2,
+                     lambda config: config["copies"]),
+}
 
 
 def _read_feature_sets(config, n_out):
@@ -321,7 +332,36 @@ def _read_feature_sets(config, n_out):
     return sets
 
 
-def cmd_rc(config, out_dir, check=False):
+def _is_digit_list(value):
+    return (isinstance(value, list) and len(set(value)) == len(value) >= 2
+            and all(_is_int(d) and 0 <= d <= 9 for d in value))
+
+
+# (keys, test, what the test asks for) of the rc fields a run reads
+_RC_CHECKS = (
+    (("modes",), lambda v: _is_int(v) and v >= 3, "an integer >= 3"),
+    (("photons", "hidden", "epochs", "batch_size", "copies", "n_train",
+      "n_test", "d_loc"), lambda v: _is_int(v) and v >= 1,
+     "an integer >= 1"),
+    (("seed", "mesh_seed"), lambda v: _is_int(v) and v >= 0,
+     "an integer >= 0"),
+    (("lr",), lambda v: _is_real(v) and v > 0, "a finite number > 0"),
+    (("window", "shots"), lambda v: v is None or (_is_int(v) and v >= 1),
+     "null or an integer >= 1"),
+    (("encoding",), lambda v: v in (QUANTUM, COHERENT),
+     f"{QUANTUM!r} or {COHERENT!r}"),
+    (("feedback",), lambda v: isinstance(v, bool), "true or false"),
+    (("digits",), _is_digit_list,
+     "a list of at least 2 distinct integers in 0-9"),
+)
+
+
+def _check_rc_config(config):
+    for keys, ok, what in _RC_CHECKS:
+        for key in keys:
+            if not ok(config[key]):
+                raise ConfigError(
+                    f"{key} must be {what}, got {config[key]!r}")
     if bool(config["train_features"]) != bool(config["test_features"]):
         raise ConfigError(
             "train_features and test_features must be set together")
@@ -331,25 +371,23 @@ def cmd_rc(config, out_dir, check=False):
                 raise ConfigError(
                     f"{key} must be even for entanglement (balanced "
                     f"classes), got {config[key]}")
-    window = config["window"]
-    if window is None:
-        window = 12 if config["task"] == "mnist" else config["copies"]
-    n_out = 3 if config["task"] == "mnist" else 2
+
+
+def cmd_rc(config, out_dir, check=False):
+    _check_rc_config(config)
+    features, n_classes, sequence_length = RC_TASKS[config["task"]]
+    n_out = n_classes(config)
+    window = config["window"] or sequence_length(config)
     if config["train_features"]:
         train_set, test_set = _read_feature_sets(config, n_out)
     else:
-        features = {"mnist": _rc_mnist_features,
-                    "entanglement": _rc_entanglement_features}.get(
-                        config["task"])
-        if features is None:
-            raise ConfigError(f"unknown task {config['task']!r}")
         reservoir = Reservoir(ReservoirConfig(
             modes=config["modes"], photons=config["photons"],
             mesh_seed=config["mesh_seed"], shots=config["shots"],
-            window=window, feedback=bool(config["feedback"]),
+            window=window, feedback=config["feedback"],
             sample_seed=config["seed"],
         ))
-        train_set, test_set, n_out = features(config, reservoir)
+        train_set, test_set = features(config, reservoir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_features_csv(out_dir / "train_features.csv", *train_set)
     write_features_csv(out_dir / "test_features.csv", *test_set)
@@ -447,87 +485,80 @@ def cmd_tomography(config, out_dir, check=False):
 # ---------------------------------------------------------------------------
 # argument parsing
 
+def _shots(value):
+    """--shots: 'exact' (None) or an integer count."""
+    if value == "exact":
+        return None
+    try:
+        return int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be 'exact' or an integer, got {value!r}")
+
+
+def _on_off(value):
+    if value not in ("on", "off"):
+        raise argparse.ArgumentTypeError(
+            f"must be 'on' or 'off', got {value!r}")
+    return value == "on"
+
+
+# name -> (defaults, entry point, help)
+COMMANDS = {
+    "hysteresis": (HYSTERESIS_DEFAULTS, cmd_hysteresis,
+                   "closed-loop hysteresis panels"),
+    "purity-map": (PURITY_MAP_DEFAULTS, cmd_purity_map,
+                   "output-state purity grid"),
+    "rc": (RC_DEFAULTS, cmd_rc, "reservoir-computing tasks"),
+    "tomography": (TOMOGRAPHY_DEFAULTS, cmd_tomography,
+                   "16-state reconstruction round trip"),
+}
+
+# config key -> (argument, add_argument keywords); a command takes the
+# arguments of the keys its defaults hold
+ARGUMENTS = {
+    "task": ("task", {"choices": list(RC_TASKS)}),
+    "seed": ("--seed", {"type": int}),
+    "law": ("--law", {"choices": [WINDOWED, LOWPASS, FROZEN]}),
+    "encoding": ("--encoding", {"choices": [QUANTUM, COHERENT]}),
+    "feedback": ("--feedback", {"type": _on_off, "metavar": "{on,off}"}),
+    "shots": ("--shots", {"type": _shots,
+                          "help": "'exact' or an integer count"}),
+}
+
+
 def build_parser():
+    """One subcommand per COMMANDS entry.  Its override arguments
+    default to argparse.SUPPRESS, so only those given reach the
+    parsed namespace."""
     parser = argparse.ArgumentParser(
         prog="qumem",
         description="photonic quantum memristor simulator",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (defaults, _, help_text) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text,
+                           argument_default=argparse.SUPPRESS)
         p.add_argument("--config", type=Path, default=None,
                        help="JSON config file (unknown keys rejected)")
         p.add_argument("--out", type=Path, default=Path("out"),
                        help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--check", action="store_true",
+        p.add_argument("--check", action="store_true", default=False,
                        help="exit 4 if result thresholds are not met")
-
-    p = sub.add_parser("hysteresis", help="closed-loop hysteresis panels")
-    common(p)
-    p.add_argument("--law", choices=[WINDOWED, LOWPASS, FROZEN], default=None)
-
-    p = sub.add_parser("purity-map", help="output-state purity grid")
-    common(p)
-
-    p = sub.add_parser("rc", help="reservoir-computing tasks")
-    p.add_argument("task", choices=["mnist", "entanglement"])
-    common(p)
-    p.add_argument("--encoding", choices=["quantum", "coherent"], default=None)
-    p.add_argument("--feedback", choices=["on", "off"], default=None)
-    p.add_argument("--shots", default=None,
-                   help="'exact' or an integer sample count per step")
-
-    p = sub.add_parser("tomography", help="16-state reconstruction round trip")
-    common(p)
-    p.add_argument("--shots", default=None,
-                   help="'exact' or an integer count per setting")
+        for key, (flag, options) in ARGUMENTS.items():
+            if key in defaults:
+                p.add_argument(flag, **options)
     return parser
 
 
-def _parse_shots(value):
-    if value is None or value == "exact":
-        return None
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"--shots must be 'exact' or an integer, got {value!r}")
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    defaults, run, _ = COMMANDS[args.pop("command")]
+    path, out_dir, check = (args.pop(k) for k in ("config", "out", "check"))
     try:
-        if args.command == "hysteresis":
-            overrides = {"seed": args.seed, "law": args.law}
-            config = resolve_config(HYSTERESIS_DEFAULTS, args.config, overrides)
-            cmd_hysteresis(config, args.out, args.check)
-        elif args.command == "purity-map":
-            config = resolve_config(PURITY_MAP_DEFAULTS, args.config)
-            cmd_purity_map(config, args.out, args.check)
-        elif args.command == "rc":
-            overrides = {
-                "task": args.task,
-                "seed": args.seed,
-                "encoding": args.encoding,
-                "shots": _parse_shots(args.shots) if args.shots else None,
-            }
-            if args.feedback is not None:
-                overrides["feedback"] = args.feedback == "on"
-            config = resolve_config(RC_DEFAULTS, args.config, overrides)
-            cmd_rc(config, args.out, args.check)
-        elif args.command == "tomography":
-            overrides = {
-                "seed": args.seed,
-                "shots": _parse_shots(args.shots) if args.shots else None,
-            }
-            config = resolve_config(TOMOGRAPHY_DEFAULTS, args.config, overrides)
-            cmd_tomography(config, args.out, args.check)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, TypeError) as exc:
+        run(resolve_config(defaults, path, args), out_dir, check)
+    except (ConfigError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as exc:

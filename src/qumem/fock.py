@@ -119,12 +119,12 @@ def enumerate_basis_upto(modes, photons):
 class ModeUnitary:
     """An m x m unitary acting on the optical modes."""
 
-    def __init__(self, matrix, atol=ATOL_UNITARY):
+    def __init__(self, matrix):
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise DimensionError("mode unitary must be square")
         dev = np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])))
-        if dev > atol:
+        if dev > ATOL_UNITARY:
             raise ValueError(f"matrix is not unitary (deviation {dev:.2e})")
         self.matrix = matrix
 

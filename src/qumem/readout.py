@@ -13,7 +13,6 @@ dataset for the entanglement-detection task.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -229,25 +228,23 @@ def _select_balanced(labels, wanted_total, digits, rng):
     return np.concatenate(chosen)
 
 
-def load_mnist(paths, digits=(0, 3, 8), n_train=1000, n_test=1000, seed=0):
-    """Load the digit subset from IDX files.
-
-    `paths` is a directory holding the four standard files, or a dict
-    with keys train_images/train_labels/test_images/test_labels.  Train
-    and test are drawn from their separate files (disjoint by
-    construction); the test split is balanced across the digits.
-    Pixels are scaled to [0, 1]; labels become indices into `digits`.
+def load_mnist(data_dir, digits=(0, 3, 8), n_train=1000, n_test=1000,
+               seed=0):
+    """Load the digit subset from the four standard IDX files in
+    `data_dir`.  Train and test are drawn from their separate files
+    (disjoint by construction); the test split is balanced across the
+    digits.  Pixels are scaled to [0, 1]; labels become indices into
+    `digits`.
     """
-    if isinstance(paths, (str, os.PathLike)):
-        root = Path(paths)
-        paths = {
-            "train_images": root / TRAIN_IMAGES,
-            "train_labels": root / TRAIN_LABELS,
-            "test_images": root / TEST_IMAGES,
-            "test_labels": root / TEST_LABELS,
-        }
+    root = Path(data_dir)
+    paths = {
+        "train_images": root / TRAIN_IMAGES,
+        "train_labels": root / TRAIN_LABELS,
+        "test_images": root / TEST_IMAGES,
+        "test_labels": root / TEST_LABELS,
+    }
     for key, p in paths.items():
-        if not Path(p).exists():
+        if not p.exists():
             raise DataError(f"missing dataset file for {key}: {p}")
     digits = tuple(digits)
     rng = np.random.default_rng(seed)
@@ -341,15 +338,15 @@ def encode_columns(image, basis, encoding=QUANTUM):
     raise ValueError(f"unknown encoding {encoding!r}")
 
 
-def image_features(reservoir, images, encoding=QUANTUM, reset=True):
+def image_features(reservoir, images, encoding=QUANTUM):
     """Final reservoir distribution for every image (columns fed
-    left to right, memristor windows reset per image by default).
+    left to right, memristor windows reset per image).
     Rows are raw probability vectors; rescale with to_readout_features
     (and standardize) before training."""
     rows = []
     for image in images:
         seq = encode_columns(image, reservoir.basis, encoding)
-        rows.append(reservoir.run_sequence(seq, reset=reset))
+        rows.append(reservoir.run_sequence(seq, reset=True))
     return np.stack(rows)
 
 
@@ -399,10 +396,11 @@ def read_features_csv(path):
     return data[:, 1:], data[:, 0].astype(int)
 
 
-def state_features(reservoir, states, copies=100, reset=True):
-    """Final reservoir distribution after `copies` repeats of each state."""
+def state_features(reservoir, states, copies=100):
+    """Final reservoir distribution after `copies` repeats of each
+    state, memristor windows reset per state."""
     rows = []
     for state in states:
         seq = [EncodedInput(state)] * copies
-        rows.append(reservoir.run_sequence(seq, reset=reset))
+        rows.append(reservoir.run_sequence(seq, reset=True))
     return np.stack(rows)

@@ -128,7 +128,7 @@ def _coherent_kets(n, dim):
     return kets
 
 
-def coherent_encode(v, basis, truncation=None):
+def coherent_encode(v, basis):
     """Classical baseline: statistical mixture of fixed coherent kets.
 
     Component j of v weights the truncated coherent ket of amplitude j,
@@ -146,12 +146,10 @@ def coherent_encode(v, basis, truncation=None):
         raise DimensionError(
             f"vector of length {v.size} exceeds basis size {basis.size}"
         )
-    dim = basis.size if truncation is None else int(truncation)
-    if dim != basis.size:
-        raise ValueError("truncation must equal the basis size")
     weights = v / total
     keep = np.flatnonzero(weights)
-    factor = _coherent_kets(v.size, dim)[:, keep] * np.sqrt(weights[keep])
+    factor = (_coherent_kets(v.size, basis.size)[:, keep]
+              * np.sqrt(weights[keep]))
     return EncodedInput(QuantumState(basis, factor, validate=False))
 
 
@@ -237,9 +235,8 @@ class Reservoir:
     step counter.  Distinct instances are independent.
     """
 
-    def __init__(self, config=None, **kwargs):
-        self.config = config or ReservoirConfig(**kwargs)
-        cfg = self.config
+    def __init__(self, config):
+        self.config = cfg = config
         geometry = _geometry(cfg.modes, cfg.photons)
         self.basis = geometry.basis
         rng = np.random.default_rng(cfg.mesh_seed)

@@ -9,7 +9,7 @@ the matrix is rescaled to unit trace after insertion.
 The lower 2x2 block is reconstructed from the per-setting click counts
 by maximum likelihood over a Cholesky-parameterised positive block
 (James, Kwiat, Munro & White, PRA 64, 052312 (2001)).  The ascent
-depends only on the count table, the settings and the stopping rule,
+depends only on the count table and the settings,
 not on p00; a caller reconstructing a batch of states can hand one
 `ascents` dict to every call so that equal count tables (the
 characterisation grid draws several) run their ascent once.
@@ -36,6 +36,9 @@ from .memristor import QubitInput, output_state_dual_rail
 PHI_GLOBAL = 5.6  # rad, fitted rail-length phase offset of the device
 
 _EPS = 1e-12
+# stopping rule of the likelihood ascent
+_REL_TOL = 1e-9
+_MAX_ITER = 2000
 
 
 @dataclass(frozen=True)
@@ -285,17 +288,15 @@ class ReconstructionReport:
     rho: np.ndarray
     fidelity_to_theory: float = None
     purity: float = None
-    phi_global: float = None
     meta: dict = field(default_factory=dict)
 
 
-def mle_reconstruct(counts, p00_estimate, settings=None,
-                    rel_tol=1e-9, max_iter=2000, *, ascents=None):
+def mle_reconstruct(counts, p00_estimate, settings=None, *, ascents=None):
     """Maximum-likelihood 3x3 reconstruction.
 
     Maximises the multinomial likelihood of the kept-rail counts over
     Cholesky-parameterised positive 2x2 blocks (gradient ascent with
-    backtracking, stopping at relative likelihood change rel_tol), then
+    backtracking, stopping at relative likelihood change _REL_TOL), then
     installs the separately measured no-photon population p00 and
     rescales to unit trace.  The gradient is the central difference
     (step 1e-6) in each of the 4 parameters; its 8 likelihoods are
@@ -306,8 +307,8 @@ def mle_reconstruct(counts, p00_estimate, settings=None,
     halve-and-retry search walks.
 
     ascents, if given, is a dict the caller keeps for a batch of
-    reconstructions: the ascent of a count table (with these settings,
-    rel_tol and max_iter) already in it is reused, and a new one is
+    reconstructions: the ascent of a count table (with these
+    settings) already in it is reused, and a new one is
     stored.  Only p00 is installed afresh, so a reused report equals a
     fresh one bit for bit, meta included.
     """
@@ -324,13 +325,13 @@ def mle_reconstruct(counts, p00_estimate, settings=None,
 
     if ascents is None:
         ascents = {}
-    key = (counts.tobytes(), settings, rel_tol, max_iter)
+    key = (counts.tobytes(), settings)
     if key not in ascents:
-        ascents[key] = _ascend(counts, settings, rel_tol, max_iter)
+        ascents[key] = _ascend(counts, settings)
     return _install_p00(*ascents[key], p00_estimate)
 
 
-def _ascend(counts, settings, rel_tol, max_iter):
+def _ascend(counts, settings):
     """The likelihood ascent of `mle_reconstruct`: (unit-trace block,
     final log-likelihood, iterations)."""
     params = _cholesky_params(_linear_inversion(counts, settings))
@@ -340,7 +341,7 @@ def _ascend(counts, settings, rel_tol, max_iter):
     step = 0.1
     h = 1e-6
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         points = np.tile(params, (8, 1))  # rows 2i, 2i+1: params[i] +- h
         for i in range(4):
             points[2 * i, i] += h
@@ -366,7 +367,7 @@ def _ascend(counts, settings, rel_tol, max_iter):
         rel_change = abs(cand_ll - ll) / max(abs(ll), 1.0)
         params, ll = cand, cand_ll
         step *= 1.5
-        if rel_change < rel_tol:
+        if rel_change < _REL_TOL:
             break
     return _cholesky_blocks(params[None])[0], ll, iterations
 

@@ -18,8 +18,8 @@ from qumem.reservoir import EncodedInput, Reservoir
 
 class DenseReservoir(Reservoir):
 
-    def __init__(self, config=None, **kwargs):
-        super().__init__(config, **kwargs)
+    def __init__(self, config):
+        super().__init__(config)
         occ = self.basis.occupation_matrix()
         p = self.config.photons
         self._pair_q = []

@@ -17,7 +17,11 @@ from qumem.cli import (
 
 
 def run_cli(*args):
-    return main(list(args))
+    """main's return value, or the code argparse exits with."""
+    try:
+        return main(list(args))
+    except SystemExit as exc:
+        return exc.code
 
 
 def fast_hysteresis_config(tmp_path, **extra):
@@ -60,9 +64,23 @@ def test_hysteresis_command_outputs(tmp_path):
     assert set(by_ratio) == {0.05, 1.0, 0.01}
     assert (out / "trace_T0.05.csv").exists()
     assert (out / "trace_T1.csv").exists()
+    assert (out / "trace_T0.01.csv").exists()
     assert by_ratio[0.01]["rms_vs_lf_limit"] <= 0.02
     assert by_ratio[1.0]["rms_vs_hf_limit"] <= 0.02
     assert summary["config"]["T_osc"] == 2.0
+
+
+def test_hysteresis_check_with_poisson_noise_adds_no_panel(tmp_path):
+    # Poisson thresholds are not checked, so --check adds no 0.01 panel,
+    # whose window would not exceed rc
+    config = fast_hysteresis_config(tmp_path, noise="poisson",
+                                    ratios=[0.2, 1.0])
+    out = tmp_path / "out"
+    assert run_cli("hysteresis", "--config", str(config),
+                   "--out", str(out), "--check") == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert [p["ratio"] for p in summary["panels"]] == [0.2, 1.0]
+    assert not (out / "trace_T0.01.csv").exists()
 
 
 def test_hysteresis_reproducible_bytes(tmp_path):
@@ -130,6 +148,19 @@ def test_purity_map_bad_grid_exits_2_before_writing(tmp_path, grid):
     _exits_2_before_writing(tmp_path, "purity-map", {"grid": grid})
 
 
+def test_purity_map_takes_no_seed(tmp_path):
+    assert run_cli("purity-map", "--out", str(tmp_path / "o"),
+                   "--seed", "3") == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [("tomography",), ("rc", "entanglement")])
+def test_bad_shots_flag_exits_2(tmp_path, command):
+    assert run_cli(*command, "--out", str(tmp_path / "o"),
+                   "--shots", "abc") == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
+
+
 def test_purity_map_command(tmp_path):
     out = tmp_path / "out"
     config = tmp_path / "c.json"
@@ -164,6 +195,16 @@ def test_tomography_sampled_embeds_seed(tmp_path):
     payload = json.loads((out / "tomography.json").read_text())
     assert payload["config"]["seed"] == 11
     assert payload["config"]["shots"] == 2000
+
+
+def test_tomography_shots_exact_flag_overrides_config(tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"shots": 50}))
+    out = tmp_path / "out"
+    assert run_cli("tomography", "--config", str(config), "--out", str(out),
+                   "--shots", "exact") == EXIT_OK
+    payload = json.loads((out / "tomography.json").read_text())
+    assert payload["config"]["shots"] is None
 
 
 @pytest.mark.parametrize("config, flags", [
@@ -207,24 +248,29 @@ def write_idx(path, arr, magic):
         fh.write(arr.tobytes())
 
 
-@pytest.fixture
-def tiny_digit_dir(tmp_path):
+def write_digit_dir(path, digits=(0, 3, 8), n=60):
     rng = np.random.default_rng(0)
     def make(n):
-        labels = np.array([(0, 3, 8)[i % 3] for i in range(n)], dtype=np.uint8)
+        labels = np.array([digits[i % len(digits)] for i in range(n)],
+                          dtype=np.uint8)
         images = np.zeros((n, 28, 28), dtype=np.uint8)
         for i, lab in enumerate(labels):
             images[i, 6 + (lab % 16), 8:20] = 250
             images[i] += rng.integers(0, 20, size=(28, 28)).astype(np.uint8)
         return images, labels
 
-    imgs, labels = make(60)
-    write_idx(tmp_path / "train-images-idx3-ubyte", imgs, 0x00000803)
-    write_idx(tmp_path / "train-labels-idx1-ubyte", labels, 0x00000801)
-    imgs, labels = make(60)
-    write_idx(tmp_path / "t10k-images-idx3-ubyte", imgs, 0x00000803)
-    write_idx(tmp_path / "t10k-labels-idx1-ubyte", labels, 0x00000801)
-    return tmp_path
+    imgs, labels = make(n)
+    write_idx(path / "train-images-idx3-ubyte", imgs, 0x00000803)
+    write_idx(path / "train-labels-idx1-ubyte", labels, 0x00000801)
+    imgs, labels = make(n)
+    write_idx(path / "t10k-images-idx3-ubyte", imgs, 0x00000803)
+    write_idx(path / "t10k-labels-idx1-ubyte", labels, 0x00000801)
+    return path
+
+
+@pytest.fixture
+def tiny_digit_dir(tmp_path):
+    return write_digit_dir(tmp_path)
 
 
 def test_rc_mnist_pipeline_on_synthetic_idx(tmp_path, tiny_digit_dir, monkeypatch):
@@ -241,6 +287,22 @@ def test_rc_mnist_pipeline_on_synthetic_idx(tmp_path, tiny_digit_dir, monkeypatc
     assert 0.0 <= metrics["test_accuracy"] <= 1.0
     checkpoint = json.loads((out / "checkpoint.json").read_text())
     assert np.array(checkpoint["w1"]).shape == (165, 10)
+
+
+@pytest.mark.parametrize("digits", [[0, 3], [0, 1, 3, 8]])
+def test_rc_mnist_class_count_follows_digits(tmp_path, digits):
+    data = tmp_path / "data"
+    data.mkdir()
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "n_train": 8, "n_test": 8, "epochs": 1, "digits": digits,
+        "data_dir": str(write_digit_dir(data, tuple(digits))),
+    }))
+    out = tmp_path / "out"
+    assert run_cli("rc", "mnist", "--config", str(config),
+                   "--out", str(out)) == EXIT_OK
+    checkpoint = json.loads((out / "checkpoint.json").read_text())
+    assert np.array(checkpoint["w2"]).shape == (10, len(digits))
 
 
 def test_rc_entanglement_small(tmp_path):
@@ -278,6 +340,40 @@ def test_rc_decoupled_feature_stages(tmp_path):
                    "--out", str(out2)) == EXIT_OK
     metrics = json.loads((out2 / "metrics.json").read_text())
     assert metrics["config"]["train_features"].endswith("train_features.csv")
+
+
+def test_rc_shots_exact_flag_overrides_config(tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "n_train": 2, "n_test": 2, "copies": 2, "epochs": 1, "d_loc": 3,
+        "shots": 50,
+    }))
+    out = tmp_path / "out"
+    assert run_cli("rc", "entanglement", "--config", str(config),
+                   "--out", str(out), "--shots", "exact") == EXIT_OK
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["config"]["shots"] is None
+
+
+@pytest.mark.parametrize("bad", [
+    {"modes": 4.5}, {"modes": 2}, {"photons": 0}, {"hidden": 0}, {"epochs": -1}, {"epochs": 1.5}, {"batch_size": 0},
+    {"copies": 0}, {"n_train": 0}, {"n_test": True}, {"d_loc": 0},
+    {"seed": -1}, {"mesh_seed": 1.5}, {"lr": "x"}, {"lr": 0},
+    {"lr": float("nan")}, {"window": 0}, {"window": 2.5}, {"shots": 0},
+    {"shots": "abc"}, {"encoding": "gauss"}, {"feedback": 1},
+    {"feedback": "on"}, {"digits": [3]}, {"digits": [3, 3]},
+    {"digits": [0, 10]}, {"digits": [0, True]}, {"digits": "038"},
+], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+def test_rc_bad_config_exits_2_before_writing(tmp_path, bad):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "n_train": 2, "n_test": 2, "copies": 2, "epochs": 1, "d_loc": 3,
+        **bad,
+    }))
+    out = tmp_path / "o"
+    assert run_cli("rc", "entanglement", "--config", str(config),
+                   "--out", str(out)) == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_rc_outputs_byte_identical(tmp_path):

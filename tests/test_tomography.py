@@ -303,7 +303,7 @@ def test_shared_ascent_skips_the_likelihood(monkeypatch):
     assert again.meta is not first.meta
 
 
-def test_ascents_are_keyed_by_settings_and_tolerance(monkeypatch):
+def test_ascents_are_keyed_by_settings(monkeypatch):
     counts = simulate_counts(phased_state(0.3, 0.5), shots=1000, seed=2)
     other = ORACLE_SETTINGS["unnamed"]
     ascents = {}
@@ -311,11 +311,7 @@ def test_ascents_are_keyed_by_settings_and_tolerance(monkeypatch):
     calls = count_calls(monkeypatch, "_log_likelihoods")
     mle_reconstruct(counts, 0.2, other, ascents=ascents)
     assert calls
-    del calls[:]
-    loose = mle_reconstruct(counts, 0.2, rel_tol=1e-6, ascents=ascents)
-    assert calls
-    assert len(ascents) == 3
-    assert loose.meta == mle_reconstruct(counts, 0.2, rel_tol=1e-6).meta
+    assert len(ascents) == 2
 
 
 def test_mle_rejects_bad_inputs():
