@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from ._atomic import write_atomic
+from .fock import _is_int
 from .hysteresis import (
     DetectionConfig,
     DriveConfig,
@@ -58,6 +59,7 @@ from .reservoir import COHERENT, QUANTUM, Reservoir, ReservoirConfig
 from .tomography import (
     PHI_GLOBAL,
     fit_global_phase,
+    pending_ascents,
     reconstruction_roundtrip,
     table_fixtures,
 )
@@ -165,10 +167,6 @@ def write_json(path, payload):
 
 # ---------------------------------------------------------------------------
 # commands
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
 
 def _is_real(value):
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -448,8 +446,11 @@ def cmd_tomography(config, out_dir, check=False):
     out_dir.mkdir(parents=True, exist_ok=True)
     shots = config["shots"]
     rows = []
-    ascents = {}  # one ascent per distinct count table of this command
-    for fixture in table_fixtures(config["phi_global"]):
+    fixtures = table_fixtures(config["phi_global"])
+    # one ascent per distinct count table of this command, all of them
+    # in lock step at the first reconstruction
+    ascents = pending_ascents(fixtures, shots, config["seed"])
+    for fixture in fixtures:
         report = reconstruction_roundtrip(
             fixture.beta2, fixture.reflectivity, shots=shots,
             seed=config["seed"], phi_global=config["phi_global"],
@@ -460,11 +461,8 @@ def cmd_tomography(config, out_dir, check=False):
             "fidelity": report.fidelity_to_theory,
             "purity": report.purity,
         })
-    samples = [
-        (f.reflectivity, f.rho[1, 2])
-        for f in table_fixtures(config["phi_global"])
-        if abs(f.rho[1, 2]) > 1e-9
-    ]
+    samples = [(f.reflectivity, f.rho[1, 2]) for f in fixtures
+               if abs(f.rho[1, 2]) > 1e-9]
     phi_fit = fit_global_phase(samples)
     payload = {
         "config": config,

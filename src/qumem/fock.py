@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -37,6 +38,21 @@ EIG_FLOOR = -1e-9  # tolerated round-off on density-operator eigenvalues
 
 class DimensionError(ValueError):
     """Raised for invalid or mismatched Hilbert-space dimensions."""
+
+
+def _is_int(value):
+    """An integer count: any integral number (numpy's included) but a
+    bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_counts(modes, photons):
+    if not (_is_int(modes) and modes >= 1):
+        raise DimensionError(f"mode count must be an integer >= 1, "
+                             f"got {modes!r}")
+    if not (_is_int(photons) and photons >= 0):
+        raise ValueError(f"photon count must be an integer >= 0, "
+                         f"got {photons!r}")
 
 
 @functools.lru_cache(maxsize=256)
@@ -97,10 +113,7 @@ class OccupationBasis:
 def enumerate_basis(modes, photons):
     """All occupation vectors of `modes` modes with exactly `photons`
     photons.  Size is binomial(modes+photons-1, photons)."""
-    if modes < 1:
-        raise DimensionError("mode count must be >= 1")
-    if photons < 0:
-        raise ValueError("photon count must be >= 0")
+    _check_counts(modes, photons)
     states = _sector(modes, photons)
     assert len(states) == math.comb(modes + photons - 1, photons)
     return OccupationBasis(modes, photons, states, fixed_total=True)
@@ -108,8 +121,7 @@ def enumerate_basis(modes, photons):
 
 def enumerate_basis_upto(modes, photons):
     """Union of the 0..photons sectors (ascending total photon number)."""
-    if modes < 1:
-        raise DimensionError("mode count must be >= 1")
+    _check_counts(modes, photons)
     states = []
     for p in range(photons + 1):
         states.extend(_sector(modes, p))

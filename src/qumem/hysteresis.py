@@ -9,6 +9,11 @@ law, and the through-port output <n_out> = (1 - R) <n_in> is recorded.
 Limiting behaviour: for window T << T_osc the orbit collapses onto the
 nonlinear resistor line n_in - n_in^2; for T = T_osc (and beyond) the
 window integral vanishes and the orbit is the straight line 0.5 n_in.
+
+A `DriveConfig` computes its sample times, drive values and their CSV
+text once, so the panels of one command that share a drive share them:
+each run steps only the detector and the memristor, and each trace
+writes only its own n_out and R columns.
 """
 
 from __future__ import annotations
@@ -16,10 +21,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from ._atomic import write_atomic
+from .fock import _is_int
 from .memristor import (
     FROZEN,
     LOWPASS,
@@ -38,7 +45,10 @@ HIGH_FREQ = "HighFreq"
 
 @dataclass(frozen=True)
 class DriveConfig:
-    """Sinusoidal drive: <n_in(t)> = sin^2(pi t / T_osc)."""
+    """Sinusoidal drive: <n_in(t)> = sin^2(pi t / T_osc).
+
+    The run's samples (`samples`) and the "t,n_in" text of its trace
+    CSV rows (`csv_lead`) are computed on first use and kept."""
 
     T_osc: float
     n_periods: int = 2
@@ -47,8 +57,8 @@ class DriveConfig:
     def __post_init__(self):
         if not 0 < self.T_osc < math.inf:
             raise ValueError("T_osc must be positive and finite")
-        if self.n_periods < 1:
-            raise ValueError("n_periods must be >= 1")
+        if not (_is_int(self.n_periods) and self.n_periods >= 1):
+            raise ValueError("n_periods must be an integer >= 1")
         if self.dt is None:
             object.__setattr__(self, "dt", self.T_osc / 1000.0)
         if not 0 < self.dt < math.inf:
@@ -62,6 +72,19 @@ class DriveConfig:
     @property
     def steps_per_period(self):
         return round(self.T_osc / self.dt)
+
+    @cached_property
+    def samples(self):
+        """(t, n_in) of every step of a run, as tuples of floats:
+        t = (k + 1) dt for k < n_periods * steps_per_period."""
+        t = tuple((k + 1) * self.dt
+                  for k in range(self.n_periods * self.steps_per_period))
+        return t, tuple(map(self.n_in, t))
+
+    @cached_property
+    def csv_lead(self):
+        """The "t,n_in" start of each trace CSV row, as "%.12g"."""
+        return tuple("%.12g,%.12g" % row for row in zip(*self.samples))
 
 
 @dataclass(frozen=True)
@@ -94,14 +117,20 @@ class DetectorModel:
     """Stateful rate estimator built from a DetectionConfig.
 
     Exact mode is memoryless; Poisson mode carries the RC filter state
-    and its RNG, so one model instance must be used per run.
+    and its RNG, so one model instance must be used per run.  It also
+    keeps the raw pulse counts summed (`pulse_total`) over its Poisson
+    steps (`pulse_steps`), and the filter's alpha and rate scale of the
+    last step length, which a fixed-step run computes once.
     """
 
     def __init__(self, config):
         self.config = config
         self.filtered = 0.0
         self.rng = np.random.default_rng(config.seed)
-        self.counts = []  # raw pulse counts per step (diagnostics)
+        self.pulse_total = 0
+        self.pulse_steps = 0
+        self._dt = None
+        self._alpha = self._scale = None
 
     def estimate(self, true_rate, dt):
         cfg = self.config
@@ -109,23 +138,31 @@ class DetectorModel:
             raise ValueError("true_rate exceeds the detector's max_rate")
         if cfg.noise == EXACT:
             return true_rate / cfg.max_rate
+        if dt != self._dt:
+            self._dt = dt
+            self._alpha = 1.0 - math.exp(-dt / cfg.rc)
+            self._scale = cfg.max_rate * dt
         pulses = self.rng.poisson(true_rate * dt)
-        self.counts.append(pulses)
-        instantaneous = pulses / (cfg.max_rate * dt)
-        alpha = 1.0 - math.exp(-dt / cfg.rc)
-        self.filtered += alpha * (instantaneous - self.filtered)
+        self.pulse_total += pulses
+        self.pulse_steps += 1
+        self.filtered += self._alpha * (pulses / self._scale - self.filtered)
         return self.filtered
 
 
 @dataclass
 class Trace:
-    """Closed-loop run record: columns (t, n_in, n_out, R)."""
+    """Closed-loop run record: columns (t, n_in, n_out, R).
+
+    csv_lead, if set, is the "t,n_in" text of each CSV row (a run
+    shares its drive's `DriveConfig.csv_lead`); otherwise `write_csv`
+    formats it from t and n_in."""
 
     t: np.ndarray
     n_in: np.ndarray
     n_out: np.ndarray
     R: np.ndarray
     meta: dict = field(default_factory=dict)
+    csv_lead: tuple = field(default=None, repr=False, compare=False)
 
     def __len__(self):
         return len(self.t)
@@ -134,8 +171,9 @@ class Trace:
         """Drop the first `warmup_periods` drive periods."""
         spp = self.meta["steps_per_period"]
         lo = warmup_periods * spp
+        lead = None if self.csv_lead is None else self.csv_lead[lo:]
         return Trace(self.t[lo:], self.n_in[lo:], self.n_out[lo:],
-                     self.R[lo:], dict(self.meta))
+                     self.R[lo:], dict(self.meta), lead)
 
     def orbit_area(self):
         """Shoelace area of the (n_in, n_out) orbit polygon."""
@@ -145,10 +183,14 @@ class Trace:
     def write_csv(self, path):
         """Columns t, n_in, n_out, R as "%.12g", in the excel CSV dialect
         (comma-separated, "\r\n" line ends), written atomically."""
-        values = np.column_stack((self.t, self.n_in, self.n_out, self.R))
-        lines = ["t,n_in,n_out,R"] + ["%.12g,%.12g,%.12g,%.12g"] * len(values)
-        text = ("\r\n".join(lines) + "\r\n") % tuple(values.ravel().tolist())
-        write_atomic(path, text, newline="")
+        lead = self.csv_lead
+        if lead is None:
+            lead = ["%.12g,%.12g" % row
+                    for row in zip(self.t.tolist(), self.n_in.tolist())]
+        # "%.12g" text holds no "%", so the lead can sit in the template
+        template = "t,n_in,n_out,R\r\n" + ",%.12g,%.12g\r\n".join([*lead, ""])
+        values = np.column_stack((self.n_out, self.R)).ravel().tolist()
+        write_atomic(path, template % tuple(values), newline="")
 
     def write_meta(self, path):
         write_atomic(path, json.dumps(self.meta, indent=2, sort_keys=True)
@@ -167,23 +209,17 @@ def _validate_loop(drive, det, window_equivalent):
 
 def _run(drive, mem, det):
     detector = DetectorModel(det)
-    n_steps = drive.n_periods * drive.steps_per_period
-    t_arr = np.empty(n_steps)
-    nin_arr = np.empty(n_steps)
-    nout_arr = np.empty(n_steps)
-    r_arr = np.empty(n_steps)
-    for k in range(n_steps):
-        t = (k + 1) * drive.dt
-        n_in = drive.n_in(t)
+    estimate, advance = detector.estimate, mem.advance
+    dt, max_rate = drive.dt, det.max_rate
+    times, n_ins = drive.samples
+    n_outs, rs = [], []
+    for t, n_in in zip(times, n_ins):
         r_prev = mem.R
-        rate = det.max_rate * r_prev * n_in
-        n_meas = detector.estimate(rate, drive.dt)
-        n_est = estimate_n_in(n_meas, r_prev)
-        mem.advance(t, n_est)
-        t_arr[k] = t
-        nin_arr[k] = n_in
-        nout_arr[k] = (1.0 - mem.R) * n_in
-        r_arr[k] = mem.R
+        advance(t, estimate_n_in(estimate(max_rate * r_prev * n_in, dt),
+                                 r_prev))
+        r = mem.R
+        n_outs.append((1.0 - r) * n_in)
+        rs.append(r)
     meta = {
         "T_osc": drive.T_osc,
         "dt": drive.dt,
@@ -197,12 +233,13 @@ def _run(drive, mem, det):
         "max_rate": det.max_rate,
         "rc": det.rc,
         "mean_counts_per_rc_window": (
-            float(np.mean(detector.counts)) * det.rc / drive.dt
-            if detector.counts
+            detector.pulse_total / detector.pulse_steps * det.rc / drive.dt
+            if detector.pulse_steps
             else None
         ),
     }
-    return Trace(t_arr, nin_arr, nout_arr, r_arr, meta)
+    return Trace(np.array(times), np.array(n_ins), np.array(n_outs),
+                 np.array(rs), meta, drive.csv_lead)
 
 
 def run_closed_loop(drive, mem, det=DetectionConfig()):

@@ -38,6 +38,7 @@ from .fock import (
     DimensionError,
     ModeUnitary,
     QuantumState,
+    _is_int,
     _lift_sectors,
     coupler,
     enumerate_basis,
@@ -63,6 +64,8 @@ class ReservoirConfig:
     sample_seed: int = None
 
     def __post_init__(self):
+        if not _is_int(self.modes) or not _is_int(self.photons):
+            raise ValueError("modes and photons must be integers")
         if self.modes < 3:
             raise ValueError("need at least three modes for one memristor")
         if self.photons < 1:

@@ -9,10 +9,13 @@ the matrix is rescaled to unit trace after insertion.
 The lower 2x2 block is reconstructed from the per-setting click counts
 by maximum likelihood over a Cholesky-parameterised positive block
 (James, Kwiat, Munro & White, PRA 64, 052312 (2001)).  The ascent
-depends only on the count table and the settings,
-not on p00; a caller reconstructing a batch of states can hand one
-`ascents` dict to every call so that equal count tables (the
-characterisation grid draws several) run their ascent once.
+depends only on the count table and the settings, not on p00; a
+caller reconstructing a batch of states can hand one `ascents` dict
+to every call so that equal count tables (the characterisation grid
+draws several) run their ascent once.  `pending_ascents` fills such a
+dict with the batch's count tables before the first call, which then
+ascends all of them in lock step: one stacked likelihood pass per
+round serves every table still climbing.
 
 On the fabricated device the surviving qubit's coherence carries an
 extra phase: the through arm of the splitter contributes asin(sqrt(R))
@@ -179,7 +182,11 @@ def simulate_counts(rho_true, settings=None, shots=None, seed=None):
     settings = default_settings() if settings is None else tuple(settings)
     if not settings:
         raise ValueError("at least one analysis setting is required")
-    block = _block(rho_true)
+    return _click_counts(_block(rho_true), settings, shots, seed)
+
+
+def _click_counts(block, settings, shots, seed):
+    """The count table of `simulate_counts` for a 2x2 kept-rail block."""
     rows = []
     rng = np.random.default_rng(seed)
     for setting in settings:
@@ -206,7 +213,7 @@ def _cholesky_blocks(params):
     t[:, 1, 1] = params[:, 3]
     sigma = t @ t.conj().transpose(0, 2, 1)
     tr = sigma[:, 0, 0].real + sigma[:, 1, 1].real
-    if np.any(tr <= 0):
+    if (tr <= 0).any():
         raise FloatingPointError("degenerate Cholesky factor")
     return sigma / tr[:, None, None]
 
@@ -219,29 +226,27 @@ def _analysis_unitaries(settings):
 
 
 def _log_likelihoods(params, counts, mats):
-    """Multinomial log-likelihood of each (n, 4) parameter row.
+    """Multinomial log-likelihood of each (n, 4) parameter row, as a
+    float64 array.
 
-    counts is the (S, 2) click table as nested lists and mats the
-    `_analysis_unitaries` pair.  The click distributions of every row
-    and setting come from one stacked pass; each row's terms n log q
-    over the positive-count cells are then added to 0.0 one by one in
-    setting order with math.log, so each value is bit-for-bit the one
-    a row-by-row evaluation gives."""
+    Row r is scored on the count table counts[r], flattened to (S * 2,)
+    in setting order, and mats is the `_analysis_unitaries` pair of the
+    settings every row shares.  The click distributions of every row
+    and setting come from one stacked pass and each log q from
+    math.log.  The terms n log q are summed along a row from 0.0 in
+    setting order; a zero-count cell adds a signed zero, which leaves
+    a sum that starts at +0.0 unchanged, so each value is bit-for-bit
+    the one a row-by-row evaluation over the positive cells gives."""
     v, vh = mats
     rotated = v @ _cholesky_blocks(params)[:, None] @ vh
     p = np.maximum(rotated.diagonal(axis1=-2, axis2=-1).real, 0.0)
     q = p / (p[..., 0] + p[..., 1])[..., None]
-    cells = [n for row in counts for n in row]
-    positive = [k for k, n in enumerate(cells) if n > 0]
-    ns = [cells[k] for k in positive]
-    q = np.maximum(q.reshape(len(params), -1)[:, positive], _EPS)
-    lls = []
-    for q_row in q.tolist():
-        ll = 0.0
-        for n, log_q in zip(ns, map(math.log, q_row)):
-            ll += n * log_q
-        lls.append(ll)
-    return lls
+    q = np.maximum(q.reshape(len(params), -1), _EPS)
+    log_q = np.fromiter(map(math.log, q.ravel().tolist()), float, q.size)
+    terms = counts * log_q.reshape(q.shape)
+    # cumsum adds in order but starts from the first term, not 0.0; the
+    # two sums can differ only in the sign of a zero, which + 0.0 settles
+    return terms.cumsum(axis=1)[:, -1] + 0.0
 
 
 def _linear_inversion(counts, settings):
@@ -307,10 +312,13 @@ def mle_reconstruct(counts, p00_estimate, settings=None, *, ascents=None):
     halve-and-retry search walks.
 
     ascents, if given, is a dict the caller keeps for a batch of
-    reconstructions: the ascent of a count table (with these
-    settings) already in it is reused, and a new one is
-    stored.  Only p00 is installed afresh, so a reused report equals a
-    fresh one bit for bit, meta included.
+    reconstructions, keyed by count table and settings: the ascent of
+    a table already in it is reused, and a new one is stored.  An entry
+    whose value is None is pending, as `pending_ascents` leaves them;
+    the call that needs an ascent runs it in lock step with every
+    pending entry of the same settings and stores them all.  Only p00
+    is installed afresh, so a reused report equals a fresh one bit for
+    bit, meta included.
     """
     counts = np.asarray(counts, dtype=float)
     settings = default_settings() if settings is None else tuple(settings)
@@ -326,50 +334,107 @@ def mle_reconstruct(counts, p00_estimate, settings=None, *, ascents=None):
     if ascents is None:
         ascents = {}
     key = (counts.tobytes(), settings)
-    if key not in ascents:
-        ascents[key] = _ascend(counts, settings)
+    if ascents.get(key) is None:
+        keys = [key] + [k for k, done in ascents.items()
+                        if done is None and k[1] == settings and k != key]
+        tables = [np.frombuffer(k[0]).reshape(-1, 2) for k in keys]
+        ascents.update(zip(keys, _ascend(tables, settings)))
     return _install_p00(*ascents[key], p00_estimate)
 
 
-def _ascend(counts, settings):
-    """The likelihood ascent of `mle_reconstruct`: (unit-trace block,
-    final log-likelihood, iterations)."""
-    params = _cholesky_params(_linear_inversion(counts, settings))
-    table = counts.tolist()
+def pending_ascents(fixtures, shots=None, seed=None, settings=None):
+    """An `ascents` dict for the round trips of `fixtures` (as
+    `table_fixtures` gives them) at these shots, seed and settings:
+    every distinct count table those round trips reconstruct is a
+    pending entry, so the first reconstruction ascends them all in
+    lock step.  Finite shots without a seed draw fresh tables on every
+    call, so nothing is pending then."""
+    settings = default_settings() if settings is None else tuple(settings)
+    ascents = {}
+    if shots is not None and seed is None:
+        return ascents
+    _, count_seed = _roundtrip_rng(seed)
+    for fixture in fixtures:
+        counts = _click_counts(_block(fixture.rho), settings, shots,
+                               count_seed)
+        if counts.sum() > 0:
+            ascents[(counts.tobytes(), settings)] = None
+    return ascents
+
+
+def _ascend(tables, settings):
+    """The likelihood ascents of `mle_reconstruct` for count tables that
+    share these settings, run in lock step: a list of (unit-trace block,
+    final log-likelihood, iterations), one per table.
+
+    Each round evaluates the gradient stencils of every table still
+    climbing in one `_log_likelihoods` pass, and each line-search round
+    the candidates of every table still searching in another.  A row's
+    likelihood does not depend on the rows stacked with it, and every
+    decision (step, halving, acceptance, stopping) is taken per table
+    as a lone ascent takes it, so each result is that ascent's."""
     mats = _analysis_unitaries(settings)
-    (ll,) = _log_likelihoods(params[None], table, mats)
-    step = 0.1
+    counts = np.array([table.ravel() for table in tables])
+    params = np.array([_cholesky_params(_linear_inversion(table, settings))
+                       for table in tables])
+    lls = _log_likelihoods(params, counts, mats).tolist()
+    steps = [0.1] * len(tables)
+    iterations = [0] * len(tables)
     h = 1e-6
-    iterations = 0
-    for iterations in range(1, _MAX_ITER + 1):
-        points = np.tile(params, (8, 1))  # rows 2i, 2i+1: params[i] +- h
-        for i in range(4):
-            points[2 * i, i] += h
-            points[2 * i + 1, i] -= h
-        lls = _log_likelihoods(points, table, mats)
-        grad = (np.array(lls[0::2]) - lls[1::2]) / (2 * h)
-        gnorm = np.linalg.norm(grad)
-        if gnorm == 0:
+    # rows 2i and 2i + 1 of a table's stencil: params[i] +- h.  A zero
+    # offset turns a -0.0 parameter into 0.0, and no likelihood depends
+    # on the sign of a zero: it only reaches q values clipped to _EPS
+    offsets = np.zeros((8, 4))
+    for i in range(4):
+        offsets[2 * i, i] = h
+        offsets[2 * i + 1, i] = -h
+    climbing = list(range(len(tables)))
+    for iteration in range(1, _MAX_ITER + 1):
+        if not climbing:
             break
-        improved = False
-        while step > 1e-14 and not improved:
-            cands = params + np.array([[step], [step * 0.5]]) * grad / gnorm
-            for cand, cand_ll in zip(cands,
-                                     _log_likelihoods(cands, table, mats)):
-                if cand_ll > ll:
-                    improved = True
-                    break
-                step *= 0.5
-                if step <= 1e-14:
-                    break
-        if not improved:
-            break
-        rel_change = abs(cand_ll - ll) / max(abs(ll), 1.0)
-        params, ll = cand, cand_ll
-        step *= 1.5
-        if rel_change < _REL_TOL:
-            break
-    return _cholesky_blocks(params[None])[0], ll, iterations
+        rows = np.array(climbing).repeat(8)
+        points = (params[climbing][:, None] + offsets).reshape(-1, 4)
+        stencil = _log_likelihoods(points, counts[rows], mats).reshape(-1, 8)
+        grads = (stencil[:, 0::2] - stencil[:, 1::2]) / (2 * h)
+        gnorms = [np.linalg.norm(grad) for grad in grads]
+        for i in climbing:
+            iterations[i] = iteration
+        moving = [j for j, gnorm in enumerate(gnorms) if gnorm != 0]
+        searching = [climbing[j] for j in moving]
+        grads = grads[moving]
+        gnorms = np.array(gnorms)[moving, None]
+        climbing = []
+        while searching:
+            rows = np.array(searching).repeat(2)
+            scale = np.array([[steps[i], steps[i] * 0.5] for i in searching])
+            cands = (params[searching][:, None]
+                     + scale[:, :, None] * grads[:, None] / gnorms[:, None])
+            cands = cands.reshape(-1, 4)
+            cand_lls = _log_likelihoods(cands, counts[rows], mats).tolist()
+            still = []
+            for j, i in enumerate(searching):
+                step, ll = steps[i], lls[i]
+                for r in (2 * j, 2 * j + 1):
+                    if cand_lls[r] > ll:
+                        break
+                    step *= 0.5
+                    if step <= 1e-14:
+                        r = None  # the search gave up: the ascent ends
+                        break
+                else:
+                    r = None
+                    still.append(j)
+                if r is None:
+                    steps[i] = step
+                    continue
+                rel_change = abs(cand_lls[r] - ll) / max(abs(ll), 1.0)
+                params[i], lls[i] = cands[r], cand_lls[r]
+                steps[i] = step * 1.5
+                if rel_change >= _REL_TOL:
+                    climbing.append(i)
+            searching = [searching[j] for j in still]
+            grads, gnorms = grads[still], gnorms[still]
+    return list(zip(_cholesky_blocks(params), lls, iterations))
 
 
 def _install_p00(block, log_likelihood, iterations, p00_estimate):
@@ -399,11 +464,8 @@ def reconstruction_roundtrip(beta2, reflectivity, shots=None, seed=None,
         output_state_dual_rail(QubitInput.from_beta2(beta2), reflectivity),
         reflectivity, phi_global,
     )
-    rng = np.random.default_rng(seed)
-    counts = simulate_counts(
-        rho_true, settings, shots,
-        seed=None if seed is None else rng.integers(2**32),
-    )
+    rng, count_seed = _roundtrip_rng(seed)
+    counts = simulate_counts(rho_true, settings, shots, seed=count_seed)
     p00 = rho_true[0, 0].real
     if shots is not None:
         p00 = rng.binomial(int(shots), p00) / float(shots)
@@ -422,6 +484,13 @@ def reconstruction_roundtrip(beta2, reflectivity, shots=None, seed=None,
         shots=shots, seed=seed, phi_global=phi_global,
     )
     return report
+
+
+def _roundtrip_rng(seed):
+    """A round trip's generator and the seed of its count draw, which is
+    the generator's first draw."""
+    rng = np.random.default_rng(seed)
+    return rng, None if seed is None else rng.integers(2**32)
 
 
 def fit_global_phase(off_diag_samples):

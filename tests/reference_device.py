@@ -2,9 +2,12 @@
 
 These are the straightforward forms the library's fast paths replace:
 the MLE tomography that evaluates its likelihood one parameter point
-and one analysis setting at a time, the windowed memristor law that
-re-sums (t, n_in, dt) window triples on every step, the discrete
-window of the reservoir's memristor bank kept as a list, the trace CSV
+and one analysis setting at a time, the ascent of one count table on
+its own (the library runs a batch of tables in lock step), the
+windowed memristor law that re-sums (t, n_in, dt) window triples on
+every step, the closed hysteresis loop that recomputes its drive on
+every step and keeps every pulse count in a list, the discrete window
+of the reservoir's memristor bank kept as a list, the trace CSV
 written through `csv.writer`, and the feature CSV written in place row
 by row.  The fast paths perform the same floating-point operations in
 the same order, so tests compare the two for exact equality; the
@@ -22,10 +25,15 @@ from collections import deque
 import numpy as np
 
 from qumem.fock import purity
-from qumem.memristor import R_MIN
+from qumem.hysteresis import EXACT, Trace
+from qumem.memristor import R_MIN, WINDOWED, estimate_n_in
 from qumem.tomography import (
     _EPS,
+    _MAX_ITER,
+    _REL_TOL,
     ReconstructionReport,
+    _analysis_unitaries,
+    _cholesky_blocks,
     _cholesky_params,
     _linear_inversion,
     default_settings,
@@ -118,6 +126,67 @@ def mle_reconstruct(counts, p00_estimate, settings=None,
     )
 
 
+def stacked_log_likelihoods(params, table, mats):
+    """Log-likelihoods of (n, 4) parameter rows on one count table (as
+    nested lists), the click distributions in one stacked pass."""
+    v, vh = mats
+    rotated = v @ _cholesky_blocks(params)[:, None] @ vh
+    p = np.maximum(rotated.diagonal(axis1=-2, axis2=-1).real, 0.0)
+    q = p / (p[..., 0] + p[..., 1])[..., None]
+    cells = [n for row in table for n in row]
+    positive = [k for k, n in enumerate(cells) if n > 0]
+    ns = [cells[k] for k in positive]
+    q = np.maximum(q.reshape(len(params), -1)[:, positive], _EPS)
+    lls = []
+    for q_row in q.tolist():
+        ll = 0.0
+        for n, log_q in zip(ns, map(math.log, q_row)):
+            ll += n * log_q
+        lls.append(ll)
+    return lls
+
+
+def ascend(counts, settings):
+    """The ascent of one count table on its own: (unit-trace block,
+    final log-likelihood, iterations)."""
+    params = _cholesky_params(_linear_inversion(counts, settings))
+    table = counts.tolist()
+    mats = _analysis_unitaries(settings)
+    (ll,) = stacked_log_likelihoods(params[None], table, mats)
+    step = 0.1
+    h = 1e-6
+    iterations = 0
+    for iterations in range(1, _MAX_ITER + 1):
+        points = np.tile(params, (8, 1))  # rows 2i, 2i+1: params[i] +- h
+        for i in range(4):
+            points[2 * i, i] += h
+            points[2 * i + 1, i] -= h
+        lls = stacked_log_likelihoods(points, table, mats)
+        grad = (np.array(lls[0::2]) - lls[1::2]) / (2 * h)
+        gnorm = np.linalg.norm(grad)
+        if gnorm == 0:
+            break
+        improved = False
+        while step > 1e-14 and not improved:
+            cands = params + np.array([[step], [step * 0.5]]) * grad / gnorm
+            for cand, cand_ll in zip(
+                    cands, stacked_log_likelihoods(cands, table, mats)):
+                if cand_ll > ll:
+                    improved = True
+                    break
+                step *= 0.5
+                if step <= 1e-14:
+                    break
+        if not improved:
+            break
+        rel_change = abs(cand_ll - ll) / max(abs(ll), 1.0)
+        params, ll = cand, cand_ll
+        step *= 1.5
+        if rel_change < _REL_TOL:
+            break
+    return _cholesky_blocks(params[None])[0], ll, iterations
+
+
 # ---------------------------------------------------------------------------
 # memristor laws
 
@@ -202,6 +271,75 @@ class ListDiscreteMemristor:
     def reset(self):
         self.samples = []
         self.R = self._clamp(self.r_init)
+
+
+# ---------------------------------------------------------------------------
+# hysteresis loop
+
+class ListDetectorModel:
+    """The feedback detector keeping every Poisson pulse count in a list,
+    its filter constants recomputed on every step."""
+
+    def __init__(self, config):
+        self.config = config
+        self.filtered = 0.0
+        self.rng = np.random.default_rng(config.seed)
+        self.counts = []
+
+    def estimate(self, true_rate, dt):
+        cfg = self.config
+        if true_rate > cfg.max_rate * (1 + 1e-9):
+            raise ValueError("true_rate exceeds the detector's max_rate")
+        if cfg.noise == EXACT:
+            return true_rate / cfg.max_rate
+        pulses = self.rng.poisson(true_rate * dt)
+        self.counts.append(pulses)
+        instantaneous = pulses / (cfg.max_rate * dt)
+        alpha = 1.0 - math.exp(-dt / cfg.rc)
+        self.filtered += alpha * (instantaneous - self.filtered)
+        return self.filtered
+
+
+def run_loop(drive, mem, det):
+    """The closed loop stepped into preallocated arrays, the drive
+    evaluated at each step."""
+    detector = ListDetectorModel(det)
+    n_steps = drive.n_periods * drive.steps_per_period
+    t_arr = np.empty(n_steps)
+    nin_arr = np.empty(n_steps)
+    nout_arr = np.empty(n_steps)
+    r_arr = np.empty(n_steps)
+    for k in range(n_steps):
+        t = (k + 1) * drive.dt
+        n_in = drive.n_in(t)
+        r_prev = mem.R
+        rate = det.max_rate * r_prev * n_in
+        n_meas = detector.estimate(rate, drive.dt)
+        n_est = estimate_n_in(n_meas, r_prev)
+        mem.advance(t, n_est)
+        t_arr[k] = t
+        nin_arr[k] = n_in
+        nout_arr[k] = (1.0 - mem.R) * n_in
+        r_arr[k] = mem.R
+    meta = {
+        "T_osc": drive.T_osc,
+        "dt": drive.dt,
+        "n_periods": drive.n_periods,
+        "steps_per_period": drive.steps_per_period,
+        "law": mem.law,
+        "T": mem.T if mem.law == WINDOWED else None,
+        "f_cut": mem.f_cut,
+        "noise": det.noise,
+        "seed": det.seed,
+        "max_rate": det.max_rate,
+        "rc": det.rc,
+        "mean_counts_per_rc_window": (
+            float(np.mean(detector.counts)) * det.rc / drive.dt
+            if detector.counts
+            else None
+        ),
+    }
+    return Trace(t_arr, nin_arr, nout_arr, r_arr, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,24 @@ def test_basis_zero_modes_rejected():
         enumerate_basis(0, 1)
 
 
+@pytest.mark.parametrize("enumerate_", [enumerate_basis,
+                                        enumerate_basis_upto])
+@pytest.mark.parametrize("modes, photons, error", [
+    (4.5, 2, DimensionError), (True, 2, DimensionError),
+    (3, 2.5, ValueError), (3, True, ValueError), (3, -1, ValueError),
+], ids=["modes-float", "modes-bool", "photons-float", "photons-bool",
+        "photons-negative"])
+def test_basis_rejects_non_integer_counts(enumerate_, modes, photons,
+                                          error):
+    with pytest.raises(error, match="must be an integer"):
+        enumerate_(modes, photons)
+
+
+def test_basis_accepts_numpy_integer_counts():
+    assert enumerate_basis(np.int64(3), np.int64(2)).size == 6
+    assert enumerate_basis_upto(np.int64(3), np.int64(2)).size == 10
+
+
 def test_basis_upto_sector_sizes():
     basis = enumerate_basis_upto(2, 1)
     assert basis.states == ((0, 0), (1, 0), (0, 1))

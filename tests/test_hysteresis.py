@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_device
 from qumem import _atomic
@@ -22,7 +24,7 @@ from qumem.hysteresis import (
     run_closed_loop,
     run_lpf_loop,
 )
-from qumem.memristor import FROZEN, WINDOWED, MemristorState
+from qumem.memristor import FROZEN, LOWPASS, WINDOWED, MemristorState
 
 T_OSC = 10.0
 
@@ -100,6 +102,13 @@ def test_drive_config_needs_fine_dt():
 def test_drive_config_rejects_nonpositive_or_nonfinite_steps(kwargs):
     with pytest.raises(ValueError, match="positive and finite"):
         DriveConfig(**{"T_osc": 1.0, **kwargs})
+
+
+@pytest.mark.parametrize("n_periods", [2.5, True, 2.0],
+                         ids=["float", "bool", "integral-float"])
+def test_drive_config_rejects_non_integer_periods(n_periods):
+    with pytest.raises(ValueError, match="must be an integer"):
+        DriveConfig(T_osc=10.0, n_periods=n_periods)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +240,60 @@ def test_trace_csv_bytes_match_csv_writer(tmp_path):
         trace.write_csv(got)
         reference_device.write_trace_csv(trace, want)
         assert got.read_bytes() == want.read_bytes()
+
+
+def assert_csv_matches_writer(trace, plain, directory):
+    """trace.write_csv gives the bytes csv.writer gives for plain."""
+    got, want = directory / "got.csv", directory / "want.csv"
+    trace.write_csv(got)
+    reference_device.write_trace_csv(plain, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(T_osc=st.floats(0.5, 20.0),
+       steps_per_period=st.one_of(st.none(), st.integers(200, 500)),
+       n_periods=st.integers(1, 3), ratio=st.floats(0.02, 1.5),
+       rc_fraction=st.floats(0.01, 0.9), seed=st.integers(0, 2**32 - 1),
+       law=st.sampled_from([WINDOWED, LOWPASS, FROZEN]),
+       noise=st.sampled_from([EXACT, POISSON]), warmup=st.integers(0, 2))
+def test_closed_loop_matches_reference(tmp_path_factory, T_osc,
+                                       steps_per_period, n_periods, ratio,
+                                       rc_fraction, seed, law, noise,
+                                       warmup):
+    """Runs on a shared drive (its samples and CSV text computed once)
+    equal the loop that recomputes the drive every step and keeps every
+    pulse count: arrays bit for bit, meta exactly, and CSV bytes equal
+    csv.writer's for full traces, steady slices and hand-built traces."""
+    dt = None if steps_per_period is None else T_osc / steps_per_period
+    drive = DriveConfig(T_osc=T_osc, n_periods=n_periods, dt=dt)
+    window = ratio * T_osc
+    det = DetectionConfig(rc=rc_fraction * window, noise=noise, seed=seed)
+
+    def run(reference):
+        if law == LOWPASS:
+            if reference:
+                mem = MemristorState(0.0, law=LOWPASS, f_cut=1.0 / window)
+                return reference_device.run_loop(drive, mem, det)
+            return run_lpf_loop(drive, 1.0 / window, det)
+        mem = MemristorState(0.5, window_seconds=window, law=law)
+        if reference:
+            return reference_device.run_loop(drive, mem, det)
+        return run_closed_loop(drive, mem, det)
+
+    want = run(reference=True)
+    for got in (run(reference=False), run(reference=False)):
+        for column in ("t", "n_in", "n_out", "R"):
+            assert np.array_equal(getattr(got, column),
+                                  getattr(want, column)), column
+        assert got.meta == want.meta
+    directory = tmp_path_factory.mktemp("csv")
+    warmup = min(warmup, n_periods - 1)
+    assert_csv_matches_writer(got, want, directory)
+    assert_csv_matches_writer(got.steady(warmup), want.steady(warmup),
+                              directory)
+    assert_csv_matches_writer(Trace(got.t, got.n_in, got.n_out, got.R),
+                              want, directory)
 
 
 @pytest.mark.parametrize("writer", ["write_csv", "write_meta"])

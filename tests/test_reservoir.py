@@ -32,6 +32,14 @@ from qumem.reservoir import (
 BASIS93 = enumerate_basis(9, 3)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("modes", 4.5), ("modes", True), ("photons", 2.5), ("photons", True),
+], ids=["modes-float", "modes-bool", "photons-float", "photons-bool"])
+def test_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match="must be integers"):
+        ReservoirConfig(**{field: value})
+
+
 def small_reservoir(**kwargs):
     defaults = dict(modes=3, photons=1, mesh_seed=5, window=4)
     defaults.update(kwargs)

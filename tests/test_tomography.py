@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -193,16 +194,22 @@ ORACLE_SETTINGS = {
 
 
 def test_stacked_log_likelihoods_match_pointwise():
+    """Every row is scored on its own count table, zero cells and
+    all-zero tables included, and each value equals the one-point
+    evaluation's bit for bit (signed zeros too)."""
     rng = np.random.default_rng(5)
     for settings in ORACLE_SETTINGS.values():
         settings = default_settings() if settings is None else settings
-        counts = rng.integers(0, 500, size=(len(settings), 2)).astype(float)
+        tables = rng.integers(0, 500, size=(32, len(settings), 2))
+        tables = np.where(rng.random(tables.shape) < 0.3, 0, tables)
+        tables[0] = 0
+        tables = tables.astype(float)
         params = rng.normal(size=(32, 4))
-        got = _log_likelihoods(params, counts.tolist(),
+        got = _log_likelihoods(params, tables.reshape(32, -1),
                                _analysis_unitaries(settings))
-        want = [reference_device.log_likelihood(row, counts, settings)
-                for row in params]
-        assert got == want
+        want = [reference_device.log_likelihood(row, table, settings)
+                for row, table in zip(params, tables)]
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_SETTINGS))
@@ -260,15 +267,19 @@ def count_calls(monkeypatch, name):
 @pytest.mark.parametrize("seed", [0, 3, 7, 10])
 def test_command_ascent_reuse_matches_fresh_roundtrips(tmp_path, seed,
                                                        monkeypatch):
-    """The command shares one ascent dict over its 16 fixtures; every row
-    equals a fresh reconstruction bit for bit."""
+    """The command shares one ascent dict over its 16 fixtures and runs
+    all its ascents in one lock step; every row equals a fresh
+    reconstruction bit for bit."""
     config = dict(TOMOGRAPHY_DEFAULTS, shots=1000, seed=seed)
     ascended = count_calls(monkeypatch, "_ascend")
     states = cmd_tomography(config, tmp_path)["states"]
     monkeypatch.undo()
     # the β² = 1 rows at R < 1 draw the same counts, and so do the R = 1
     # rows and (0, 0): 15 reconstructions, 10 distinct ascents
-    assert len(ascended) == 10
+    assert len(ascended) == 1
+    (tables, _), = ascended
+    assert len(tables) == 10
+    assert len({table.tobytes() for table in tables}) == 10
     ascents = {}
     for fx, row in zip(table_fixtures(), states):
         fresh = reconstruction_roundtrip(fx.beta2, fx.reflectivity,
@@ -312,6 +323,78 @@ def test_ascents_are_keyed_by_settings(monkeypatch):
     mle_reconstruct(counts, 0.2, other, ascents=ascents)
     assert calls
     assert len(ascents) == 2
+
+
+def test_pending_entries_ascend_with_the_first_reconstruction(monkeypatch):
+    """pending_ascents registers the command's distinct tables; the first
+    reconstruction ascends every pending entry of its settings at once,
+    and an entry of other settings stays pending."""
+    fixtures = table_fixtures()
+    ascents = tomography.pending_ascents(fixtures, 1000, 3)
+    assert len(ascents) == 10
+    assert set(ascents.values()) == {None}
+    other = ORACLE_SETTINGS["unnamed"]
+    counts = simulate_counts(phased_state(0.3, 0.5), other, 1000, seed=2)
+    ascents[(counts.tobytes(), other)] = None
+    ascended = count_calls(monkeypatch, "_ascend")
+    for fx in fixtures:
+        reconstruction_roundtrip(fx.beta2, fx.reflectivity, shots=1000,
+                                 seed=3, ascents=ascents)
+    assert [len(tables) for tables, _ in ascended] == [10]
+    assert ascents.pop((counts.tobytes(), other)) is None
+    assert None not in ascents.values()
+    # unseeded finite-shot round trips draw fresh tables: nothing pends
+    assert tomography.pending_ascents(fixtures, 1000, None) == {}
+    exact = {simulate_counts(fx.rho).tobytes() for fx in fixtures
+             if fx.rho[0, 0].real < 1}
+    assert {data for data, _ in tomography.pending_ascents(fixtures)} == exact
+
+
+@functools.lru_cache(maxsize=None)
+def reference_ascent(data, settings):
+    return reference_device.ascend(np.frombuffer(data).reshape(-1, 2),
+                                   settings)
+
+
+def lockstep_batches():
+    """(tables, settings) batches for the lock-step oracle."""
+    default = default_settings()
+    seed23 = [np.frombuffer(data).reshape(-1, 2) for data, _ in
+              tomography.pending_ascents(table_fixtures(), 1000, 23)]
+    exact = simulate_counts(phased_state(0.3, 0.5), None, None)
+    capped = seed23[-1]
+    mixed = [seed23[3], exact, *seed23, capped, seed23[0]]
+    permuted = [mixed[k] for k in
+                np.random.default_rng(1).permutation(len(mixed))]
+    unnamed = ORACLE_SETTINGS["unnamed"]
+    custom = [simulate_counts(phased_state(b, r), unnamed, shots, seed=4)
+              for b, r, shots in [(0.3, 0.5, 1000), (0.7, 0.3, 200),
+                                  (1.0, 0.7, 1000), (0.3, 0.0, None)]]
+    return {"mixed": (mixed, default), "permuted": (permuted, default),
+            "one": ([capped], default), "unnamed": (custom, unnamed)}
+
+
+@pytest.mark.parametrize("name", ["mixed", "permuted", "one", "unnamed"])
+def test_lockstep_ascent_matches_per_table_reference(name):
+    """Each table of a lock-step batch ascends exactly as it does alone:
+    block, log-likelihood and iteration count, with duplicates, any
+    order, a batch of one, tables that stop at _MAX_ITER and at the
+    first iteration, and unnamed custom settings."""
+    tables, settings = lockstep_batches()[name]
+    got = tomography._ascend(tables, settings)
+    assert len(got) == len(tables)
+    iterations = []
+    for table, (block, ll, its) in zip(tables, got):
+        want_block, want_ll, want_its = reference_ascent(table.tobytes(),
+                                                         settings)
+        assert np.array_equal(block, want_block)
+        assert ll == want_ll
+        assert its == want_its
+        iterations.append(its)
+    if name != "unnamed":
+        assert tomography._MAX_ITER in iterations
+    if name in ("mixed", "permuted"):
+        assert 1 in iterations
 
 
 def test_mle_rejects_bad_inputs():
