@@ -153,16 +153,17 @@ class DetectorModel:
 class Trace:
     """Closed-loop run record: columns (t, n_in, n_out, R).
 
-    csv_lead, if set, is the "t,n_in" text of each CSV row (a run
-    shares its drive's `DriveConfig.csv_lead`); otherwise `write_csv`
-    formats it from t and n_in."""
+    A run's trace, and its `steady()` slices, keep the "t,n_in" text of
+    their CSV rows from the drive's `DriveConfig.csv_lead`; any other
+    trace has `write_csv` format it from t and n_in."""
 
     t: np.ndarray
     n_in: np.ndarray
     n_out: np.ndarray
     R: np.ndarray
     meta: dict = field(default_factory=dict)
-    csv_lead: tuple = field(default=None, repr=False, compare=False)
+    _csv_lead: tuple = field(init=False, default=None, repr=False,
+                             compare=False)
 
     def __len__(self):
         return len(self.t)
@@ -171,9 +172,11 @@ class Trace:
         """Drop the first `warmup_periods` drive periods."""
         spp = self.meta["steps_per_period"]
         lo = warmup_periods * spp
-        lead = None if self.csv_lead is None else self.csv_lead[lo:]
-        return Trace(self.t[lo:], self.n_in[lo:], self.n_out[lo:],
-                     self.R[lo:], dict(self.meta), lead)
+        out = Trace(self.t[lo:], self.n_in[lo:], self.n_out[lo:],
+                    self.R[lo:], dict(self.meta))
+        if self._csv_lead is not None:
+            out._csv_lead = self._csv_lead[lo:]
+        return out
 
     def orbit_area(self):
         """Shoelace area of the (n_in, n_out) orbit polygon."""
@@ -183,7 +186,7 @@ class Trace:
     def write_csv(self, path):
         """Columns t, n_in, n_out, R as "%.12g", in the excel CSV dialect
         (comma-separated, "\r\n" line ends), written atomically."""
-        lead = self.csv_lead
+        lead = self._csv_lead
         if lead is None:
             lead = ["%.12g,%.12g" % row
                     for row in zip(self.t.tolist(), self.n_in.tolist())]
@@ -238,8 +241,10 @@ def _run(drive, mem, det):
             else None
         ),
     }
-    return Trace(np.array(times), np.array(n_ins), np.array(n_outs),
-                 np.array(rs), meta, drive.csv_lead)
+    trace = Trace(np.array(times), np.array(n_ins), np.array(n_outs),
+                  np.array(rs), meta)
+    trace._csv_lead = drive.csv_lead
+    return trace
 
 
 def run_closed_loop(drive, mem, det=DetectionConfig()):

@@ -209,27 +209,25 @@ class MemristorState:
             raise ValueError("timestamps must be nondecreasing")
         dt = t - self.last_t
         self.last_t = t
+        if self.law == FROZEN:
+            return self
         if self.law == WINDOWED:
-            window, terms = self.window, self._terms
             term = (n_in - 0.5) * dt
-            window.append(t)
-            terms.append(term)
+            self.window.append(t)
+            self._terms.append(term)
             total = self._total + term
-            horizon = t - self.T
-            countdown = self._countdown
-            while window and window[0] <= horizon:
-                window.popleft()
-                total -= terms.popleft()
-                countdown -= 1
-            if countdown <= 0:
-                total = sum(terms)
-                countdown = len(terms)
+            while self.window and self.window[0] <= t - self.T:
+                self.window.popleft()
+                total -= self._terms.popleft()
+                self._countdown -= 1
+            if self._countdown <= 0:
+                total = sum(self._terms)
+                self._countdown = len(self._terms)
             self._total = total
-            self._countdown = countdown
-            self.R = min(max(0.5 + total / self.T, self.r_min), 1.0)
-        elif self.law == LOWPASS:  # exact exponential step, stable at any dt
+            self.R = self._clamp(0.5 + total / self.T)
+        else:  # lowpass: exact exponential step, stable at any dt
             decay = math.exp(-2.0 * math.pi * self.f_cut * dt)
-            self.R = min(max(n_in + (self.R - n_in) * decay, self.r_min), 1.0)
+            self.R = self._clamp(n_in + (self.R - n_in) * decay)
         return self
 
     def copy(self):

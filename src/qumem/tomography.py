@@ -316,9 +316,12 @@ def mle_reconstruct(counts, p00_estimate, settings=None, *, ascents=None):
     a table already in it is reused, and a new one is stored.  An entry
     whose value is None is pending, as `pending_ascents` leaves them;
     the call that needs an ascent runs it in lock step with every
-    pending entry of the same settings and stores them all.  Only p00
-    is installed afresh, so a reused report equals a fresh one bit for
-    bit, meta included.
+    pending entry of the same settings that holds a valid count table,
+    and stores them all.  A pending entry that is not a valid table
+    stays pending, and a batch whose ascent fails is retried with the
+    call's own table alone, so one entry's error never reaches another
+    table's reconstruction.  Only p00 is installed afresh, so a reused
+    report equals a fresh one bit for bit, meta included.
     """
     counts = np.asarray(counts, dtype=float)
     settings = default_settings() if settings is None else tuple(settings)
@@ -335,21 +338,37 @@ def mle_reconstruct(counts, p00_estimate, settings=None, *, ascents=None):
         ascents = {}
     key = (counts.tobytes(), settings)
     if ascents.get(key) is None:
-        keys = [key] + [k for k, done in ascents.items()
-                        if done is None and k[1] == settings and k != key]
+        keys = [key] + [k for k, done in ascents.items() if done is None
+                        and k != key and _pending_table(k, settings)]
         tables = [np.frombuffer(k[0]).reshape(-1, 2) for k in keys]
-        ascents.update(zip(keys, _ascend(tables, settings)))
+        try:
+            results = _ascend(tables, settings)
+        except FloatingPointError:  # keep a table's failure its own
+            keys, results = [key], _ascend([counts], settings)
+        ascents.update(zip(keys, results))
     return _install_p00(*ascents[key], p00_estimate)
 
 
-def pending_ascents(fixtures, shots=None, seed=None, settings=None):
+def _pending_table(key, settings):
+    """Whether an `ascents` key holds a count table for these settings
+    that `mle_reconstruct` accepts: finite, non-negative, not all zero."""
+    if not (isinstance(key, tuple) and len(key) == 2 and key[1] == settings
+            and isinstance(key[0], bytes)
+            and len(key[0]) == 2 * len(settings) * 8):
+        return False
+    table = np.frombuffer(key[0])
+    return bool(np.isfinite(table).all() and (table >= 0).all()
+                and table.sum() > 0)
+
+
+def pending_ascents(fixtures, shots=None, seed=None):
     """An `ascents` dict for the round trips of `fixtures` (as
-    `table_fixtures` gives them) at these shots, seed and settings:
-    every distinct count table those round trips reconstruct is a
-    pending entry, so the first reconstruction ascends them all in
-    lock step.  Finite shots without a seed draw fresh tables on every
-    call, so nothing is pending then."""
-    settings = default_settings() if settings is None else tuple(settings)
+    `table_fixtures` gives them) at these shots and seed, under the
+    default settings: every distinct count table those round trips
+    reconstruct is a pending entry, so the first reconstruction ascends
+    them all in lock step.  Finite shots without a seed draw fresh
+    tables on every call, so nothing is pending then."""
+    settings = default_settings()
     ascents = {}
     if shots is not None and seed is None:
         return ascents

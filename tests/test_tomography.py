@@ -350,6 +350,44 @@ def test_pending_entries_ascend_with_the_first_reconstruction(monkeypatch):
     assert {data for data, _ in tomography.pending_ascents(fixtures)} == exact
 
 
+def test_bad_pending_entries_stay_out_of_the_batch(monkeypatch):
+    """A pending entry that is no valid count table neither joins the
+    lock step nor disturbs the table reconstructed; a batch whose
+    ascent fails falls back to the call's own table."""
+    default = default_settings()
+    counts = simulate_counts(phased_state(0.7, 0.3), shots=1000, seed=4)
+    good = simulate_counts(phased_state(0.3, 0.5), shots=1000, seed=2)
+    bad = [np.zeros((4, 2)), -np.ones((4, 2)), np.full((4, 2), np.nan),
+           np.full((4, 2), np.inf), np.ones((3, 2))]
+    ascents = {(table.tobytes(), default): None for table in bad}
+    ascents.update({(b"\0" * 12, default): None, "junk": None,
+                    (good.tobytes(), default): None})
+    ascended = count_calls(monkeypatch, "_ascend")
+    got = mle_reconstruct(counts, 0.2, ascents=ascents)
+    (tables, _), = ascended
+    assert [t.tobytes() for t in tables] == [counts.tobytes(),
+                                             good.tobytes()]
+    assert sum(done is None for done in ascents.values()) == 7
+    fresh = mle_reconstruct(counts, 0.2)
+    assert np.array_equal(got.rho, fresh.rho)
+    assert got.meta == fresh.meta
+
+    monkeypatch.undo()
+    lone = tomography._ascend
+
+    def failing(tables, settings):
+        if len(tables) > 1:
+            raise FloatingPointError("degenerate Cholesky factor")
+        return lone(tables, settings)
+
+    monkeypatch.setattr(tomography, "_ascend", failing)
+    ascents = {(good.tobytes(), default): None}
+    got = mle_reconstruct(counts, 0.2, ascents=ascents)
+    assert np.array_equal(got.rho, fresh.rho)
+    assert got.meta == fresh.meta
+    assert ascents[(good.tobytes(), default)] is None
+
+
 @functools.lru_cache(maxsize=None)
 def reference_ascent(data, settings):
     return reference_device.ascend(np.frombuffer(data).reshape(-1, 2),
