@@ -4,7 +4,8 @@ classification tasks and tomography round trips.
 Configs are JSON documents whose defaults are the characterised device
 values; unknown keys are rejected.  Every report embeds the fully
 resolved config and seeds, outputs are written atomically (temp file +
-rename), and identical config + seeds give byte-identical outputs.
+rename), and identical config + seeds give byte-identical outputs on
+one interpreter and numpy/BLAS build.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 threshold
 failure under --check.

@@ -119,8 +119,11 @@ class DetectorModel:
     Exact mode is memoryless; Poisson mode carries the RC filter state
     and its RNG, so one model instance must be used per run.  It also
     keeps the raw pulse counts summed (`pulse_total`) over its Poisson
-    steps (`pulse_steps`), and the filter's alpha and rate scale of the
-    last step length, which a fixed-step run computes once.
+    steps (`pulse_steps`).  The rate limit, the noise model and the
+    RNG's bound `poisson` method are fixed at construction, and the
+    filter's alpha and rate scale are kept for the last step length, so
+    a fixed-step run computes them once and `estimate` does only the
+    step's own arithmetic.
     """
 
     def __init__(self, config):
@@ -129,24 +132,28 @@ class DetectorModel:
         self.rng = np.random.default_rng(config.seed)
         self.pulse_total = 0
         self.pulse_steps = 0
+        self._limit = config.max_rate * (1 + 1e-9)
+        self._exact = config.noise == EXACT
+        self._poisson = self.rng.poisson
         self._dt = None
         self._alpha = self._scale = None
 
     def estimate(self, true_rate, dt):
-        cfg = self.config
-        if true_rate > cfg.max_rate * (1 + 1e-9):
+        if true_rate > self._limit:
             raise ValueError("true_rate exceeds the detector's max_rate")
-        if cfg.noise == EXACT:
-            return true_rate / cfg.max_rate
+        if self._exact:
+            return true_rate / self.config.max_rate
         if dt != self._dt:
             self._dt = dt
-            self._alpha = 1.0 - math.exp(-dt / cfg.rc)
-            self._scale = cfg.max_rate * dt
-        pulses = self.rng.poisson(true_rate * dt)
+            self._alpha = 1.0 - math.exp(-dt / self.config.rc)
+            self._scale = self.config.max_rate * dt
+        pulses = self._poisson(true_rate * dt)
         self.pulse_total += pulses
         self.pulse_steps += 1
-        self.filtered += self._alpha * (pulses / self._scale - self.filtered)
-        return self.filtered
+        filtered = self.filtered
+        filtered += self._alpha * (pulses / self._scale - filtered)
+        self.filtered = filtered
+        return filtered
 
 
 @dataclass
@@ -211,18 +218,20 @@ def _validate_loop(drive, det, window_equivalent):
 
 
 def _run(drive, mem, det):
+    """The closed loop: one `estimate` and one `advance` per step, with
+    R carried from each step to the next; n_out = (1 - R) n_in is
+    formed for the whole run at the end (elementwise, the same bits)."""
     detector = DetectorModel(det)
     estimate, advance = detector.estimate, mem.advance
     dt, max_rate = drive.dt, det.max_rate
     times, n_ins = drive.samples
-    n_outs, rs = [], []
+    rs = []
+    keep = rs.append
+    r = mem.R
     for t, n_in in zip(times, n_ins):
-        r_prev = mem.R
-        advance(t, estimate_n_in(estimate(max_rate * r_prev * n_in, dt),
-                                 r_prev))
-        r = mem.R
-        n_outs.append((1.0 - r) * n_in)
-        rs.append(r)
+        r = advance(t, estimate_n_in(estimate(max_rate * r * n_in, dt),
+                                     r)).R
+        keep(r)
     meta = {
         "T_osc": drive.T_osc,
         "dt": drive.dt,
@@ -241,8 +250,8 @@ def _run(drive, mem, det):
             else None
         ),
     }
-    trace = Trace(np.array(times), np.array(n_ins), np.array(n_outs),
-                  np.array(rs), meta)
+    n_in, R = np.array(n_ins), np.array(rs)
+    trace = Trace(np.array(times), n_in, (1.0 - R) * n_in, R, meta)
     trace._csv_lead = drive.csv_lead
     return trace
 

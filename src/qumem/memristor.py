@@ -159,11 +159,12 @@ def estimate_n_in(n_meas_d, r_prev):
     """Invert the feedback-port measurement: <n_in> = <n_meas,D> / R.
 
     The controller keeps R >= R_MIN so this division is always safe;
-    the estimate is clamped to the physical range [0, 1].
-    """
+    the estimate is clamped to the physical range [0, 1] by
+    comparisons that keep a NaN and a -0.0 as min/max would."""
     if r_prev < R_MIN:
         raise ValueError(f"reflectivity {r_prev} is below the floor {R_MIN}")
-    return min(max(n_meas_d / r_prev, 0.0), 1.0)
+    n_in = n_meas_d / r_prev
+    return 0.0 if n_in < 0.0 else 1.0 if n_in > 1.0 else n_in
 
 
 class MemristorState:
@@ -179,6 +180,12 @@ class MemristorState:
                  f_cut=None, r_min=R_MIN, t0=0.0):
         if law not in _LAWS:
             raise ValueError(f"law must be one of {_LAWS}")
+        if not math.isfinite(reflectivity):
+            raise ValueError("reflectivity must be finite")
+        if not math.isfinite(window_seconds):
+            raise ValueError("window_seconds must be finite")
+        if f_cut is not None and not math.isfinite(f_cut):
+            raise ValueError("f_cut must be finite")
         if law == LOWPASS and (f_cut is None or f_cut <= 0):
             raise ValueError("lowpass law needs a positive f_cut")
         if law == WINDOWED and window_seconds <= 0:
@@ -187,56 +194,62 @@ class MemristorState:
         self.T = float(window_seconds)
         self.f_cut = f_cut
         self.r_min = r_min
-        self.R = self._clamp(reflectivity)
+        self.R = min(max(reflectivity, r_min), 1.0)
         self.window = deque()  # sample timestamps spanning <= T
         self._terms = deque()  # (n_in - 0.5) dt of each window sample
         self._total = 0.0      # running sum of _terms
         self._countdown = 1    # evictions left before _total is re-summed
         self.last_t = float(t0)
 
-    def _clamp(self, r):
-        return min(max(r, self.r_min), 1.0)
-
     def advance(self, t, n_in):
-        """Feed one (timestamp, <n_in>) sample and update R.
+        """Feed one (timestamp, <n_in>) sample and update R; returns self.
 
         Windowed law: a running total of the window terms, replaced by
         sum(window) at the first eviction and again after as many
         evictions as the window held at the last re-sum.  R is bit-equal
         to a per-sample re-sum (Python <= 3.11 `sum`) until the first
-        eviction and on re-sum steps, and within 1e-12 of it between."""
-        if t < self.last_t:
+        eviction and on re-sum steps, and within 1e-12 of it between.
+        The window is scanned only on a step that evicts, and R is
+        clamped to [r_min, 1] by comparisons that keep a NaN and a -0.0
+        as min/max would."""
+        last_t = self.last_t
+        if t < last_t:
             raise ValueError("timestamps must be nondecreasing")
-        dt = t - self.last_t
         self.last_t = t
-        if self.law == FROZEN:
-            return self
-        if self.law == WINDOWED:
-            term = (n_in - 0.5) * dt
-            self.window.append(t)
-            self._terms.append(term)
+        law = self.law
+        if law == WINDOWED:
+            window, terms = self.window, self._terms
+            term = (n_in - 0.5) * (t - last_t)
+            window.append(t)
+            terms.append(term)
             total = self._total + term
-            while self.window and self.window[0] <= t - self.T:
-                self.window.popleft()
-                total -= self._terms.popleft()
-                self._countdown -= 1
-            if self._countdown <= 0:
-                total = sum(self._terms)
-                self._countdown = len(self._terms)
+            cutoff = t - self.T
+            if window[0] <= cutoff:
+                countdown = self._countdown
+                while window and window[0] <= cutoff:
+                    window.popleft()
+                    total -= terms.popleft()
+                    countdown -= 1
+                if countdown <= 0:
+                    total = sum(terms)
+                    countdown = len(terms)
+                self._countdown = countdown
             self._total = total
-            self.R = self._clamp(0.5 + total / self.T)
-        else:  # lowpass: exact exponential step, stable at any dt
-            decay = math.exp(-2.0 * math.pi * self.f_cut * dt)
-            self.R = self._clamp(n_in + (self.R - n_in) * decay)
+            r = 0.5 + total / self.T
+        elif law == LOWPASS:  # exact exponential step, stable at any dt
+            decay = math.exp(-2.0 * math.pi * self.f_cut * (t - last_t))
+            r = n_in + (self.R - n_in) * decay
+        else:  # frozen: R never moves
+            return self
+        r = self.r_min if r < self.r_min else r
+        self.R = 1.0 if r > 1.0 else r
         return self
 
     def copy(self):
-        dup = MemristorState(self.R, self.T, self.law, self.f_cut,
-                             self.r_min, self.last_t)
-        dup.window = deque(self.window)
-        dup._terms = deque(self._terms)
-        dup._total = self._total
-        dup._countdown = self._countdown
+        """An independent state that advances as this one does."""
+        dup = object.__new__(MemristorState)
+        vars(dup).update(vars(self))
+        dup.window, dup._terms = deque(self.window), deque(self._terms)
         return dup
 
 

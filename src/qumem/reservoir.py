@@ -70,10 +70,13 @@ class ReservoirConfig:
             raise ValueError("need at least three modes for one memristor")
         if self.photons < 1:
             raise ValueError("need at least one photon")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.shots is not None and self.shots < 1:
-            raise ValueError("shots must be positive or None")
+        if not (_is_int(self.window) and self.window >= 1):
+            raise ValueError(f"window must be an integer >= 1, "
+                             f"got {self.window!r}")
+        if not (self.shots is None
+                or (_is_int(self.shots) and self.shots >= 1)):
+            raise ValueError(f"shots must be None or an integer >= 1, "
+                             f"got {self.shots!r}")
 
     @property
     def n_memristors(self):

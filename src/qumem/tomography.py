@@ -231,19 +231,26 @@ def _log_likelihoods(params, counts, mats):
 
     Row r is scored on the count table counts[r], flattened to (S * 2,)
     in setting order, and mats is the `_analysis_unitaries` pair of the
-    settings every row shares.  The click distributions of every row
-    and setting come from one stacked pass and each log q from
-    math.log.  The terms n log q are summed along a row from 0.0 in
-    setting order; a zero-count cell adds a signed zero, which leaves
-    a sum that starts at +0.0 unchanged, so each value is bit-for-bit
-    the one a row-by-row evaluation over the positive cells gives."""
+    settings every row shares.  The rotated blocks V_k sigma V_k^H of
+    every row and setting come from stacked products that BLAS
+    evaluates block by block: V_k sigma of all settings as one
+    (2S, 2) @ (2, 2) product per row, then (V_k sigma) V_k^H of all rows
+    as one (2n, 2) @ (2, 2) product per setting, each block bit for bit
+    its own 2x2 product.  Each log q comes from math.log.  The terms
+    n log q are summed along a row from 0.0 in setting order; a
+    zero-count cell adds a signed zero, which leaves a sum that starts
+    at +0.0 unchanged, so each value is bit-for-bit the one a
+    row-by-row evaluation over the positive cells gives."""
     v, vh = mats
-    rotated = v @ _cholesky_blocks(params)[:, None] @ vh
-    p = np.maximum(rotated.diagonal(axis1=-2, axis2=-1).real, 0.0)
-    q = p / (p[..., 0] + p[..., 1])[..., None]
-    q = np.maximum(q.reshape(len(params), -1), _EPS)
-    log_q = np.fromiter(map(math.log, q.ravel().tolist()), float, q.size)
-    terms = counts * log_q.reshape(q.shape)
+    n, s = len(params), len(v)
+    left = (v.reshape(-1, 2) @ _cholesky_blocks(params)).reshape(n, s, 2, 2)
+    rotated = left.transpose(1, 0, 2, 3).reshape(s, 2 * n, 2) @ vh
+    # the diagonals, (S, n, 2): entries 0 and 3 of each flattened 2x2
+    p = np.maximum(rotated.real.reshape(s, n, 4)[..., ::3], 0.0)
+    q = np.maximum(p / (p[..., 0] + p[..., 1])[..., None], _EPS)
+    q = q.transpose(1, 0, 2).ravel().tolist()  # row by row
+    log_q = np.fromiter(map(math.log, q), float, len(q))
+    terms = counts * log_q.reshape(n, -1)
     # cumsum adds in order but starts from the first term, not 0.0; the
     # two sums can differ only in the sign of a zero, which + 0.0 settles
     return terms.cumsum(axis=1)[:, -1] + 0.0
@@ -327,10 +334,9 @@ def mle_reconstruct(counts, p00_estimate, settings=None, *, ascents=None):
     settings = default_settings() if settings is None else tuple(settings)
     if counts.shape != (len(settings), 2):
         raise ValueError("counts must be (n_settings, 2)")
-    if np.any(counts < 0):
-        raise ValueError("counts must be non-negative")
-    if counts.sum() <= 0:
-        raise ValueError("all-zero counts carry no information")
+    fault = _table_fault(counts)
+    if fault:
+        raise ValueError(fault)
     if not 0.0 <= p00_estimate <= 1.0:
         raise ValueError("p00_estimate must lie in [0, 1]")
 
@@ -349,16 +355,25 @@ def mle_reconstruct(counts, p00_estimate, settings=None, *, ascents=None):
     return _install_p00(*ascents[key], p00_estimate)
 
 
+def _table_fault(counts):
+    """Why `mle_reconstruct` rejects a count table of the right shape,
+    or None: it must be finite, non-negative and not all zero."""
+    if not np.isfinite(counts).all():
+        return "counts must be finite"
+    if (counts < 0).any():
+        return "counts must be non-negative"
+    if counts.sum() <= 0:
+        return "all-zero counts carry no information"
+    return None
+
+
 def _pending_table(key, settings):
     """Whether an `ascents` key holds a count table for these settings
-    that `mle_reconstruct` accepts: finite, non-negative, not all zero."""
-    if not (isinstance(key, tuple) and len(key) == 2 and key[1] == settings
+    that `mle_reconstruct` accepts."""
+    return (isinstance(key, tuple) and len(key) == 2 and key[1] == settings
             and isinstance(key[0], bytes)
-            and len(key[0]) == 2 * len(settings) * 8):
-        return False
-    table = np.frombuffer(key[0])
-    return bool(np.isfinite(table).all() and (table >= 0).all()
-                and table.sum() > 0)
+            and len(key[0]) == 2 * len(settings) * 8
+            and _table_fault(np.frombuffer(key[0])) is None)
 
 
 def pending_ascents(fixtures, shots=None, seed=None):
@@ -391,68 +406,88 @@ def _ascend(tables, settings):
     the candidates of every table still searching in another.  A row's
     likelihood does not depend on the rows stacked with it, and every
     decision (step, halving, acceptance, stopping) is taken per table
-    as a lone ascent takes it, so each result is that ascent's."""
+    as a lone ascent takes it, so each result is that ascent's.  The
+    climbing tables' parameters, steps and count rows are kept
+    compacted, and are rebuilt only when a table stops, so a round's
+    bookkeeping touches only the tables still climbing; a line-search
+    round gathers its tables only when some climbing table is not
+    searching.  The gradient norm is sqrt(g . g), the value
+    np.linalg.norm(g) gives."""
     mats = _analysis_unitaries(settings)
     counts = np.array([table.ravel() for table in tables])
     params = np.array([_cholesky_params(_linear_inversion(table, settings))
                        for table in tables])
     lls = _log_likelihoods(params, counts, mats).tolist()
-    steps = [0.1] * len(tables)
     iterations = [0] * len(tables)
     h = 1e-6
-    # rows 2i and 2i + 1 of a table's stencil: params[i] +- h.  A zero
-    # offset turns a -0.0 parameter into 0.0, and no likelihood depends
-    # on the sign of a zero: it only reaches q values clipped to _EPS
+    # rows i and 4 + i of a table's stencil: params[i] + h and - h.  A
+    # zero offset turns a -0.0 parameter into 0.0, and no likelihood
+    # depends on the sign of a zero: it only reaches q values clipped
+    # to _EPS
     offsets = np.zeros((8, 4))
     for i in range(4):
-        offsets[2 * i, i] = h
-        offsets[2 * i + 1, i] = -h
-    climbing = list(range(len(tables)))
+        offsets[i, i] = h
+        offsets[4 + i, i] = -h
+    halves = np.array([[1.0], [0.5]])  # a line search tries both
+    # the climbing tables: their indices and log-likelihoods, their
+    # parameters and steps shaped (k, 1, ...) to broadcast over a
+    # stencil or a candidate pair, and their count rows repeated to match
+    ids, ll = list(range(len(tables))), lls[:]
+    x, step = params[:, None].copy(), np.full((len(tables), 1, 1), 0.1)
+    c8, c2 = counts.repeat(8, axis=0), counts.repeat(2, axis=0)
     for iteration in range(1, _MAX_ITER + 1):
-        if not climbing:
-            break
-        rows = np.array(climbing).repeat(8)
-        points = (params[climbing][:, None] + offsets).reshape(-1, 4)
-        stencil = _log_likelihoods(points, counts[rows], mats).reshape(-1, 8)
-        grads = (stencil[:, 0::2] - stencil[:, 1::2]) / (2 * h)
-        gnorms = [np.linalg.norm(grad) for grad in grads]
-        for i in climbing:
-            iterations[i] = iteration
-        moving = [j for j, gnorm in enumerate(gnorms) if gnorm != 0]
-        searching = [climbing[j] for j in moving]
-        grads = grads[moving]
-        gnorms = np.array(gnorms)[moving, None]
-        climbing = []
+        stencil = _log_likelihoods((x + offsets).reshape(-1, 4), c8, mats)
+        stencil = stencil.reshape(-1, 1, 8)
+        grad = (stencil[..., :4] - stencil[..., 4:]) / (2 * h)
+        gnorm = [math.sqrt(g.dot(g)) for g in grad[:, 0]]
+        searching, stopped = range(len(ids)), []
+        if 0.0 in gnorm:  # a table with a zero gradient stops here
+            searching = [j for j, n in enumerate(gnorm) if n != 0]
+            stopped = [j for j, n in enumerate(gnorm) if n == 0]
+        gnorm = np.array(gnorm)[:, None, None]
         while searching:
-            rows = np.array(searching).repeat(2)
-            scale = np.array([[steps[i], steps[i] * 0.5] for i in searching])
-            cands = (params[searching][:, None]
-                     + scale[:, :, None] * grads[:, None] / gnorms[:, None])
-            cands = cands.reshape(-1, 4)
-            cand_lls = _log_likelihoods(cands, counts[rows], mats).tolist()
+            xs, ss, gs, ns, cs = x, step, grad, gnorm, c2
+            if len(searching) < len(ids):  # gather the searching tables
+                xs, ss, gs, ns = (a[searching]
+                                  for a in (x, step, grad, gnorm))
+                cs = counts[[ids[i] for i in searching]].repeat(2, axis=0)
+            cands = xs + ss * halves * gs / ns
+            cand_lls = _log_likelihoods(cands.reshape(-1, 4), cs,
+                                        mats).tolist()
             still = []
-            for j, i in enumerate(searching):
-                step, ll = steps[i], lls[i]
-                for r in (2 * j, 2 * j + 1):
-                    if cand_lls[r] > ll:
+            for j, (i, st) in enumerate(zip(searching, ss.ravel().tolist())):
+                prev, r = ll[i], None
+                for k, cand in enumerate(cand_lls[2 * j:2 * j + 2]):
+                    if cand > prev:
+                        r = k
                         break
-                    step *= 0.5
-                    if step <= 1e-14:
-                        r = None  # the search gave up: the ascent ends
+                    st *= 0.5
+                    if st <= 1e-14:  # the search gave up: the ascent ends
+                        stopped.append(i)
                         break
                 else:
-                    r = None
                     still.append(j)
                 if r is None:
-                    steps[i] = step
+                    step[i] = st
                     continue
-                rel_change = abs(cand_lls[r] - ll) / max(abs(ll), 1.0)
-                params[i], lls[i] = cands[r], cand_lls[r]
-                steps[i] = step * 1.5
-                if rel_change >= _REL_TOL:
-                    climbing.append(i)
+                rel_change = abs(cand - prev) / max(abs(prev), 1.0)
+                x[i], ll[i], step[i] = cands[j, r], cand, st * 1.5
+                if not rel_change >= _REL_TOL:  # a NaN change stops too
+                    stopped.append(i)
             searching = [searching[j] for j in still]
-            grads, gnorms = grads[still], gnorms[still]
+        if iteration == _MAX_ITER:
+            stopped = range(len(ids))
+        if stopped:  # write the stopped tables back, compact the rest
+            for i in stopped:
+                params[ids[i]], lls[ids[i]] = x[i, 0], ll[i]
+                iterations[ids[i]] = iteration
+            keep = sorted(set(range(len(ids))).difference(stopped))
+            if not keep:
+                break
+            ids, ll = [ids[i] for i in keep], [ll[i] for i in keep]
+            x, step = x[keep], step[keep]
+            c8 = counts[ids].repeat(8, axis=0)
+            c2 = counts[ids].repeat(2, axis=0)
     return list(zip(_cholesky_blocks(params), lls, iterations))
 
 

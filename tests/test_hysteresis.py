@@ -207,6 +207,40 @@ def test_lpf_loop_open_lobe_at_cutoff():
 # ---------------------------------------------------------------------------
 # regimes and trace utilities
 
+@pytest.mark.parametrize("law", [WINDOWED, FROZEN, LOWPASS])
+@pytest.mark.parametrize("noise", [EXACT, POISSON])
+def test_each_step_calls_estimate_and_advance_once(monkeypatch, law, noise):
+    """The loop reaches the detector and the memristor through their
+    class attributes, one estimate and one advance per step, and advance
+    returns the state: a wrapper installed on those attributes sees
+    every step."""
+    calls = {"estimate": 0, "advance": 0}
+    estimate, advance = DetectorModel.estimate, MemristorState.advance
+
+    def spy_estimate(self, true_rate, dt):
+        calls["estimate"] += 1
+        return estimate(self, true_rate, dt)
+
+    def spy_advance(self, t, n_in):
+        calls["advance"] += 1
+        state = advance(self, t, n_in)
+        assert state is self
+        return state
+
+    monkeypatch.setattr(DetectorModel, "estimate", spy_estimate)
+    monkeypatch.setattr(MemristorState, "advance", spy_advance)
+    drive = DriveConfig(T_osc=T_OSC, n_periods=2)
+    det = DetectionConfig(noise=noise, seed=3, rc=0.05)
+    if law == LOWPASS:
+        trace = run_lpf_loop(drive, 2.0, det)
+    else:
+        mem = MemristorState(0.5, window_seconds=0.4 * T_OSC, law=law)
+        trace = run_closed_loop(drive, mem, det)
+    steps = drive.n_periods * drive.steps_per_period
+    assert len(trace) == steps
+    assert calls == {"estimate": steps, "advance": steps}
+
+
 def test_classify_regime():
     assert classify_regime(0.1, 10.0) == LOW_FREQ
     assert classify_regime(10.0, 10.0) == HIGH_FREQ

@@ -198,6 +198,17 @@ def test_windowed_rejects_decreasing_time():
         mem.advance(0.5, 0.7)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"reflectivity": math.nan}, {"reflectivity": -math.inf},
+    {"window_seconds": math.nan}, {"window_seconds": math.inf},
+    {"law": LOWPASS, "f_cut": math.nan}, {"law": LOWPASS, "f_cut": math.inf},
+], ids=["R-nan", "R-inf", "window-nan", "window-inf", "f_cut-nan",
+        "f_cut-inf"])
+def test_state_rejects_non_finite_parameters(kwargs):
+    with pytest.raises(ValueError, match="must be finite"):
+        MemristorState(**kwargs)
+
+
 def test_lowpass_step_response():
     f_cut = 4.62
     mem = MemristorState(0.0, law=LOWPASS, f_cut=f_cut, r_min=0.0)

@@ -40,6 +40,22 @@ def test_config_rejects_non_integer_counts(field, value):
         ReservoirConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("shots", 2.5), ("shots", True), ("window", 2.5), ("window", True),
+    ("window", math.nan),
+], ids=["shots-float", "shots-bool", "window-float", "window-bool",
+        "window-nan"])
+def test_config_rejects_non_integer_shots_and_window(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        ReservoirConfig(**{field: value})
+
+
+def test_config_accepts_integer_shots_and_window():
+    config = ReservoirConfig(shots=np.int64(5), window=np.int64(3))
+    assert (config.shots, config.window) == (5, 3)
+    assert ReservoirConfig(shots=None).shots is None
+
+
 def small_reservoir(**kwargs):
     defaults = dict(modes=3, photons=1, mesh_seed=5, window=4)
     defaults.update(kwargs)

@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -435,6 +436,26 @@ def test_lockstep_ascent_matches_per_table_reference(name):
         assert 1 in iterations
 
 
+def test_zero_gradient_tables_stop_while_the_batch_climbs():
+    """A table whose first gradient is exactly zero stops in round 1 and
+    leaves the batch; the tables around it go on searching (with the
+    line-search rounds then gathering their rows), each as it does
+    alone."""
+    settings = default_settings()
+    flat = [np.array([[2.0, 2.0], [0, 0], [0, 0], [0, 0]]),
+            np.array([[1e-300, 0], [0, 0], [0, 0], [0, 0]])]
+    seed23 = [np.frombuffer(data).reshape(-1, 2) for data, _ in
+              tomography.pending_ascents(table_fixtures(), 1000, 23)]
+    tables = [seed23[0], flat[0], seed23[3], flat[1], seed23[-1]]
+    got = tomography._ascend(tables, settings)
+    for table, (block, ll, its) in zip(tables, got):
+        want_block, want_ll, want_its = reference_ascent(table.tobytes(),
+                                                         settings)
+        assert np.array_equal(block, want_block)
+        assert (ll, its) == (want_ll, want_its)
+    assert [its for _, _, its in got][1::2] == [1, 1]
+
+
 def test_mle_rejects_bad_inputs():
     counts = np.ones((4, 2))
     with pytest.raises(ValueError):
@@ -445,6 +466,16 @@ def test_mle_rejects_bad_inputs():
         mle_reconstruct(counts, 1.5)
     with pytest.raises(ValueError):
         mle_reconstruct(counts[:2], 0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_mle_rejects_non_finite_counts(bad):
+    counts = np.ones((4, 2))
+    counts[2, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite"):
+            mle_reconstruct(counts, 0.1)
 
 
 def test_setting_validation():
