@@ -1,14 +1,14 @@
 """Command-line driver: hysteresis runs, purity maps, reservoir
 classification tasks and tomography round trips.
 
-Configs are JSON documents whose defaults are the characterised device
-values; unknown keys are rejected.  Every report embeds the fully
-resolved config and seeds, outputs are written atomically (temp file +
-rename), and identical config + seeds give byte-identical outputs on
-one interpreter and numpy/BLAS build.
+Configs are JSON documents checked against the command's schema (key ->
+default and rule; see `qumem <command> --help`) before any work starts.
+Every report embeds the fully resolved config and seeds, outputs are
+written atomically (temp file + rename), and identical config + seeds
+give byte-identical outputs on one interpreter and numpy/BLAS build.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 threshold
-failure under --check.
+Exit codes: 0 success, 1 internal error (the exception propagates with
+its traceback), 2 config error, 3 data error, 4 failed --check.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import json
 import math
 import os
 import sys
+import textwrap
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,8 @@ from . import __version__
 from ._atomic import write_atomic
 from .fock import _is_int
 from .hysteresis import (
+    EXACT,
+    POISSON,
     DetectionConfig,
     DriveConfig,
     _validate_loop,
@@ -82,143 +86,131 @@ class CheckFailure(Exception):
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# config plumbing: a schema maps each key to (default, Rule), and a Rule
+# is a check (value -> bool) with the text of what it asks for
 
-HYSTERESIS_DEFAULTS = {
-    "T_osc": 10.0,
-    "ratios": [0.05, 0.2, 0.4, 0.6, 0.8, 1.0],
-    "n_periods": 2,
-    "dt": None,            # defaults to T_osc / 1000
-    "law": WINDOWED,       # or "lowpass", "frozen"
-    "f_cut": 4.62,         # used by the lowpass law
-    "noise": "exact",      # or "poisson"
-    "max_rate": 3.0e4,
-    "rc": 0.1,
-    "seed": 0,
-    "warmup_periods": 1,
-}
-
-PURITY_MAP_DEFAULTS = {"grid": 101}
-
-RC_DEFAULTS = {
-    "task": "mnist",           # or "entanglement"
-    "encoding": "quantum",     # or "coherent"
-    "feedback": True,
-    "modes": 9,
-    "photons": 3,
-    "mesh_seed": 2021,
-    "shots": None,             # None: exact distribution
-    "window": None,            # defaults to the task sequence length
-    "hidden": 10,
-    "epochs": 15,
-    "lr": 0.05,
-    "batch_size": 32,
-    "n_train": 1000,
-    "n_test": 1000,
-    "seed": 0,
-    "digits": [0, 3, 8],
-    "d_loc": 12,
-    "copies": 100,
-    "data_dir": None,          # falls back to $QUMEM_DATA_DIR
-    "train_features": None,    # precomputed feature CSVs: skip the
-    "test_features": None,     # reservoir stage entirely
-}
-
-TOMOGRAPHY_DEFAULTS = {
-    "shots": None,             # None: exact (infinite statistics)
-    "seed": 0,
-    "phi_global": PHI_GLOBAL,
-}
+Rule = namedtuple("Rule", "check text")
 
 
-def resolve_config(defaults, path=None, overrides=None):
-    config = dict(defaults)
+def integer(low, high=math.inf):
+    return Rule(lambda v: _is_int(v) and low <= v <= high,
+                f"an integer >= {low}" if high == math.inf
+                else f"an integer in [{low}, {high}]")
+
+
+def number(above=-math.inf):
+    return Rule(lambda v: type(v) in (int, float) and above < v < math.inf,
+                "a finite number" if above == -math.inf
+                else f"a finite number > {above}")
+
+
+def one_of(*values):
+    return Rule(lambda v: v in values,
+                "one of " + ", ".join(map(json.dumps, values)))
+
+
+def null_or(rule):
+    return Rule(lambda v: v is None or rule.check(v), f"null or {rule.text}")
+
+
+def list_of(rule, min_len=1, distinct=False):
+    return Rule(lambda v: (isinstance(v, list) and len(v) >= min_len
+                           and all(map(rule.check, v))
+                           and not (distinct and len(set(v)) < len(v))),
+                f"a list of >= {min_len} {'distinct ' * distinct}values, "
+                f"each {rule.text}")
+
+
+BOOLEAN = Rule(lambda v: isinstance(v, bool), "true or false")
+PATH = Rule(lambda v: isinstance(v, str) and v != "", "a non-empty string")
+
+
+def resolve_config(command, path=None, overrides=None):
+    """`command`'s schema defaults updated by the JSON object at `path`,
+    then by `overrides`, with values kept exactly as given.  Raises
+    ConfigError unless every given key is in the schema and meets its
+    rule, and the result meets the command's cross-key rule."""
+    schema, relate = COMMANDS[command][:2]
+    loaded = {}
     if path is not None:
         try:
             with open(path) as fh:
                 loaded = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}")
+        except (OSError, ValueError) as exc:  # ValueError: not JSON text
+            raise ConfigError(f"cannot read config {path}: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(loaded) - set(defaults)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        config.update(loaded)
-    config.update(overrides or {})
+    config = {key: default for key, (default, _) in schema.items()}
+    for source in (loaded, overrides or {}):
+        for key, value in source.items():
+            if key not in schema:
+                raise ConfigError(f"unknown config key {key!r}")
+            rule = schema[key][1]
+            if not rule.check(value):
+                raise ConfigError(f"{key} must be {rule.text}, got {value!r}")
+        config.update(source)
+    if relate is not None:
+        relate(config)
     return config
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def write_json(path, payload):
+    """Numpy scalars and arrays are written as their Python values."""
     write_atomic(path, json.dumps(payload, indent=2, sort_keys=True,
-                                  default=_json_default) + "\n")
+                                  default=lambda obj: obj.tolist()) + "\n")
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each one's schema, cross-key rule and entry point
 
-def _is_real(value):
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+HYSTERESIS_SCHEMA = {
+    "T_osc": (10.0, number(0)),
+    "ratios": ([0.05, 0.2, 0.4, 0.6, 0.8, 1.0], list_of(number(0))),
+    "n_periods": (2, integer(1)),
+    "dt": (None, null_or(number(0))),        # null: T_osc / 1000
+    "law": (WINDOWED, one_of(WINDOWED, LOWPASS, FROZEN)),
+    "f_cut": (4.62, number(0)),              # read by the lowpass law
+    "noise": (EXACT, one_of(EXACT, POISSON)),
+    "max_rate": (3.0e4, number(0)),
+    "rc": (0.1, number(0)),
+    "seed": (0, integer(0)),
+    "warmup_periods": (1, integer(0)),
+}
 
 
-def _check_hysteresis_config(config):
-    """Type and range checks the drive and detection configs leave to
-    the caller; those two check their own fields."""
-    law, f_cut = config["law"], config["f_cut"]
-    if law not in (WINDOWED, LOWPASS, FROZEN):
-        raise ConfigError(f"unknown law {law!r}")
-    if law == LOWPASS and not (_is_real(f_cut) and f_cut > 0):
-        raise ConfigError(
-            f"f_cut must be a finite number > 0, got {f_cut!r}")
-    ratios = config["ratios"]
-    if (not isinstance(ratios, list) or not ratios
-            or not all(_is_real(r) and r > 0 for r in ratios)):
-        raise ConfigError(
-            f"ratios must be a non-empty list of finite numbers > 0, "
-            f"got {ratios!r}")
-    n_periods, warmup = config["n_periods"], config["warmup_periods"]
-    if not (_is_int(n_periods) and n_periods >= 1):
-        raise ConfigError(
-            f"n_periods must be an integer >= 1, got {n_periods!r}")
-    if not (_is_int(warmup) and 0 <= warmup < n_periods):
-        raise ConfigError(
-            f"warmup_periods must be an integer in [0, n_periods), "
-            f"got {warmup!r}")
-    if not (_is_int(config["seed"]) and config["seed"] >= 0):
-        raise ConfigError(
-            f"seed must be an integer >= 0, got {config['seed']!r}")
+def _loop_configs(config):
+    """The drive and detection configs of a hysteresis run."""
+    return (DriveConfig(T_osc=config["T_osc"], n_periods=config["n_periods"],
+                        dt=config["dt"]),
+            DetectionConfig(max_rate=config["max_rate"], rc=config["rc"],
+                            noise=config["noise"], seed=config["seed"]))
+
+
+def _relate_hysteresis(config):
+    """warmup_periods < n_periods; dt <= T_osc/200; with poisson noise,
+    rc below every panel's feedback window: min(ratios) * T_osc under
+    the windowed law, 1 / f_cut under the lowpass law."""
+    if config["warmup_periods"] >= config["n_periods"]:
+        raise ConfigError("warmup_periods must be < n_periods")
+    law = config["law"]
+    try:
+        drive, det = _loop_configs(config)
+        if law != FROZEN:
+            _validate_loop(drive, det, 1.0 / config["f_cut"] if law == LOWPASS
+                           else min(config["ratios"]) * config["T_osc"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def cmd_hysteresis(config, out_dir, check=False):
-    _check_hysteresis_config(config)
-    det = DetectionConfig(max_rate=config["max_rate"], rc=config["rc"],
-                          noise=config["noise"], seed=config["seed"])
-    drive = DriveConfig(T_osc=config["T_osc"], n_periods=config["n_periods"],
-                        dt=config["dt"])
+    drive, det = _loop_configs(config)
     ratios = list(config["ratios"])
     # only the windowed law with exact noise has checked thresholds
     checked = (check and config["law"] == WINDOWED
-               and config["noise"] == "exact")
+               and config["noise"] == EXACT)
     if checked and 0.01 not in ratios:
         ratios.append(0.01)  # the true low-frequency limit panel
     t_osc = config["T_osc"]
-    if config["law"] == LOWPASS:
-        _validate_loop(drive, det, 1.0 / config["f_cut"])
-    elif config["law"] == WINDOWED:
-        _validate_loop(drive, det, min(ratios) * t_osc)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {"config": config, "panels": []}
     for ratio in ratios:
@@ -253,10 +245,11 @@ def cmd_hysteresis(config, out_dir, check=False):
     return summary
 
 
+PURITY_MAP_SCHEMA = {"grid": (101, integer(2))}
+
+
 def cmd_purity_map(config, out_dir, check=False):
     n = config["grid"]
-    if not (_is_int(n) and n >= 2):
-        raise ConfigError(f"grid must be an integer >= 2, got {n!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
     beta2 = np.linspace(0.0, 1.0, n)
     refl = np.linspace(0.0, 1.0, n)
@@ -313,6 +306,54 @@ RC_TASKS = {
                      lambda config: config["copies"]),
 }
 
+RC_SCHEMA = {
+    "task": ("mnist", one_of(*RC_TASKS)),
+    "encoding": (QUANTUM, one_of(QUANTUM, COHERENT)),
+    "feedback": (True, BOOLEAN),
+    "modes": (9, integer(3)),
+    "photons": (3, integer(1)),
+    "mesh_seed": (2021, integer(0)),
+    "shots": (None, null_or(integer(1))),    # null: exact distribution
+    "window": (None, null_or(integer(1))),   # null: task sequence length
+    "hidden": (10, integer(1)),
+    "epochs": (15, integer(1)),
+    "lr": (0.05, number(0)),
+    "batch_size": (32, integer(1)),
+    "n_train": (1000, integer(1)),
+    "n_test": (1000, integer(1)),
+    "seed": (0, integer(0)),
+    "digits": ([0, 3, 8], list_of(integer(0, 9), 2, distinct=True)),
+    "d_loc": (12, integer(1)),
+    "copies": (100, integer(1)),
+    "data_dir": (None, null_or(PATH)),       # null: $QUMEM_DATA_DIR
+    "train_features": (None, null_or(PATH)),  # precomputed feature CSVs:
+    "test_features": (None, null_or(PATH)),   # skip the reservoir stage
+}
+
+
+def _relate_rc(config):
+    """train_features and test_features are set together.  Without
+    them, entanglement needs even n_train and n_test, and the reservoir
+    dimension C(modes + photons - 1, photons) must hold d_loc^2
+    (entanglement) or 18, a digit column (mnist)."""
+    if (config["train_features"] is None) != (config["test_features"] is None):
+        raise ConfigError(
+            "train_features and test_features must be set together")
+    if config["train_features"] is not None:
+        return
+    entanglement = config["task"] == "entanglement"
+    for key in ("n_train", "n_test") if entanglement else ():
+        if config[key] % 2:
+            raise ConfigError(f"{key} must be even for entanglement "
+                              f"(balanced classes), got {config[key]}")
+    what, need = (("d_loc^2", config["d_loc"] ** 2) if entanglement
+                  else ("a digit column", 18))
+    dim = math.comb(config["modes"] + config["photons"] - 1, config["photons"])
+    if dim < need:
+        raise ConfigError(
+            f"the reservoir dimension C(modes + photons - 1, photons) = "
+            f"{dim} is below {what} = {need}")
+
 
 def _read_feature_sets(config, n_out):
     """Train and test (probs, labels) from the feature CSVs, checked
@@ -331,49 +372,7 @@ def _read_feature_sets(config, n_out):
     return sets
 
 
-def _is_digit_list(value):
-    return (isinstance(value, list) and len(set(value)) == len(value) >= 2
-            and all(_is_int(d) and 0 <= d <= 9 for d in value))
-
-
-# (keys, test, what the test asks for) of the rc fields a run reads
-_RC_CHECKS = (
-    (("modes",), lambda v: _is_int(v) and v >= 3, "an integer >= 3"),
-    (("photons", "hidden", "epochs", "batch_size", "copies", "n_train",
-      "n_test", "d_loc"), lambda v: _is_int(v) and v >= 1,
-     "an integer >= 1"),
-    (("seed", "mesh_seed"), lambda v: _is_int(v) and v >= 0,
-     "an integer >= 0"),
-    (("lr",), lambda v: _is_real(v) and v > 0, "a finite number > 0"),
-    (("window", "shots"), lambda v: v is None or (_is_int(v) and v >= 1),
-     "null or an integer >= 1"),
-    (("encoding",), lambda v: v in (QUANTUM, COHERENT),
-     f"{QUANTUM!r} or {COHERENT!r}"),
-    (("feedback",), lambda v: isinstance(v, bool), "true or false"),
-    (("digits",), _is_digit_list,
-     "a list of at least 2 distinct integers in 0-9"),
-)
-
-
-def _check_rc_config(config):
-    for keys, ok, what in _RC_CHECKS:
-        for key in keys:
-            if not ok(config[key]):
-                raise ConfigError(
-                    f"{key} must be {what}, got {config[key]!r}")
-    if bool(config["train_features"]) != bool(config["test_features"]):
-        raise ConfigError(
-            "train_features and test_features must be set together")
-    if config["task"] == "entanglement" and not config["train_features"]:
-        for key in ("n_train", "n_test"):
-            if config[key] % 2:
-                raise ConfigError(
-                    f"{key} must be even for entanglement (balanced "
-                    f"classes), got {config[key]}")
-
-
 def cmd_rc(config, out_dir, check=False):
-    _check_rc_config(config)
     features, n_classes, sequence_length = RC_TASKS[config["task"]]
     n_out = n_classes(config)
     window = config["window"] or sequence_length(config)
@@ -430,20 +429,14 @@ def cmd_rc(config, out_dir, check=False):
     return metrics
 
 
-def _check_tomography_config(config):
-    shots, seed, phi = config["shots"], config["seed"], config["phi_global"]
-    if shots is not None and not (_is_int(shots) and shots >= 1):
-        raise ConfigError(
-            f"shots must be null (exact) or an integer >= 1, got {shots!r}")
-    if not (_is_int(seed) and seed >= 0):
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-    if not _is_real(phi):
-        raise ConfigError(
-            f"phi_global must be a finite real number, got {phi!r}")
+TOMOGRAPHY_SCHEMA = {
+    "shots": (None, null_or(integer(1))),    # null: exact statistics
+    "seed": (0, integer(0)),
+    "phi_global": (PHI_GLOBAL, number()),
+}
 
 
 def cmd_tomography(config, out_dir, check=False):
-    _check_tomography_config(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     shots = config["shots"]
     rows = []
@@ -485,45 +478,47 @@ def cmd_tomography(config, out_dir, check=False):
 # argument parsing
 
 def _shots(value):
-    """--shots: 'exact' (None) or an integer count."""
-    if value == "exact":
-        return None
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be 'exact' or an integer, got {value!r}")
+    return None if value == "exact" else int(value)
 
 
 def _on_off(value):
-    if value not in ("on", "off"):
-        raise argparse.ArgumentTypeError(
-            f"must be 'on' or 'off', got {value!r}")
-    return value == "on"
+    """True for 'on', False for 'off'; the schema rejects other text."""
+    return {"on": True, "off": False}.get(value, value)
 
 
-# name -> (defaults, entry point, help)
+# name -> (schema, cross-key rule, entry point, help)
 COMMANDS = {
-    "hysteresis": (HYSTERESIS_DEFAULTS, cmd_hysteresis,
+    "hysteresis": (HYSTERESIS_SCHEMA, _relate_hysteresis, cmd_hysteresis,
                    "closed-loop hysteresis panels"),
-    "purity-map": (PURITY_MAP_DEFAULTS, cmd_purity_map,
+    "purity-map": (PURITY_MAP_SCHEMA, None, cmd_purity_map,
                    "output-state purity grid"),
-    "rc": (RC_DEFAULTS, cmd_rc, "reservoir-computing tasks"),
-    "tomography": (TOMOGRAPHY_DEFAULTS, cmd_tomography,
+    "rc": (RC_SCHEMA, _relate_rc, cmd_rc, "reservoir-computing tasks"),
+    "tomography": (TOMOGRAPHY_SCHEMA, None, cmd_tomography,
                    "16-state reconstruction round trip"),
 }
 
 # config key -> (argument, add_argument keywords); a command takes the
-# arguments of the keys its defaults hold
+# arguments of the keys its schema holds
 ARGUMENTS = {
     "task": ("task", {"choices": list(RC_TASKS)}),
     "seed": ("--seed", {"type": int}),
     "law": ("--law", {"choices": [WINDOWED, LOWPASS, FROZEN]}),
     "encoding": ("--encoding", {"choices": [QUANTUM, COHERENT]}),
     "feedback": ("--feedback", {"type": _on_off, "metavar": "{on,off}"}),
-    "shots": ("--shots", {"type": _shots,
-                          "help": "'exact' or an integer count"}),
+    "shots": ("--shots", {"type": _shots, "metavar": "{exact,N}"}),
 }
+
+
+def _config_help(schema, relate):
+    """The --help epilog: each config key = its default: its rule."""
+    lines = ["config keys = defaults:"] + [
+        f"  {key} = {json.dumps(default)}: {rule.text}"
+        for key, (default, rule) in schema.items()]
+    if relate is not None:
+        lines.append(textwrap.fill(
+            "cross-key rule: " + " ".join(relate.__doc__.split()),
+            subsequent_indent="  "))
+    return "\n".join(lines)
 
 
 def build_parser():
@@ -536,9 +531,11 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (defaults, _, help_text) in COMMANDS.items():
+    for name, (schema, relate, _, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text,
-                           argument_default=argparse.SUPPRESS)
+                           argument_default=argparse.SUPPRESS,
+                           epilog=_config_help(schema, relate),
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--config", type=Path, default=None,
                        help="JSON config file (unknown keys rejected)")
         p.add_argument("--out", type=Path, default=Path("out"),
@@ -546,18 +543,20 @@ def build_parser():
         p.add_argument("--check", action="store_true", default=False,
                        help="exit 4 if result thresholds are not met")
         for key, (flag, options) in ARGUMENTS.items():
-            if key in defaults:
+            if key in schema:
                 p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None):
+    """Run one command and return its exit code.  Config, data and
+    --check faults are reported on stderr; other exceptions propagate."""
     args = vars(build_parser().parse_args(argv))
-    defaults, run, _ = COMMANDS[args.pop("command")]
+    name = args.pop("command")
     path, out_dir, check = (args.pop(k) for k in ("config", "out", "check"))
     try:
-        run(resolve_config(defaults, path, args), out_dir, check)
-    except (ConfigError, ValueError, TypeError) as exc:
+        COMMANDS[name][2](resolve_config(name, path, args), out_dir, check)
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as exc:

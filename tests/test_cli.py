@@ -1,15 +1,18 @@
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
 
+from qumem import cli
 from qumem.cli import (
+    COMMANDS,
     EXIT_CHECK,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
-    HYSTERESIS_DEFAULTS,
+    HYSTERESIS_SCHEMA,
     ConfigError,
     main,
     resolve_config,
@@ -41,16 +44,44 @@ def test_resolve_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"T_osc": 5.0, "bogus": 1}))
     with pytest.raises(ConfigError):
-        resolve_config(HYSTERESIS_DEFAULTS, path)
+        resolve_config("hysteresis", path)
 
 
 def test_resolve_config_merges_overrides(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"T_osc": 5.0}))
-    config = resolve_config(HYSTERESIS_DEFAULTS, path, {"seed": 7})
+    config = resolve_config("hysteresis", path, {"seed": 7})
     assert config["T_osc"] == 5.0
     assert config["seed"] == 7
-    assert config["rc"] == HYSTERESIS_DEFAULTS["rc"]
+    assert config["rc"] == HYSTERESIS_SCHEMA["rc"][0]
+
+
+def test_resolve_config_keeps_values_as_given():
+    config = resolve_config("hysteresis", overrides={"T_osc": 2, "dt": 0.01})
+    assert type(config["T_osc"]) is int and config["dt"] == 0.01
+
+
+def test_help_lists_every_config_key_with_default_and_rule(capsys):
+    for name, (schema, relate, _, _) in COMMANDS.items():
+        with pytest.raises(SystemExit):
+            main([name, "--help"])
+        out = capsys.readouterr().out
+        for key, (default, rule) in schema.items():
+            assert f"  {key} = {json.dumps(default)}: {rule.text}" in out
+        if relate is not None:
+            assert "cross-key rule:" in out
+
+
+def test_internal_error_propagates(tmp_path, capsys, monkeypatch):
+    # an engine fault is not a config error: main raises it (exit 1 with
+    # its traceback from the console script)
+    def broken(*args):
+        raise ValueError("injected engine fault")
+
+    monkeypatch.setattr(cli, "table_fixtures", broken)
+    with pytest.raises(ValueError, match="injected engine fault"):
+        main(["tomography", "--out", str(tmp_path / "o")])
+    assert "config error" not in capsys.readouterr().err
 
 
 def test_hysteresis_command_outputs(tmp_path):
@@ -116,36 +147,56 @@ def test_invalid_config_value_exits_2(tmp_path):
                    "--out", str(tmp_path / "o")) == EXIT_CONFIG
 
 
-def _exits_2_before_writing(tmp_path, command, config):
+def assert_names_key(err, command, case):
+    """A config error names the key of a one-key case, and some key of
+    the command's schema otherwise."""
+    named = {key for key in COMMANDS[command][0]
+             if re.search(rf"\b{key}\b", err)}
+    assert named & set(case) if len(case) == 1 else named, err
+
+
+def _exits_2_before_writing(tmp_path, capsys, command, config):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "o"
     assert run_cli(command, "--config", str(path),
                    "--out", str(out)) == EXIT_CONFIG
     assert not out.exists()
+    assert_names_key(capsys.readouterr().err, command, config)
 
 
-@pytest.mark.parametrize("config", [
-    {"T_osc": 0}, {"T_osc": float("nan")}, {"n_periods": 0},
-    {"n_periods": 1.5}, {"dt": 0}, {"dt": -0.01}, {"dt": float("inf")},
-    {"dt": 1.0}, {"ratios": [0]}, {"ratios": []}, {"ratios": 0.5},
-    {"rc": 0}, {"max_rate": float("nan")}, {"noise": "gauss"},
-    {"law": "linear"}, {"law": "lowpass", "f_cut": 0}, {"seed": -1},
-    {"warmup_periods": 2},
-    {"noise": "poisson", "rc": 1.0, "ratios": [1.0, 0.05]},
-    {"noise": "poisson", "law": "lowpass", "f_cut": 20.0},
-], ids=["T_osc-0", "T_osc-nan", "n_periods-0", "n_periods-float", "dt-0",
-        "dt-neg", "dt-inf", "dt-coarse", "ratio-0", "ratios-empty",
-        "ratios-scalar", "rc-0", "max_rate-nan", "noise-unknown",
-        "law-unknown", "f_cut-0", "seed-neg", "warmup-all",
-        "rc-over-window", "rc-over-lowpass-window"])
-def test_hysteresis_bad_config_exits_2_before_writing(tmp_path, config):
-    _exits_2_before_writing(tmp_path, "hysteresis", config)
+HYSTERESIS_BAD = {
+    "T_osc-0": {"T_osc": 0}, "T_osc-nan": {"T_osc": float("nan")},
+    "n_periods-0": {"n_periods": 0}, "n_periods-float": {"n_periods": 1.5},
+    "dt-0": {"dt": 0}, "dt-neg": {"dt": -0.01}, "dt-inf": {"dt": float("inf")},
+    "dt-coarse": {"dt": 1.0}, "ratio-0": {"ratios": [0]},
+    "ratios-empty": {"ratios": []}, "ratios-scalar": {"ratios": 0.5},
+    "rc-0": {"rc": 0}, "max_rate-nan": {"max_rate": float("nan")},
+    "noise-unknown": {"noise": "gauss"}, "law-unknown": {"law": "linear"},
+    "f_cut-0": {"law": "lowpass", "f_cut": 0}, "seed-neg": {"seed": -1},
+    "warmup-all": {"warmup_periods": 2},
+    "rc-over-window": {"noise": "poisson", "rc": 1.0, "ratios": [1.0, 0.05]},
+    "rc-over-lowpass-window": {"noise": "poisson", "law": "lowpass",
+                               "f_cut": 20.0},
+    # a string where a number is due, f_cut even under the windowed
+    # law, which never reads it
+    "T_osc-str": {"T_osc": "x"}, "dt-str": {"dt": "x"},
+    "max_rate-str": {"max_rate": "x"}, "f_cut-str-windowed": {"f_cut": "x"},
+}
+
+BAD_GRIDS = ["x", -3, 0, 1, 2.5, True]
 
 
-@pytest.mark.parametrize("grid", ["x", -3, 0, 1, 2.5, True])
-def test_purity_map_bad_grid_exits_2_before_writing(tmp_path, grid):
-    _exits_2_before_writing(tmp_path, "purity-map", {"grid": grid})
+@pytest.mark.parametrize("config", HYSTERESIS_BAD.values(),
+                         ids=HYSTERESIS_BAD.keys())
+def test_hysteresis_bad_config_exits_2_before_writing(tmp_path, capsys,
+                                                      config):
+    _exits_2_before_writing(tmp_path, capsys, "hysteresis", config)
+
+
+@pytest.mark.parametrize("grid", BAD_GRIDS)
+def test_purity_map_bad_grid_exits_2_before_writing(tmp_path, capsys, grid):
+    _exits_2_before_writing(tmp_path, capsys, "purity-map", {"grid": grid})
 
 
 def test_purity_map_takes_no_seed(tmp_path):
@@ -207,25 +258,31 @@ def test_tomography_shots_exact_flag_overrides_config(tmp_path):
     assert payload["config"]["shots"] is None
 
 
-@pytest.mark.parametrize("config, flags", [
-    (None, ("--shots", "0")),
-    (None, ("--shots", "-5")),
-    (None, ("--seed", "-1")),
-    ({"shots": 0}, ()),
-    ({"shots": 2.5}, ()),
-    ({"shots": True}, ()),
-    ({"shots": "abc"}, ()),
-    ({"seed": -1}, ()),
-    ({"seed": 1.5}, ()),
-    ({"seed": True}, ()),
-    ({"phi_global": "x"}, ()),
-    ({"phi_global": float("nan")}, ()),
-    ({"phi_global": float("inf")}, ()),
-], ids=["flag-shots-0", "flag-shots-neg", "flag-seed-neg", "shots-0",
-        "shots-float", "shots-bool", "shots-str", "seed-neg", "seed-float",
-        "seed-bool", "phi-str", "phi-nan", "phi-inf"])
-def test_tomography_bad_config_exits_2_before_writing(tmp_path, config,
-                                                      flags):
+TOMOGRAPHY_BAD = {
+    "flag-shots-0": (None, ("--shots", "0")),
+    "flag-shots-neg": (None, ("--shots", "-5")),
+    "flag-seed-neg": (None, ("--seed", "-1")),
+    "shots-0": ({"shots": 0}, ()),
+    "shots-float": ({"shots": 2.5}, ()),
+    "shots-bool": ({"shots": True}, ()),
+    "shots-str": ({"shots": "abc"}, ()),
+    "seed-neg": ({"seed": -1}, ()),
+    "seed-float": ({"seed": 1.5}, ()),
+    "seed-bool": ({"seed": True}, ()),
+    "phi-str": ({"phi_global": "x"}, ()),
+    "phi-nan": ({"phi_global": float("nan")}, ()),
+    "phi-inf": ({"phi_global": float("inf")}, ()),
+}
+
+
+def tomography_case_keys(config, flags):
+    return set(config or ()) | {flag[2:] for flag in flags[::2]}
+
+
+@pytest.mark.parametrize("config, flags", TOMOGRAPHY_BAD.values(),
+                         ids=TOMOGRAPHY_BAD.keys())
+def test_tomography_bad_config_exits_2_before_writing(tmp_path, capsys,
+                                                      config, flags):
     args = ["tomography", "--out", str(tmp_path / "o"), *flags]
     if config is not None:
         path = tmp_path / "c.json"
@@ -233,6 +290,8 @@ def test_tomography_bad_config_exits_2_before_writing(tmp_path, config,
         args += ["--config", str(path)]
     assert run_cli(*args) == EXIT_CONFIG
     assert not (tmp_path / "o").exists()
+    assert_names_key(capsys.readouterr().err, "tomography",
+                     tomography_case_keys(config, flags))
 
 
 def test_rc_mnist_without_data_exits_3(tmp_path, monkeypatch):
@@ -355,7 +414,7 @@ def test_rc_shots_exact_flag_overrides_config(tmp_path):
     assert metrics["config"]["shots"] is None
 
 
-@pytest.mark.parametrize("bad", [
+RC_BAD = [
     {"modes": 4.5}, {"modes": 2}, {"photons": 0}, {"hidden": 0}, {"epochs": -1}, {"epochs": 1.5}, {"batch_size": 0},
     {"copies": 0}, {"n_train": 0}, {"n_test": True}, {"d_loc": 0},
     {"seed": -1}, {"mesh_seed": 1.5}, {"lr": "x"}, {"lr": 0},
@@ -363,8 +422,28 @@ def test_rc_shots_exact_flag_overrides_config(tmp_path):
     {"shots": "abc"}, {"encoding": "gauss"}, {"feedback": 1},
     {"feedback": "on"}, {"digits": [3]}, {"digits": [3, 3]},
     {"digits": [0, 10]}, {"digits": [0, True]}, {"digits": "038"},
-], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
-def test_rc_bad_config_exits_2_before_writing(tmp_path, bad):
+    # the positional task overrides the file's, which is still checked
+    {"task": "bogus"},
+    {"data_dir": 7}, {"train_features": ""}, {"test_features": ["a.csv"]},
+    # reservoir geometry: 13^2 and 2^2 exceed C(11, 3) = 165 and C(3, 1) = 3
+    {"d_loc": 13}, {"modes": 3, "photons": 1, "d_loc": 2},
+]
+
+
+def refuse_work(monkeypatch):
+    """Make every dataset and reservoir entry point of the CLI fail."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the config was checked")
+
+    for name in ("load_mnist", "build_entanglement_dataset", "Reservoir"):
+        monkeypatch.setattr(cli, name, no_work)
+
+
+@pytest.mark.parametrize(
+    "bad", RC_BAD, ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+def test_rc_bad_config_exits_2_before_writing(tmp_path, capsys, monkeypatch,
+                                              bad):
+    refuse_work(monkeypatch)
     config = tmp_path / "c.json"
     config.write_text(json.dumps({
         "n_train": 2, "n_test": 2, "copies": 2, "epochs": 1, "d_loc": 3,
@@ -374,6 +453,38 @@ def test_rc_bad_config_exits_2_before_writing(tmp_path, bad):
     assert run_cli("rc", "entanglement", "--config", str(config),
                    "--out", str(out)) == EXIT_CONFIG
     assert not out.exists()
+    assert_names_key(capsys.readouterr().err, "rc", bad)
+
+
+def test_rc_mnist_small_reservoir_exits_2_before_reading_data(
+        tmp_path, capsys, monkeypatch):
+    # C(3, 1) = 3 basis states cannot hold an 18-pixel digit column
+    refuse_work(monkeypatch)
+    data = tmp_path / "data"
+    data.mkdir()
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "modes": 3, "photons": 1, "n_train": 8, "n_test": 8,
+        "data_dir": str(write_digit_dir(data)),
+    }))
+    out = tmp_path / "o"
+    assert run_cli("rc", "mnist", "--config", str(config),
+                   "--out", str(out)) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "modes" in err and "photons" in err
+
+
+def test_every_schema_key_has_a_bad_value_case():
+    cases = {
+        "hysteresis": [set(c) for c in HYSTERESIS_BAD.values()],
+        "purity-map": [{"grid"} for _ in BAD_GRIDS],
+        "rc": [set(c) for c in RC_BAD],
+        "tomography": [tomography_case_keys(*c)
+                       for c in TOMOGRAPHY_BAD.values()],
+    }
+    for name, (schema, *_) in COMMANDS.items():
+        assert set(schema) - set().union(*cases[name]) == set(), name
 
 
 def test_rc_outputs_byte_identical(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 import reference_device
 from qumem import tomography
-from qumem.cli import TOMOGRAPHY_DEFAULTS, cmd_tomography
+from qumem.cli import cmd_tomography, resolve_config
 from qumem.fock import fidelity, purity
 from qumem.memristor import QubitInput, dual_rail_purity, output_state_dual_rail
 from qumem.tomography import (
@@ -271,7 +271,8 @@ def test_command_ascent_reuse_matches_fresh_roundtrips(tmp_path, seed,
     """The command shares one ascent dict over its 16 fixtures and runs
     all its ascents in one lock step; every row equals a fresh
     reconstruction bit for bit."""
-    config = dict(TOMOGRAPHY_DEFAULTS, shots=1000, seed=seed)
+    config = resolve_config("tomography",
+                            overrides={"shots": 1000, "seed": seed})
     ascended = count_calls(monkeypatch, "_ascend")
     states = cmd_tomography(config, tmp_path)["states"]
     monkeypatch.undo()
