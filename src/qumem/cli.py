@@ -5,7 +5,7 @@ Configs are JSON documents checked against the command's schema (key ->
 default and rule; see `qumem <command> --help`) before any work starts.
 Every report embeds the fully resolved config and seeds, outputs are
 written atomically (temp file + rename), and identical config + seeds
-give byte-identical outputs on one interpreter and numpy/BLAS build.
+give byte-identical outputs on one numpy/BLAS build.
 
 Exit codes: 0 success, 1 internal error (the exception propagates with
 its traceback), 2 config error, 3 data error, 4 failed --check.
@@ -32,6 +32,7 @@ from .hysteresis import (
     POISSON,
     DetectionConfig,
     DriveConfig,
+    _lowpass_memristor,
     _validate_loop,
     classify_regime,
     hf_reference,
@@ -186,20 +187,32 @@ def _loop_configs(config):
                             noise=config["noise"], seed=config["seed"]))
 
 
+def _panel_memristor(config, ratio):
+    """The memristor of the panel at `ratio`: the lowpass law's start
+    state, or R = 0.5 with the window ratio * T_osc."""
+    if config["law"] == LOWPASS:
+        return _lowpass_memristor(config["f_cut"])
+    return MemristorState(0.5, window_seconds=ratio * config["T_osc"],
+                          law=config["law"])
+
+
 def _relate_hysteresis(config):
-    """warmup_periods < n_periods; dt <= T_osc/200; with poisson noise,
-    rc below every panel's feedback window: min(ratios) * T_osc under
-    the windowed law, 1 / f_cut under the lowpass law."""
+    """warmup_periods < n_periods; dt <= T_osc/200; every panel's
+    memristor can be built (a windowed or frozen one needs a finite
+    window ratio * T_osc) and, with poisson noise, has rc below its
+    feedback window: ratio * T_osc under the windowed law, 1/f_cut under
+    the lowpass law."""
     if config["warmup_periods"] >= config["n_periods"]:
         raise ConfigError("warmup_periods must be < n_periods")
-    law = config["law"]
     try:
-        drive, det = _loop_configs(config)
-        if law != FROZEN:
-            _validate_loop(drive, det, 1.0 / config["f_cut"] if law == LOWPASS
-                           else min(config["ratios"]) * config["T_osc"])
+        det = _loop_configs(config)[1]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    for ratio in config["ratios"]:
+        try:
+            _validate_loop(det, _panel_memristor(config, ratio))
+        except ValueError as exc:
+            raise ConfigError(f"ratios: panel {ratio!r}: {exc}") from None
 
 
 def cmd_hysteresis(config, out_dir, check=False):
@@ -213,13 +226,17 @@ def cmd_hysteresis(config, out_dir, check=False):
     t_osc = config["T_osc"]
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {"config": config, "panels": []}
+    # panels with equal memristors share a run: under the lowpass and
+    # frozen laws the ratio only labels a panel
+    runs = {}
     for ratio in ratios:
-        if config["law"] == LOWPASS:
-            trace = run_lpf_loop(drive, config["f_cut"], det)
-        else:
-            mem = MemristorState(0.5, window_seconds=ratio * t_osc,
-                                 law=config["law"])
-            trace = run_closed_loop(drive, mem, det)
+        mem = _panel_memristor(config, ratio)
+        key = (mem.law, mem.feedback_window)
+        if key not in runs:
+            runs[key] = (run_lpf_loop(drive, mem.f_cut, det)
+                         if mem.law == LOWPASS
+                         else run_closed_loop(drive, mem, det))
+        trace = runs[key]
         name = f"trace_T{ratio:g}.csv"
         trace.write_csv(out_dir / name)
         trace.write_meta(out_dir / f"trace_T{ratio:g}.json")

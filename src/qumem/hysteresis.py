@@ -28,7 +28,6 @@ import numpy as np
 from ._atomic import write_atomic
 from .fock import _is_int
 from .memristor import (
-    FROZEN,
     LOWPASS,
     WINDOWED,
     MemristorState,
@@ -114,20 +113,19 @@ class DetectionConfig:
 
 
 class DetectorModel:
-    """Stateful rate estimator built from a DetectionConfig.
+    """Stateful rate estimator built from a DetectionConfig, for a run
+    of fixed step length dt.
 
     Exact mode is memoryless; Poisson mode carries the RC filter state
     and its RNG, so one model instance must be used per run.  It also
     keeps the raw pulse counts summed (`pulse_total`) over its Poisson
-    steps (`pulse_steps`).  The rate limit, the noise model and the
-    RNG's bound `poisson` method are fixed at construction, and the
-    filter's alpha and rate scale are kept for the last step length, so
-    a fixed-step run computes them once and `estimate` does only the
-    step's own arithmetic.
+    steps (`pulse_steps`).  All but the filter state is fixed at
+    construction, so `estimate` does only the step's own arithmetic.
     """
 
-    def __init__(self, config):
+    def __init__(self, config, dt):
         self.config = config
+        self.dt = dt
         self.filtered = 0.0
         self.rng = np.random.default_rng(config.seed)
         self.pulse_total = 0
@@ -135,19 +133,15 @@ class DetectorModel:
         self._limit = config.max_rate * (1 + 1e-9)
         self._exact = config.noise == EXACT
         self._poisson = self.rng.poisson
-        self._dt = None
-        self._alpha = self._scale = None
+        self._alpha = 1.0 - math.exp(-dt / config.rc)
+        self._scale = config.max_rate * dt
 
-    def estimate(self, true_rate, dt):
+    def estimate(self, true_rate):
         if true_rate > self._limit:
             raise ValueError("true_rate exceeds the detector's max_rate")
         if self._exact:
             return true_rate / self.config.max_rate
-        if dt != self._dt:
-            self._dt = dt
-            self._alpha = 1.0 - math.exp(-dt / self.config.rc)
-            self._scale = self.config.max_rate * dt
-        pulses = self._poisson(true_rate * dt)
+        pulses = self._poisson(true_rate * self.dt)
         self.pulse_total += pulses
         self.pulse_steps += 1
         filtered = self.filtered
@@ -207,30 +201,32 @@ class Trace:
                      + "\n")
 
 
-def _validate_loop(drive, det, window_equivalent):
-    # the RC filter only participates in the loop when pulses are
-    # actually being averaged; exact readout has no filter memory
-    if det.noise == POISSON and det.rc >= window_equivalent:
+def _validate_loop(det, mem):
+    """The loop check: a pulse-counting detector's RC filter must be
+    shorter than the memristor's feedback window, if it has one."""
+    window = mem.feedback_window
+    if det.noise == POISSON and window is not None and det.rc >= window:
         raise ValueError(
             f"rc = {det.rc} must be smaller than the feedback window "
-            f"{window_equivalent}"
+            f"{window}"
         )
 
 
-def _run(drive, mem, det):
-    """The closed loop: one `estimate` and one `advance` per step, with
-    R carried from each step to the next; n_out = (1 - R) n_in is
-    formed for the whole run at the end (elementwise, the same bits)."""
-    detector = DetectorModel(det)
+def run_closed_loop(drive, mem, det=DetectionConfig()):
+    """The feedback loop under mem's law: one `estimate` and one
+    `advance` per step, with R carried from each step to the next;
+    n_out = (1 - R) n_in is formed for the whole run at the end
+    (elementwise, the same bits)."""
+    _validate_loop(det, mem)
+    detector = DetectorModel(det, drive.dt)
     estimate, advance = detector.estimate, mem.advance
-    dt, max_rate = drive.dt, det.max_rate
+    max_rate = det.max_rate
     times, n_ins = drive.samples
     rs = []
     keep = rs.append
     r = mem.R
     for t, n_in in zip(times, n_ins):
-        r = advance(t, estimate_n_in(estimate(max_rate * r * n_in, dt),
-                                     r)).R
+        r = advance(t, estimate_n_in(estimate(max_rate * r * n_in), r)).R
         keep(r)
     meta = {
         "T_osc": drive.T_osc,
@@ -256,23 +252,15 @@ def _run(drive, mem, det):
     return trace
 
 
-def run_closed_loop(drive, mem, det=DetectionConfig()):
-    """Windowed-integration (or frozen) feedback loop."""
-    if mem.law == LOWPASS:
-        raise ValueError("use run_lpf_loop for the low-pass law")
-    if mem.law == WINDOWED:
-        _validate_loop(drive, det, mem.T)
-    return _run(drive, mem, det)
+def _lowpass_memristor(f_cut):
+    """The low-pass loop's memristor: R starts at 0, clamped to R_MIN."""
+    return MemristorState(reflectivity=0.0, law=LOWPASS, f_cut=f_cut)
 
 
 def run_lpf_loop(drive, f_cut, det=DetectionConfig()):
     """Feedback loop where R relaxes toward the instantaneous estimate
     through a first-order low-pass filter with cutoff f_cut."""
-    if f_cut <= 0:
-        raise ValueError("f_cut must be positive")
-    _validate_loop(drive, det, 1.0 / f_cut)
-    mem = MemristorState(reflectivity=0.0, law=LOWPASS, f_cut=f_cut)
-    return _run(drive, mem, det)
+    return run_closed_loop(drive, _lowpass_memristor(f_cut), det)
 
 
 def classify_regime(T, T_osc):

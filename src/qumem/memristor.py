@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -172,8 +174,9 @@ class MemristorState:
 
     law is one of 'windowed' (sliding-window integration over the last
     T seconds), 'lowpass' (first-order filter with cutoff f_cut toward
-    the instantaneous target), or 'frozen' (open loop, R fixed).
-    Updates are single-writer: advance() mutates this object.
+    the instantaneous target), or 'frozen' (open loop, R fixed), with
+    `feedback_window`, the span of past input R follows, T, 1 / f_cut
+    and None.  Updates are single-writer: advance() mutates this object.
     """
 
     def __init__(self, reflectivity=0.5, window_seconds=1.0, law=WINDOWED,
@@ -193,6 +196,8 @@ class MemristorState:
         self.law = law
         self.T = float(window_seconds)
         self.f_cut = f_cut
+        self.feedback_window = (1.0 / f_cut if law == LOWPASS
+                                else self.T if law == WINDOWED else None)
         self.r_min = r_min
         self.R = min(max(reflectivity, r_min), 1.0)
         self.window = deque()  # sample timestamps spanning <= T
@@ -205,10 +210,10 @@ class MemristorState:
         """Feed one (timestamp, <n_in>) sample and update R; returns self.
 
         Windowed law: a running total of the window terms, replaced by
-        sum(window) at the first eviction and again after as many
+        their in-order sum at the first eviction and again after as many
         evictions as the window held at the last re-sum.  R is bit-equal
-        to a per-sample re-sum (Python <= 3.11 `sum`) until the first
-        eviction and on re-sum steps, and within 1e-12 of it between.
+        to a per-sample re-sum until the first eviction and on re-sum
+        steps, and within 1e-12 of it between.
         The window is scanned only on a step that evicts, and R is
         clamped to [r_min, 1] by comparisons that keep a NaN and a -0.0
         as min/max would."""
@@ -231,7 +236,7 @@ class MemristorState:
                     total -= terms.popleft()
                     countdown -= 1
                 if countdown <= 0:
-                    total = sum(terms)
+                    total = reduce(add, terms, 0.0)
                     countdown = len(terms)
                 self._countdown = countdown
             self._total = total

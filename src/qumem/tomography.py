@@ -153,11 +153,6 @@ def reference_table():
 # ---------------------------------------------------------------------------
 # forward model and counts
 
-def _block(rho):
-    """Lower 2x2 one-photon block of a 3x3 output state."""
-    return np.array(rho, dtype=complex)[1:, 1:]
-
-
 def _setting_conditionals(block, setting):
     """Click distribution over the two kept rails, conditioned on the
     photon having survived (the block need not be normalised).
@@ -182,11 +177,7 @@ def simulate_counts(rho_true, settings=None, shots=None, seed=None):
     settings = default_settings() if settings is None else tuple(settings)
     if not settings:
         raise ValueError("at least one analysis setting is required")
-    return _click_counts(_block(rho_true), settings, shots, seed)
-
-
-def _click_counts(block, settings, shots, seed):
-    """The count table of `simulate_counts` for a 2x2 kept-rail block."""
+    block = np.array(rho_true, dtype=complex)[1:, 1:]  # one-photon block
     rows = []
     rng = np.random.default_rng(seed)
     for setting in settings:
@@ -389,8 +380,7 @@ def pending_ascents(fixtures, shots=None, seed=None):
         return ascents
     _, count_seed = _roundtrip_rng(seed)
     for fixture in fixtures:
-        counts = _click_counts(_block(fixture.rho), settings, shots,
-                               count_seed)
+        counts = simulate_counts(fixture.rho, settings, shots, count_seed)
         if counts.sum() > 0:
             ascents[(counts.tobytes(), settings)] = None
     return ascents

@@ -4,23 +4,25 @@ These are the straightforward forms the library's fast paths replace:
 the MLE tomography that evaluates its likelihood one parameter point
 and one analysis setting at a time, the ascent of one count table on
 its own (the library runs a batch of tables in lock step), the
-windowed memristor law that re-sums (t, n_in, dt) window triples on
-every step, the closed hysteresis loop that recomputes its drive on
-every step and keeps every pulse count in a list, the discrete window
-of the reservoir's memristor bank kept as a list, the trace CSV
-written through `csv.writer`, and the feature CSV written in place row
-by row.  The fast paths perform the same floating-point operations in
-the same order, so tests compare the two for exact equality; the
-windowed law's running sum is compared to 1e-12, and exactly on the
-steps `ResumCountdown` names.
+windowed memristor law that folds (t, n_in, dt) window triples in
+order on every step, the closed hysteresis loop that recomputes its
+drive on every step and keeps every pulse count in a list, the
+discrete window of the reservoir's memristor bank kept as a list,
+the trace CSV written through `csv.writer`, and the feature CSV
+written in place row by row.  The fast paths perform the same
+floating-point operations in the same order, so tests compare the two
+for exact equality; the windowed law's running sum is compared to
+1e-12, and exactly before the first eviction and on the steps
+`ResumCountdown` names.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import sys
 from collections import deque
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -192,7 +194,7 @@ def ascend(counts, settings):
 
 class TripleWindowMemristor:
     """Windowed law of `MemristorState` that keeps (t, n_in, dt)
-    triples and sums the whole window with a generator on every step."""
+    triples and folds the whole window in order on every step."""
 
     def __init__(self, reflectivity=0.5, window_seconds=1.0, r_min=R_MIN,
                  t0=0.0):
@@ -213,20 +215,17 @@ class TripleWindowMemristor:
         self.window.append((t, n_in, dt))
         while self.window and self.window[0][0] <= t - self.T:
             self.window.popleft()
-        integral = sum((n - 0.5) * w for _, n, w in self.window)
+        integral = reduce(add, ((n - 0.5) * w for _, n, w in self.window),
+                          0.0)
         self.R = self._clamp(0.5 + integral / self.T)
         return self
 
 
-# builtin sum adds floats in order before Python 3.12 (which compensates),
-# so only there does a running total equal it before the first eviction
-IN_ORDER_SUM = sys.version_info < (3, 12)
-
-
 class ResumCountdown:
     """The windowed law's re-sum cadence, followed from the window length:
-    the first eviction re-sums, and so does the step that brings the
-    evictions since the last re-sum to the window length at that re-sum."""
+    the running total is exact before the first eviction, the first
+    eviction re-sums, and so does the step that brings the evictions
+    since the last re-sum to the window length at that re-sum."""
 
     def __init__(self):
         self.left = 1
@@ -241,7 +240,7 @@ class ResumCountdown:
         if self.left <= 0:
             self.left = len_after
             return True
-        return IN_ORDER_SUM and not self.evicted
+        return not self.evicted
 
 
 class ListDiscreteMemristor:
@@ -264,7 +263,7 @@ class ListDiscreteMemristor:
         self.samples.append(float(n_est))
         if len(self.samples) > self.window:
             del self.samples[0]
-        acc = sum(s - 0.5 for s in self.samples)
+        acc = reduce(add, (s - 0.5 for s in self.samples), 0.0)
         self.R = self._clamp(0.5 + acc / self.window)
         return self.R
 

@@ -17,6 +17,7 @@ from qumem.cli import (
     main,
     resolve_config,
 )
+from qumem.hysteresis import run_closed_loop
 
 
 def run_cli(*args):
@@ -133,6 +134,37 @@ def test_hysteresis_lowpass_flag(tmp_path):
     assert summary["config"]["law"] == "lowpass"
 
 
+@pytest.mark.parametrize("law, ratios, runs", [
+    ("lowpass", [0.05, 0.2, 1.0], 1), ("frozen", [0.05, 0.2, 1.0], 1),
+    ("windowed", [0.2, 1.0, 0.2], 2),
+])
+def test_panels_with_equal_memristors_share_one_run(tmp_path, monkeypatch,
+                                                    law, ratios, runs):
+    """One loop per distinct (law, feedback window): the lowpass and
+    frozen laws ignore the ratio, and a repeated ratio repeats its
+    window.  Each panel's CSV is the bytes of a run of its own."""
+    calls = []
+    for name in ("run_closed_loop", "run_lpf_loop"):
+        def counted(*args, _run=getattr(cli, name)):
+            calls.append(args)
+            return _run(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    path = fast_hysteresis_config(tmp_path, law=law, ratios=ratios,
+                                  noise="poisson", seed=3, rc=0.01)
+    out = tmp_path / "out"
+    assert run_cli("hysteresis", "--config", str(path),
+                   "--out", str(out)) == EXIT_OK
+    assert len(calls) == runs
+    config = resolve_config("hysteresis", path)
+    drive, det = cli._loop_configs(config)
+    for ratio in ratios:
+        mem = cli._panel_memristor(config, ratio)
+        run_closed_loop(drive, mem, det).write_csv(tmp_path / "own.csv")
+        assert ((out / f"trace_T{ratio:g}.csv").read_bytes()
+                == (tmp_path / "own.csv").read_bytes())
+
+
 def test_bad_config_exits_2(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"nope": True}))
@@ -182,6 +214,8 @@ HYSTERESIS_BAD = {
     # law, which never reads it
     "T_osc-str": {"T_osc": "x"}, "dt-str": {"dt": "x"},
     "max_rate-str": {"max_rate": "x"}, "f_cut-str-windowed": {"f_cut": "x"},
+    # each value finite, the panel window ratio * T_osc not
+    "window-overflow": {"ratios": [1e300], "T_osc": 1e10},
 }
 
 BAD_GRIDS = ["x", -3, 0, 1, 2.5, True]

@@ -116,19 +116,19 @@ def test_drive_config_rejects_non_integer_periods(n_periods):
 
 def test_detection_exact_scaling():
     det = DetectionConfig(max_rate=3e4, noise=EXACT)
-    assert DetectorModel(det).estimate(3e4, 1e-3) == pytest.approx(1.0)
-    assert DetectorModel(det).estimate(1.5e4, 1e-3) == pytest.approx(0.5)
+    assert DetectorModel(det, 1e-3).estimate(3e4) == pytest.approx(1.0)
+    assert DetectorModel(det, 1e-3).estimate(1.5e4) == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        DetectorModel(det).estimate(4e4, 1e-3)
+        DetectorModel(det, 1e-3).estimate(4e4)
 
 
 def test_detection_poisson_converges_to_rate():
     det = DetectionConfig(max_rate=3e4, rc=0.1, noise=POISSON, seed=5)
-    model = DetectorModel(det)
     dt = 1e-3
+    model = DetectorModel(det, dt)
     rate = 1.2e4
     for _ in range(int(50 * det.rc / dt)):  # 50 time constants
-        est = model.estimate(rate, dt)
+        est = model.estimate(rate)
     # stationary filtered-shot-noise variance:
     # Var = alpha/(2-alpha) * rate/(dt * max_rate^2)
     alpha = 1.0 - math.exp(-dt / det.rc)
@@ -138,12 +138,12 @@ def test_detection_poisson_converges_to_rate():
 
 def test_detection_poisson_empirical_variance():
     det = DetectionConfig(max_rate=3e4, rc=0.05, noise=POISSON, seed=11)
-    model = DetectorModel(det)
     dt = 1e-3
+    model = DetectorModel(det, dt)
     rate = 2.0e4
     values = []
     for k in range(60000):
-        est = model.estimate(rate, dt)
+        est = model.estimate(rate)
         if k > 2000:
             values.append(est)
     alpha = 1.0 - math.exp(-dt / det.rc)
@@ -154,8 +154,8 @@ def test_detection_poisson_empirical_variance():
 
 def test_detection_poisson_reproducible():
     def run():
-        model = DetectorModel(DetectionConfig(noise=POISSON, seed=99))
-        return [model.estimate(1e4, 1e-3) for _ in range(100)]
+        model = DetectorModel(DetectionConfig(noise=POISSON, seed=99), 1e-3)
+        return [model.estimate(1e4) for _ in range(100)]
 
     assert run() == run()
 
@@ -217,9 +217,9 @@ def test_each_step_calls_estimate_and_advance_once(monkeypatch, law, noise):
     calls = {"estimate": 0, "advance": 0}
     estimate, advance = DetectorModel.estimate, MemristorState.advance
 
-    def spy_estimate(self, true_rate, dt):
+    def spy_estimate(self, true_rate):
         calls["estimate"] += 1
-        return estimate(self, true_rate, dt)
+        return estimate(self, true_rate)
 
     def spy_advance(self, t, n_in):
         calls["advance"] += 1
@@ -316,7 +316,11 @@ def test_closed_loop_matches_reference(tmp_path_factory, T_osc,
         return run_closed_loop(drive, mem, det)
 
     want = run(reference=True)
-    for got in (run(reference=False), run(reference=False)):
+    gots = [run(reference=False), run(reference=False)]
+    if law == LOWPASS:  # run_closed_loop on a low-pass memristor of its own
+        mem = MemristorState(0.0, law=LOWPASS, f_cut=1.0 / window)
+        gots.append(run_closed_loop(drive, mem, det))
+    for got in gots:
         for column in ("t", "n_in", "n_out", "R"):
             assert np.array_equal(getattr(got, column),
                                   getattr(want, column)), column
