@@ -65,6 +65,7 @@ from .reservoir import COHERENT, QUANTUM, Reservoir, ReservoirConfig
 from .tomography import (
     PHI_GLOBAL,
     fit_global_phase,
+    fixture_counts,
     pending_ascents,
     reconstruction_roundtrip,
     table_fixtures,
@@ -458,14 +459,15 @@ def cmd_tomography(config, out_dir, check=False):
     shots = config["shots"]
     rows = []
     fixtures = table_fixtures(config["phi_global"])
-    # one ascent per distinct count table of this command, all of them
-    # in lock step at the first reconstruction
-    ascents = pending_ascents(fixtures, shots, config["seed"])
-    for fixture in fixtures:
+    # each count table drawn once; one ascent per distinct table, all of
+    # them in lock step at the first reconstruction
+    tables = fixture_counts(fixtures, shots, config["seed"])
+    ascents = pending_ascents(tables)
+    for fixture, counts in zip(fixtures, tables or [None] * len(fixtures)):
         report = reconstruction_roundtrip(
             fixture.beta2, fixture.reflectivity, shots=shots,
             seed=config["seed"], phi_global=config["phi_global"],
-            ascents=ascents)
+            ascents=ascents, counts=counts)
         rows.append({
             "beta2": fixture.beta2,
             "reflectivity": fixture.reflectivity,

@@ -18,19 +18,23 @@ map is trace preserving and photon-number conserving.
 The engine works on a ket factor K of shape (dim, rank), rho = K K^+:
 a pure input is its amplitude column and a coherent mixture its
 weighted kets.  The input mesh is applied once per distinct input
-object of a sequence.  Each coupler acts only on groups of basis states
-that differ in how the photons of its pair are split, so the bank is
-applied group by group with small (q+1) x (q+1) lifts evaluated from
-precomputed polynomial coefficients; the lifted bank matrix is never
-built.  Reinjection and the output mesh run only where an output is
-measured, one feedback outcome (incoherent branch) at a time.
+object of a sequence.  A coherent input is its mixture weights over
+one table of meshed coherent kets, built once per reservoir and input
+length, so meshing it only scales the table's kept columns.  Each
+coupler acts only on groups of basis states that differ in how the
+photons of its pair are split, so the bank is applied group by group
+with small (q+1) x (q+1) lifts evaluated from precomputed polynomial
+coefficients; the lifted bank matrix is never built.  Reinjection and
+the output mesh run only where an output is measured, one feedback
+outcome (incoherent branch) at a time.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,10 +90,13 @@ class ReservoirConfig:
 @dataclass
 class EncodedInput:
     """A reservoir input state, flagged when an all-zero vector fell
-    back to the first basis state."""
+    back to the first basis state.  A coherent mixture also carries
+    its normalised weights (read-only, one per coherent ket); amplitude
+    inputs carry None."""
 
     state: QuantumState
     zero_fallback: bool = False
+    weights: np.ndarray = field(default=None, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +145,9 @@ def coherent_encode(v, basis):
     """Classical baseline: statistical mixture of fixed coherent kets.
 
     Component j of v weights the truncated coherent ket of amplitude j,
-    so the data enters only through the mixture weights.  The state is
-    held as its ket factor, the kets scaled by sqrt(weight) (zero
-    weights dropped), which is exact.
+    so the data enters only through the mixture weights, which the
+    returned input carries.  The state is held as its ket factor, the
+    kets scaled by sqrt(weight) (zero weights dropped), which is exact.
     """
     v = np.asarray(v, dtype=float).reshape(-1)
     if np.any(v < 0):
@@ -152,11 +159,12 @@ def coherent_encode(v, basis):
         raise DimensionError(
             f"vector of length {v.size} exceeds basis size {basis.size}"
         )
-    weights = v / total
+    weights = _read_only(v / total)
     keep = np.flatnonzero(weights)
     factor = (_coherent_kets(v.size, basis.size)[:, keep]
               * np.sqrt(weights[keep]))
-    return EncodedInput(QuantumState(basis, factor, validate=False))
+    return EncodedInput(QuantumState(basis, factor, validate=False),
+                        weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -166,19 +174,27 @@ def build_mesh(modes, seed=None, rng=None, reflectivity=None, phase=None):
     """Rectangular nearest-neighbour coupler mesh of depth `modes`.
 
     Every coupler draws reflectivity ~ U[0,1] and phase ~ U[0, 2 pi)
-    from the seeded generator; fixed values may be forced for tests.
+    from the seeded generator, in that order, coupler by coupler; fixed
+    values may be forced for tests.  All draws are one call, and each
+    2x2 block is `coupler(r, phase)` written out entry by entry.
     """
     if modes < 2:
         raise ValueError("a mesh needs at least two modes")
+    if reflectivity is not None and not 0.0 <= reflectivity <= 1.0:
+        raise ValueError("reflectivity must lie in [0, 1]")
     if rng is None:
         rng = np.random.default_rng(seed)
+    sites = [j for layer in range(modes)
+             for j in range(layer % 2, modes - 1, 2)]
+    n_drawn = (reflectivity is None) + (phase is None)
+    draws = iter(rng.uniform(size=n_drawn * len(sites)).tolist())
     u = np.eye(modes, dtype=complex)
-    for layer in range(modes):
-        for j in range(layer % 2, modes - 1, 2):
-            r = rng.uniform() if reflectivity is None else reflectivity
-            ph = rng.uniform(0.0, 2.0 * math.pi) if phase is None else phase
-            block = coupler(r, ph)
-            u[j : j + 2, :] = block @ u[j : j + 2, :]
+    for j in sites:
+        r = next(draws) if reflectivity is None else reflectivity
+        ph = 2.0 * math.pi * next(draws) if phase is None else phase
+        t, ir, e = math.sqrt(1.0 - r), 1j * math.sqrt(r), cmath.exp(1j * ph)
+        block = np.array([[t, ir * e], [ir, t * e]])
+        u[j : j + 2, :] = block @ u[j : j + 2, :]
     return ModeUnitary(u)
 
 
@@ -250,6 +266,8 @@ class Reservoir:
         self.u_out = build_mesh(cfg.modes, rng=rng)
         self.u_in_f = lift_unitary(self.u_in, self.basis)
         self.u_out_f = lift_unitary(self.u_out, self.basis)
+        # input length -> u_in_f @ _coherent_kets(length, dim)
+        self._coherent_tables = {}
         self.rails = list(geometry.rails)
         self.reset()
         self._rng = np.random.default_rng(cfg.sample_seed)
@@ -322,11 +340,22 @@ class Reservoir:
         return counts / float(self.config.shots)
 
     def _mesh_input(self, x):
-        """Input mesh applied to the ket factor of an input."""
+        """Input mesh applied to the ket factor of an input.  A coherent
+        input scales the kept columns of its length's meshed ket table
+        by sqrt(weight): the same factor, meshed before it is weighted."""
         state = x.state if isinstance(x, EncodedInput) else x
         if state.dim != self.basis.size:
             raise DimensionError("input state does not match the reservoir")
-        return self.u_in_f @ state.ket_factor()
+        weights = x.weights if isinstance(x, EncodedInput) else None
+        if weights is None:
+            return self.u_in_f @ state.ket_factor()
+        table = self._coherent_tables.get(weights.size)
+        if table is None:
+            table = _read_only(
+                self.u_in_f @ _coherent_kets(weights.size, self.basis.size))
+            self._coherent_tables[weights.size] = table
+        keep = np.flatnonzero(weights)
+        return table[:, keep] * np.sqrt(weights[keep])
 
     # -- public API -------------------------------------------------------------
 

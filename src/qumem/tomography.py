@@ -12,10 +12,11 @@ by maximum likelihood over a Cholesky-parameterised positive block
 depends only on the count table and the settings, not on p00; a
 caller reconstructing a batch of states can hand one `ascents` dict
 to every call so that equal count tables (the characterisation grid
-draws several) run their ascent once.  `pending_ascents` fills such a
-dict with the batch's count tables before the first call, which then
-ascends all of them in lock step: one stacked likelihood pass per
-round serves every table still climbing.
+draws several) run their ascent once.  `fixture_counts` draws the
+batch's count tables once, and `pending_ascents` fills such a dict with
+them before the first call, which then ascends all of them in lock
+step: one stacked likelihood pass per round serves every table still
+climbing.  Each round trip is handed its drawn table.
 
 On the fabricated device the surviving qubit's coherence carries an
 extra phase: the through arm of the splitter contributes asin(sqrt(R))
@@ -51,13 +52,18 @@ class TomographySetting:
     reflectivity: float
     phase: float = 0.0
     name: str = ""
+    _unitary: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.reflectivity <= 1.0:
             raise ValueError("reflectivity must lie in [0, 1]")
+        v = coupler(self.reflectivity, self.phase)
+        v.flags.writeable = False
+        object.__setattr__(self, "_unitary", v)
 
     def unitary(self):
-        return coupler(self.reflectivity, self.phase)
+        """The analysis coupler, a read-only 2x2 array built once."""
+        return self._unitary
 
 
 def default_settings():
@@ -367,23 +373,28 @@ def _pending_table(key, settings):
             and _table_fault(np.frombuffer(key[0])) is None)
 
 
-def pending_ascents(fixtures, shots=None, seed=None):
-    """An `ascents` dict for the round trips of `fixtures` (as
-    `table_fixtures` gives them) at these shots and seed, under the
-    default settings: every distinct count table those round trips
-    reconstruct is a pending entry, so the first reconstruction ascends
-    them all in lock step.  Finite shots without a seed draw fresh
-    tables on every call, so nothing is pending then."""
-    settings = default_settings()
-    ascents = {}
+def fixture_counts(fixtures, shots=None, seed=None):
+    """The count table that the round trip of each of `fixtures` (as
+    `table_fixtures` gives them) draws at these shots and seed under the
+    default settings, in fixture order, for `reconstruction_roundtrip`'s
+    `counts`.  Finite shots without a seed draw fresh tables on every
+    call, so there are none to hand over then: the result is None."""
     if shots is not None and seed is None:
-        return ascents
+        return None
+    settings = default_settings()
     _, count_seed = _roundtrip_rng(seed)
-    for fixture in fixtures:
-        counts = simulate_counts(fixture.rho, settings, shots, count_seed)
-        if counts.sum() > 0:
-            ascents[(counts.tobytes(), settings)] = None
-    return ascents
+    return [simulate_counts(fixture.rho, settings, shots, count_seed)
+            for fixture in fixtures]
+
+
+def pending_ascents(tables):
+    """An `ascents` dict with one pending entry, under the default
+    settings, per distinct count table of `tables` that carries clicks,
+    so the first reconstruction ascends them all in lock step.  tables
+    is what `fixture_counts` returns; None leaves nothing pending."""
+    settings = default_settings()
+    return {(counts.tobytes(), settings): None for counts in tables or ()
+            if counts.sum() > 0}
 
 
 def _ascend(tables, settings):
@@ -497,19 +508,22 @@ def _install_p00(block, log_likelihood, iterations, p00_estimate):
 
 def reconstruction_roundtrip(beta2, reflectivity, shots=None, seed=None,
                              settings=None, phi_global=PHI_GLOBAL, *,
-                             ascents=None):
+                             ascents=None, counts=None):
     """Generate counts from the phased theory state and reconstruct it.
 
     In exact mode p00 is taken from the state; with finite shots it is
     estimated from a binomial draw of the feedback-port rate.  ascents
-    is handed to `mle_reconstruct`.
+    is handed to `mle_reconstruct`.  counts, if given, is the count
+    table this round trip would draw, as `fixture_counts` gives it, and
+    is used instead of drawing it again.
     """
     rho_true = apply_phase_model(
         output_state_dual_rail(QubitInput.from_beta2(beta2), reflectivity),
         reflectivity, phi_global,
     )
     rng, count_seed = _roundtrip_rng(seed)
-    counts = simulate_counts(rho_true, settings, shots, seed=count_seed)
+    if counts is None:
+        counts = simulate_counts(rho_true, settings, shots, seed=count_seed)
     p00 = rho_true[0, 0].real
     if shots is not None:
         p00 = rng.binomial(int(shots), p00) / float(shots)

@@ -8,8 +8,9 @@ windowed memristor law that folds (t, n_in, dt) window triples in
 order on every step, the closed hysteresis loop that recomputes its
 drive on every step and keeps every pulse count in a list, the
 discrete window of the reservoir's memristor bank kept as a list,
-the trace CSV written through `csv.writer`, and the feature CSV
-written in place row by row.  The fast paths perform the same
+the trace CSV written through `csv.writer`, the feature CSV written
+in place row by row, and the reservoir's coupler mesh built from one
+validated `coupler` block and two scalar draws per coupler.  The fast paths perform the same
 floating-point operations in the same order, so tests compare the two
 for exact equality; the windowed law's running sum is compared to
 1e-12, and exactly before the first eviction and on the steps
@@ -26,7 +27,7 @@ from operator import add
 
 import numpy as np
 
-from qumem.fock import purity
+from qumem.fock import ModeUnitary, coupler, purity
 from qumem.hysteresis import EXACT, Trace
 from qumem.memristor import R_MIN, WINDOWED, estimate_n_in
 from qumem.tomography import (
@@ -364,3 +365,21 @@ def write_features_csv(path, probs, labels):
         for row, lab in zip(probs, labels):
             fh.write(str(int(lab)) + "," +
                      ",".join(f"{v:.12g}" for v in row) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# reservoir mesh
+
+def build_mesh(modes, seed=None, rng=None, reflectivity=None, phase=None):
+    """The coupler mesh of `reservoir.build_mesh`, coupler by coupler:
+    a reflectivity and a phase drawn one at a time, each block a checked
+    `coupler(r, phase)`."""
+    if rng is None:
+        rng = np.random.default_rng(seed)
+    u = np.eye(modes, dtype=complex)
+    for layer in range(modes):
+        for j in range(layer % 2, modes - 1, 2):
+            r = rng.uniform() if reflectivity is None else reflectivity
+            ph = rng.uniform(0.0, 2.0 * math.pi) if phase is None else phase
+            u[j : j + 2, :] = coupler(r, ph) @ u[j : j + 2, :]
+    return ModeUnitary(u)

@@ -17,7 +17,10 @@ from qumem.fock import (
     purity,
 )
 from qumem.memristor import R_MIN
+from qumem.readout import encode_columns
 from qumem.reservoir import (
+    COHERENT,
+    EncodedInput,
     Reservoir,
     ReservoirConfig,
     amplitude_encode,
@@ -118,6 +121,52 @@ def test_coherent_encode_rejects_bad_weights():
         coherent_encode([-0.1, 0.5], BASIS93)
 
 
+def test_coherent_encode_records_read_only_weights():
+    v = np.array([0.0, 2.0, 0.0, 6.0])
+    enc = coherent_encode(v, BASIS93)
+    assert np.array_equal(enc.weights, v / 8.0)
+    assert not enc.weights.flags.writeable
+    assert amplitude_encode(v, BASIS93).weights is None
+    assert amplitude_encode(np.zeros(4), BASIS93).weights is None
+    # the weights take no part in ==
+    assert enc == EncodedInput(enc.state)
+
+
+weight_vectors = st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-3, 10.0)), min_size=1, max_size=18,
+).filter(lambda v: sum(v) > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weight_vectors, weight_vectors)
+def test_coherent_mesh_is_weights_over_one_meshed_ket_table(v, w):
+    """A coherent input meshes to its weights over the reservoir's
+    meshed ket table of its length: the factor the input mesh gives its
+    weighted kets.  Each reservoir builds one read-only table per
+    length and reuses it."""
+    res = Reservoir(ReservoirConfig(mesh_seed=31))
+    for vec in (v, w, v):
+        enc = coherent_encode(vec, res.basis)
+        got = res._mesh_input(enc)
+        want = res.u_in_f @ enc.state.ket_factor()
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    tables = res._coherent_tables
+    assert sorted(tables) == sorted({len(v), len(w)})
+    table = tables[len(v)]
+    assert table.shape == (res.basis.size, len(v))
+    assert not table.flags.writeable
+    res._mesh_input(coherent_encode(v, res.basis))
+    res._mesh_input(amplitude_encode(v, res.basis))
+    assert res._coherent_tables == tables
+    assert res._coherent_tables[len(v)] is table
+    # a reservoir of the same config meshes with a table of its own
+    other = Reservoir(ReservoirConfig(mesh_seed=31))
+    assert other._coherent_tables == {}
+    other._mesh_input(coherent_encode(v, other.basis))
+    assert other._coherent_tables[len(v)] is not table
+
+
 # ---------------------------------------------------------------------------
 # meshes
 
@@ -131,6 +180,34 @@ def test_mesh_unitary_many_seeds():
 def test_mesh_deterministic():
     assert np.array_equal(build_mesh(9, seed=4).matrix,
                           build_mesh(9, seed=4).matrix)
+
+
+def test_mesh_matches_coupler_by_coupler_reference():
+    """One draw call and written-out blocks give the mesh bits of one
+    checked coupler and two scalar draws per coupler, and leave the
+    generator where those draws leave it."""
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        ref_rng = np.random.default_rng(seed)
+        for modes in (9, 9, 2, 5):
+            got = build_mesh(modes, rng=rng).matrix
+            want = reference_device.build_mesh(modes, rng=ref_rng).matrix
+            assert got.tobytes() == want.tobytes()
+        assert rng.uniform() == ref_rng.uniform()
+    forced = [dict(reflectivity=r, phase=ph)
+              for r in (None, 0.0, 0.3, 1.0) for ph in (None, 0.0, 1.1)]
+    for seed in range(20):
+        for kwargs in forced:
+            got = build_mesh(9, seed=seed, **kwargs).matrix
+            want = reference_device.build_mesh(9, seed=seed, **kwargs).matrix
+            # a forced r of 0 or 1 may flip the sign of a zero entry
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("r", [-0.1, 1.5, math.nan])
+def test_mesh_rejects_forced_reflectivity_outside_unit_interval(r):
+    with pytest.raises(ValueError, match="reflectivity"):
+        build_mesh(3, seed=0, reflectivity=r)
 
 
 def test_mesh_forced_balanced_coupler():
@@ -340,6 +417,33 @@ def test_sampled_run_sequence_matches_dense_engine():
                               dense.run_sequence(seq, reset=True))
     x = amplitude_encode(rng.uniform(size=18), fast.basis)
     assert np.array_equal(fast.run_sequence([x]), dense.run_sequence([x]))
+
+
+@pytest.mark.parametrize("shots", [None, 400])
+def test_digit_sequences_match_dense_engine(shots):
+    """Image columns as `rc mnist --encoding coherent` feeds them:
+    coherent mixtures, meshed from the reservoir's ket table, between
+    blank columns on the zero-vector fallback, image after image with
+    and without a reset in between."""
+    cfg = ReservoirConfig(mesh_seed=27, window=5, shots=shots, sample_seed=4)
+    fast, dense = Reservoir(cfg), DenseReservoir(cfg)
+    rng = np.random.default_rng(8)
+    for reset, blank in [(True, [0, 4, 11]), (False, [1, 2, 7]),
+                         (False, [5, 10, 11]), (True, [3, 6, 9])]:
+        image = rng.uniform(size=(18, 12)) * (rng.uniform(size=(18, 12)) > 0.5)
+        image[:, blank] = 0.0
+        seq = encode_columns(image, fast.basis, COHERENT)
+        assert [j for j, x in enumerate(seq) if x.zero_fallback] == blank
+        got = fast.run_sequence(seq, reset=reset)
+        want = dense.run_sequence(seq, reset=reset)
+        if shots is None:
+            assert np.max(np.abs(got - want)) <= 1e-12
+        else:
+            assert np.array_equal(got, want)
+        assert np.max(np.abs(fast.reflectivities -
+                             dense.reflectivities)) <= 1e-12
+        assert fast.step_index == dense.step_index
+    assert sorted(fast._coherent_tables) == [18]
 
 
 def test_photon_conservation_through_full_step_pipeline():

@@ -8,7 +8,7 @@ import pytest
 import reference_device
 from qumem import tomography
 from qumem.cli import cmd_tomography, resolve_config
-from qumem.fock import fidelity, purity
+from qumem.fock import coupler, fidelity, purity
 from qumem.memristor import QubitInput, dual_rail_purity, output_state_dual_rail
 from qumem.tomography import (
     PHI_GLOBAL,
@@ -257,9 +257,9 @@ def count_calls(monkeypatch, name):
     calls = []
     original = getattr(tomography, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(tomography, name, counted)
     return calls
@@ -297,6 +297,35 @@ def test_command_ascent_reuse_matches_fresh_roundtrips(tmp_path, seed,
         assert row["purity"] == fresh.purity
 
 
+def test_setting_unitary_is_built_once_and_read_only():
+    setting = TomographySetting(0.5, math.pi / 2, "phase+")
+    v = setting.unitary()
+    assert v is setting.unitary()
+    assert not v.flags.writeable
+    assert np.array_equal(v, coupler(0.5, math.pi / 2))
+    # the stored unitary takes no part in ==, hash or repr
+    twin = TomographySetting(0.5, math.pi / 2, "phase+")
+    assert setting == twin and hash(setting) == hash(twin)
+    assert repr(setting) == ("TomographySetting(reflectivity=0.5, "
+                             f"phase={math.pi / 2!r}, name='phase+')")
+
+
+@pytest.mark.parametrize("shots", [1000, None])
+def test_command_draws_each_count_table_once(tmp_path, monkeypatch, shots):
+    """The command draws each fixture's count table once, up front, and
+    hands it to that fixture's round trip: 16 draws for 16 fixtures.  A
+    round trip handed no table draws its own, as unseeded finite shots
+    need."""
+    config = resolve_config("tomography",
+                            overrides={"shots": shots, "seed": 5})
+    drawn = count_calls(monkeypatch, "simulate_counts")
+    states = cmd_tomography(config, tmp_path)["states"]
+    assert len(states) == 16
+    assert len(drawn) == 16
+    reconstruction_roundtrip(0.3, 0.5, shots=1000)
+    assert len(drawn) == 17
+
+
 def test_shared_ascent_skips_the_likelihood(monkeypatch):
     counts = simulate_counts(phased_state(0.7, 0.3), shots=1000, seed=4)
     ascents = {}
@@ -327,12 +356,18 @@ def test_ascents_are_keyed_by_settings(monkeypatch):
     assert len(ascents) == 2
 
 
+def pending(fixtures, shots=None, seed=None):
+    """The pending `ascents` dict of the fixtures' round trips."""
+    return tomography.pending_ascents(
+        tomography.fixture_counts(fixtures, shots, seed))
+
+
 def test_pending_entries_ascend_with_the_first_reconstruction(monkeypatch):
     """pending_ascents registers the command's distinct tables; the first
     reconstruction ascends every pending entry of its settings at once,
     and an entry of other settings stays pending."""
     fixtures = table_fixtures()
-    ascents = tomography.pending_ascents(fixtures, 1000, 3)
+    ascents = pending(fixtures, 1000, 3)
     assert len(ascents) == 10
     assert set(ascents.values()) == {None}
     other = ORACLE_SETTINGS["unnamed"]
@@ -346,10 +381,11 @@ def test_pending_entries_ascend_with_the_first_reconstruction(monkeypatch):
     assert ascents.pop((counts.tobytes(), other)) is None
     assert None not in ascents.values()
     # unseeded finite-shot round trips draw fresh tables: nothing pends
-    assert tomography.pending_ascents(fixtures, 1000, None) == {}
+    assert tomography.fixture_counts(fixtures, 1000, None) is None
+    assert pending(fixtures, 1000, None) == {}
     exact = {simulate_counts(fx.rho).tobytes() for fx in fixtures
              if fx.rho[0, 0].real < 1}
-    assert {data for data, _ in tomography.pending_ascents(fixtures)} == exact
+    assert {data for data, _ in pending(fixtures)} == exact
 
 
 def test_bad_pending_entries_stay_out_of_the_batch(monkeypatch):
@@ -400,7 +436,7 @@ def lockstep_batches():
     """(tables, settings) batches for the lock-step oracle."""
     default = default_settings()
     seed23 = [np.frombuffer(data).reshape(-1, 2) for data, _ in
-              tomography.pending_ascents(table_fixtures(), 1000, 23)]
+              pending(table_fixtures(), 1000, 23)]
     exact = simulate_counts(phased_state(0.3, 0.5), None, None)
     capped = seed23[-1]
     mixed = [seed23[3], exact, *seed23, capped, seed23[0]]
@@ -446,7 +482,7 @@ def test_zero_gradient_tables_stop_while_the_batch_climbs():
     flat = [np.array([[2.0, 2.0], [0, 0], [0, 0], [0, 0]]),
             np.array([[1e-300, 0], [0, 0], [0, 0], [0, 0]])]
     seed23 = [np.frombuffer(data).reshape(-1, 2) for data, _ in
-              tomography.pending_ascents(table_fixtures(), 1000, 23)]
+              pending(table_fixtures(), 1000, 23)]
     tables = [seed23[0], flat[0], seed23[3], flat[1], seed23[-1]]
     got = tomography._ascend(tables, settings)
     for table, (block, ll, its) in zip(tables, got):
