@@ -16,11 +16,9 @@ from .fock import (
     enumerate_basis,
     enumerate_basis_upto,
     fidelity,
-    fock_probabilities,
     lift_unitary,
     partial_trace,
     purity,
-    sample_counts,
 )
 from .memristor import (
     ClassicalMemristorState,

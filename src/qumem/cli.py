@@ -224,6 +224,12 @@ def cmd_hysteresis(config, out_dir, check=False):
                and config["noise"] == EXACT)
     if checked and 0.01 not in ratios:
         ratios.append(0.01)  # the true low-frequency limit panel
+    names = {}
+    for ratio in ratios:
+        other = names.setdefault(f"trace_T{ratio:g}", ratio)
+        if other != ratio:
+            raise ConfigError(f"ratios {other!r} and {ratio!r} share the "
+                              f"trace file trace_T{ratio:g}.csv")
     t_osc = config["T_osc"]
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {"config": config, "panels": []}

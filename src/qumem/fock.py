@@ -1,17 +1,16 @@
 """Dense multimode Fock-space engine for linear optics.
 
 Basis enumeration, lifting of mode unitaries to the multi-photon
-Hilbert space, density-operator algebra, and photon-counting
-measurement.  A state has one stored form, a ket factor K with
-rho = K K^dagger: one column for a pure state, one weighted ket per
-column for a mixture.  Evolution and photon counting act on K; the
-density matrix is formed only when asked for.  Everything is dense numpy: the systems of interest stay
-small (nine modes with three photons give a 165-dimensional space,
-binomial(m+p-1, p) in general).
+Hilbert space, and density-operator algebra.  A state has one stored
+form, a ket factor K with rho = K K^dagger: one column for a pure
+state, one weighted ket per column for a mixture.  Evolution acts on K;
+the density matrix is formed only when asked for.  Everything is dense
+numpy: the systems of interest stay small (nine modes with three
+photons give a 165-dimensional space, binomial(m+p-1, p) in general).
 
 A lift is built one photon sector at a time by the creation-operator
 recursion, each sector from the one below, so no matrix permanent is
-formed; `permanent` (Ryser's formula) is kept as a standalone function.
+formed.
 
 Conventions
 -----------
@@ -97,9 +96,6 @@ class OccupationBasis:
             return self._index[tuple(occupation)]
         except KeyError:
             raise KeyError(f"occupation {tuple(occupation)} not in basis")
-
-    def occupation_of(self, index):
-        return self.states[index]
 
     def occupation_matrix(self):
         """(size, modes) integer array of occupations."""
@@ -205,12 +201,6 @@ class QuantumState:
         state._density = mat
         return state
 
-    @classmethod
-    def basis_state(cls, basis, occupation):
-        vec = np.zeros(basis.size, dtype=complex)
-        vec[basis.index_of(occupation)] = 1.0
-        return cls.pure(basis, vec, validate=False)
-
     @property
     def is_pure(self):
         """Rank one: a single ket."""
@@ -238,32 +228,7 @@ class QuantumState:
 
 
 # ---------------------------------------------------------------------------
-# permanents and unitary lifting
-
-def _permanents(batch):
-    """Permanents of a (..., n, n) batch by Ryser's inclusion-exclusion.
-
-    per(A) = (-1)^n sum_{S != 0} (-1)^{|S|} prod_i sum_{j in S} A_ij
-    """
-    batch = np.asarray(batch)
-    n = batch.shape[-1]
-    if n == 0:
-        return np.ones(batch.shape[:-2], dtype=batch.dtype)
-    total = np.zeros(batch.shape[:-2], dtype=batch.dtype)
-    for mask in range(1, 1 << n):
-        cols = [j for j in range(n) if mask >> j & 1]
-        colsum = batch[..., cols].sum(axis=-1)
-        total += (-1) ** len(cols) * colsum.prod(axis=-1)
-    return total * (-1) ** n
-
-
-def permanent(matrix):
-    """Permanent of one square matrix."""
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise DimensionError("permanent needs a square matrix")
-    return complex(_permanents(matrix))
-
+# unitary lifting
 
 @functools.lru_cache(maxsize=16)
 def _ladder(modes, photons):
@@ -431,32 +396,3 @@ def fidelity(rho, sigma):
     root = np.sqrt(np.clip(evals, 0.0, None)).sum()
     return float(min(root * root, 1.0))
 
-
-def fock_probabilities(state):
-    """Diagonal of the density operator: photon-counting distribution."""
-    probs = (np.abs(state.ket_factor()) ** 2).sum(axis=1)
-    return np.clip(probs, 0.0, None)
-
-
-def number_expectations(state):
-    """Per-mode photon-number expectation values."""
-    probs = fock_probabilities(state)
-    return probs @ state.basis.occupation_matrix()
-
-
-def total_photon_expectation(state):
-    return float(number_expectations(state).sum())
-
-
-def sample_counts(probs, shots, seed):
-    """Multinomial photon-counting samples; deterministic given seed."""
-    probs = np.asarray(probs, dtype=float)
-    if np.any(probs < 0):
-        raise ValueError("probabilities must be non-negative")
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-8:
-        raise ValueError(f"probabilities sum to {total}, expected 1")
-    if shots <= 0:
-        raise ValueError("shots must be positive")
-    rng = np.random.default_rng(seed)
-    return rng.multinomial(shots, probs / total)

@@ -387,12 +387,14 @@ def read_features_csv(path):
     """Inverse of write_features_csv: (probs, labels)."""
     try:
         data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: ragged rows
         raise DataError(f"cannot read features: {exc}")
     if data.ndim == 1:
         data = data[None, :]
     if data.shape[1] < 2 or np.any(np.isnan(data)):
         raise DataError(f"{path}: malformed features file")
+    if np.any(data[:, 0] != np.round(data[:, 0])):
+        raise DataError(f"{path}: labels must be whole numbers")
     return data[:, 1:], data[:, 0].astype(int)
 
 

@@ -44,7 +44,6 @@ from .fock import (
     QuantumState,
     _is_int,
     _lift_sectors,
-    coupler,
     enumerate_basis,
     lift_unitary,
 )
@@ -81,10 +80,6 @@ class ReservoirConfig:
                 or (_is_int(self.shots) and self.shots >= 1)):
             raise ValueError(f"shots must be None or an integer >= 1, "
                              f"got {self.shots!r}")
-
-    @property
-    def n_memristors(self):
-        return self.modes // 3
 
 
 @dataclass
@@ -232,21 +227,6 @@ def sample_separable(d_loc, seed, basis=None):
     return _embed(product.reshape(-1), basis)
 
 
-def schmidt_coefficients(state, d_loc):
-    """Schmidt spectrum of the embedded bipartite amplitudes."""
-    amps = state.amplitudes[: d_loc * d_loc].reshape(d_loc, d_loc)
-    svals = np.linalg.svd(amps, compute_uv=False)
-    norm = np.linalg.norm(svals)
-    return svals / norm
-
-
-def entanglement_entropy(state, d_loc):
-    """Von Neumann entropy (nats) of one side of the bipartition."""
-    probs = schmidt_coefficients(state, d_loc) ** 2
-    probs = probs[probs > 1e-15]
-    return float(-(probs * np.log(probs)).sum())
-
-
 # ---------------------------------------------------------------------------
 # the reservoir
 
@@ -284,17 +264,11 @@ class Reservoir:
 
     # -- per-step pieces -------------------------------------------------------
 
-    def bank_mode_matrix(self):
-        """m x m mode matrix of the current memristor couplers."""
-        u = np.eye(self.config.modes, dtype=complex)
-        for (_, thru, fb), mem in zip(self.rails, self.memristors):
-            u[np.ix_((thru, fb), (thru, fb))] = coupler(mem.R)
-        return u
-
     def apply_layer(self, factor):
-        """Memristor bank on a ket factor: the lift of bank_mode_matrix()
-        applied to the (dim, rank) K, one pair and one pair-photon
-        sector at a time.  Returns a new array."""
+        """Memristor bank on a ket factor: the lift of the bank's mode
+        matrix (coupler(R) on each (through, feedback) pair) applied to
+        the (dim, rank) K, one pair and one pair-photon sector at a
+        time.  Returns a new array."""
         out = np.array(factor, dtype=complex)
         for (index, runs), mem in zip(self._pair_layout, self.memristors):
             # the entries t and i r of coupler(mem.R)
@@ -416,7 +390,7 @@ class _Geometry:
     lift_coeffs: tuple   # per q: _coupler_lift_coeffs(q)
     powers: np.ndarray
     reinjection: tuple   # per feedback pattern: (indices, target indices)
-    fb_occ: np.ndarray   # (dim, n_memristors) feedback-rail occupations
+    fb_occ: np.ndarray   # (dim, memristors) feedback-rail occupations
 
 
 def _pair_layout(occ, photons, thru, fb):

@@ -10,9 +10,34 @@ import math
 
 import numpy as np
 
-from qumem.fock import _permanents
+from qumem.fock import DimensionError
 
 _LIFT_ROWS = 16
+
+
+def _permanents(batch):
+    """Permanents of a (..., n, n) batch by Ryser's inclusion-exclusion.
+
+    per(A) = (-1)^n sum_{S != 0} (-1)^{|S|} prod_i sum_{j in S} A_ij
+    """
+    batch = np.asarray(batch)
+    n = batch.shape[-1]
+    if n == 0:
+        return np.ones(batch.shape[:-2], dtype=batch.dtype)
+    total = np.zeros(batch.shape[:-2], dtype=batch.dtype)
+    for mask in range(1, 1 << n):
+        cols = [j for j in range(n) if mask >> j & 1]
+        colsum = batch[..., cols].sum(axis=-1)
+        total += (-1) ** len(cols) * colsum.prod(axis=-1)
+    return total * (-1) ** n
+
+
+def permanent(matrix):
+    """Permanent of one square matrix."""
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise DimensionError("permanent needs a square matrix")
+    return complex(_permanents(matrix))
 
 
 def _repetition_indices(occs):

@@ -165,6 +165,21 @@ def test_panels_with_equal_memristors_share_one_run(tmp_path, monkeypatch,
                 == (tmp_path / "own.csv").read_bytes())
 
 
+@pytest.mark.parametrize("ratios, check", [
+    ([0.1, 0.1000001], False), ([0.0100000001], True),
+], ids=["configured", "check-panel"])
+def test_hysteresis_ratios_sharing_a_trace_name_exit_2(tmp_path, capsys,
+                                                       ratios, check):
+    # distinct ratios printed alike would write one trace file; the
+    # check-panel case collides with the 0.01 panel --check adds
+    path = fast_hysteresis_config(tmp_path, ratios=ratios)
+    out = tmp_path / "out"
+    assert run_cli("hysteresis", "--config", str(path), "--out", str(out),
+                   *["--check"] * check) == EXIT_CONFIG
+    assert "share the trace file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_config_exits_2(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"nope": True}))
@@ -576,6 +591,21 @@ def test_rc_feature_label_out_of_range_exits_3(tmp_path, capsys, label):
     assert run_cli("rc", "entanglement", "--config", str(config),
                    "--out", str(out)) == EXIT_DATA
     assert "labels outside [0, 2)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("train_text, error", [
+    ("label,p0,p1\n0,0.5,0.5\n1,0.5\n", "cannot read features"),
+    ("label,p0\n0,0.5\n0.5,0.5\n", "labels must be whole numbers"),
+], ids=["ragged-row", "fractional-label"])
+def test_rc_malformed_feature_csv_exits_3(tmp_path, capsys, train_text,
+                                          error):
+    config = feature_csv_config(tmp_path, train_text,
+                                "label,p0\n0,0.5\n1,0.5\n")
+    out = tmp_path / "o"
+    assert run_cli("rc", "entanglement", "--config", str(config),
+                   "--out", str(out)) == EXIT_DATA
+    assert error in capsys.readouterr().err
     assert not out.exists()
 
 

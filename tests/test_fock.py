@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permanent_lift import permanent_lift
+from permanent_lift import permanent, permanent_lift
 from qumem.fock import (
     OccupationBasis,
     DimensionError,
@@ -16,14 +16,9 @@ from qumem.fock import (
     enumerate_basis,
     enumerate_basis_upto,
     fidelity,
-    fock_probabilities,
     lift_unitary,
-    number_expectations,
     partial_trace,
-    permanent,
     purity,
-    sample_counts,
-    total_photon_expectation,
 )
 
 
@@ -31,6 +26,17 @@ def haar_unitary(n, rng):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def one_hot(basis, occupation):
+    """The pure basis state of one occupation vector."""
+    return QuantumState.pure(basis,
+                             np.eye(basis.size)[basis.index_of(occupation)])
+
+
+def populations(state):
+    """Photon-counting distribution: the diagonal of rho = K K^+."""
+    return (np.abs(state.ket_factor()) ** 2).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +60,7 @@ def test_basis_vacuum_only():
 def test_basis_index_roundtrip():
     basis = enumerate_basis(9, 3)
     for i in range(basis.size):
-        assert basis.index_of(basis.occupation_of(i)) == i
+        assert basis.index_of(basis.states[i]) == i
 
 
 def test_basis_deterministic_order():
@@ -280,7 +286,7 @@ def test_apply_identity_and_inverse():
 
 def test_apply_dimension_mismatch():
     basis = enumerate_basis(2, 1)
-    state = QuantumState.basis_state(basis, (1, 0))
+    state = one_hot(basis, (1, 0))
     with pytest.raises(DimensionError):
         apply(state, np.eye(3))
 
@@ -378,7 +384,7 @@ def test_partial_trace_dual_rail_complex_amplitudes():
 
 
 def test_partial_trace_rejects_bad_subsets():
-    state = QuantumState.basis_state(enumerate_basis(3, 1), (1, 0, 0))
+    state = one_hot(enumerate_basis(3, 1), (1, 0, 0))
     with pytest.raises(ValueError):
         partial_trace(state, keep_modes=())
     with pytest.raises(ValueError):
@@ -393,7 +399,8 @@ def test_photon_number_conserved_by_lifted_unitaries():
         state = QuantumState.pure(basis, amps / np.linalg.norm(amps))
         lifted = lift_unitary(haar_unitary(m, rng), basis)
         out = apply(state, lifted)
-        assert total_photon_expectation(out) == pytest.approx(p, abs=1e-10)
+        photons = populations(out) @ basis.occupation_matrix()
+        assert photons.sum() == pytest.approx(p, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +408,7 @@ def test_photon_number_conserved_by_lifted_unitaries():
 
 def test_purity_pure_and_mixed():
     basis = enumerate_basis(2, 1)
-    pure = QuantumState.basis_state(basis, (1, 0))
+    pure = one_hot(basis, (1, 0))
     assert purity(pure.density()) == pytest.approx(1.0, abs=1e-12)
     mixed = QuantumState.from_density(basis, np.eye(2) / 2)
     assert purity(mixed) == pytest.approx(0.5, abs=1e-12)
@@ -429,8 +436,8 @@ def test_dual_rail_purity_grid_matches_closed_form():
 def test_fidelity_basic_properties():
     rng = np.random.default_rng(31)
     basis = enumerate_basis(2, 1)
-    psi = QuantumState.basis_state(basis, (1, 0))
-    phi = QuantumState.basis_state(basis, (0, 1))
+    psi = one_hot(basis, (1, 0))
+    phi = one_hot(basis, (0, 1))
     assert fidelity(psi.density(), psi.density()) == pytest.approx(1.0, abs=1e-10)
     assert fidelity(psi.density(), phi.density()) == pytest.approx(0.0, abs=1e-10)
     # symmetry on random mixed states
@@ -451,49 +458,22 @@ def test_fidelity_dimension_mismatch():
 
 def test_fock_probabilities():
     basis = enumerate_basis(3, 1)
-    state = QuantumState.basis_state(basis, (0, 1, 0))
-    assert np.allclose(fock_probabilities(state), [0, 1, 0])
+    state = one_hot(basis, (0, 1, 0))
+    assert np.allclose(populations(state), [0, 1, 0])
     mixed = QuantumState.from_density(basis, np.eye(3) / 3)
-    assert np.allclose(fock_probabilities(mixed), np.full(3, 1 / 3))
+    assert np.allclose(populations(mixed), np.full(3, 1 / 3))
     joint = dual_rail_joint_state(0.3, 0.7)
-    probs = fock_probabilities(joint)
+    probs = populations(joint)
     # one-photon states ordered (1,0,0), (0,1,0), (0,0,1)
     assert np.allclose(probs, [0.7, 0.3 * 0.3, 0.3 * 0.7], atol=1e-12)
 
 
 def test_number_expectations():
     joint = dual_rail_joint_state(0.4, 0.25)
-    per_mode = number_expectations(joint)
+    per_mode = populations(joint) @ joint.basis.occupation_matrix()
     assert per_mode[0] == pytest.approx(0.6, abs=1e-12)
     assert per_mode[1] == pytest.approx(0.4 * 0.75, abs=1e-12)
     assert per_mode[2] == pytest.approx(0.4 * 0.25, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# sampling
-
-def test_sample_counts_point_mass():
-    counts = sample_counts([0.0, 1.0, 0.0], shots=100, seed=0)
-    assert counts.tolist() == [0, 100, 0]
-
-
-def test_sample_counts_binomial_concentration():
-    shots = 10**6
-    counts = sample_counts([0.5, 0.5], shots=shots, seed=1)
-    sigma = math.sqrt(shots * 0.25)
-    assert abs(counts[0] - shots / 2) < 5 * sigma
-
-
-def test_sample_counts_deterministic():
-    probs = np.full(10, 0.1)
-    a = sample_counts(probs, shots=1000, seed=42)
-    b = sample_counts(probs, shots=1000, seed=42)
-    assert np.array_equal(a, b)
-
-
-def test_sample_counts_rejects_negative():
-    with pytest.raises(ValueError):
-        sample_counts([0.5, 0.6, -0.1], shots=10, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +534,7 @@ def test_pure_state_amplitudes_and_probabilities_bit_exact(geometry, seed):
     state = QuantumState.pure(basis, v)
     assert state.is_pure
     assert np.array_equal(state.amplitudes, v)
-    assert np.array_equal(fock_probabilities(state), np.abs(v) ** 2)
+    assert np.array_equal(populations(state), np.abs(v) ** 2)
 
 
 def test_mode_unitary_validation():
