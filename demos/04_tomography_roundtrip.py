@@ -1,8 +1,8 @@
 """Reconstruct the device's output states from simulated click counts.
 
 Sweeps the 16-point characterisation grid, reconstructing each 3x3
-output density matrix by maximum likelihood from four analysis-coupler
-settings, with the no-photon corner taken from the feedback-port rate.
+output density matrix by maximum likelihood from four fixed analysis
+couplers, with the no-photon corner taken from the feedback-port rate.
 Reports fidelity and purity per point, compares against the bundled
 reference table, and round-trips the fitted rail-length phase offset.
 """

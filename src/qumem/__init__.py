@@ -67,8 +67,6 @@ from .readout import (
 )
 from .tomography import (
     ReconstructionReport,
-    TomographySetting,
-    default_settings,
     fit_global_phase,
     mle_reconstruct,
     simulate_counts,

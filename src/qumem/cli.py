@@ -216,7 +216,7 @@ def _relate_hysteresis(config):
             raise ConfigError(f"ratios: panel {ratio!r}: {exc}") from None
 
 
-def cmd_hysteresis(config, out_dir, check=False):
+def cmd_hysteresis(config, out_dir, check):
     drive, det = _loop_configs(config)
     ratios = list(config["ratios"])
     # only the windowed law with exact noise has checked thresholds
@@ -272,7 +272,7 @@ def cmd_hysteresis(config, out_dir, check=False):
 PURITY_MAP_SCHEMA = {"grid": (101, integer(2))}
 
 
-def cmd_purity_map(config, out_dir, check=False):
+def cmd_purity_map(config, out_dir, check):
     n = config["grid"]
     out_dir.mkdir(parents=True, exist_ok=True)
     beta2 = np.linspace(0.0, 1.0, n)
@@ -396,7 +396,7 @@ def _read_feature_sets(config, n_out):
     return sets
 
 
-def cmd_rc(config, out_dir, check=False):
+def cmd_rc(config, out_dir, check):
     features, n_classes, sequence_length = RC_TASKS[config["task"]]
     n_out = n_classes(config)
     window = config["window"] or sequence_length(config)
@@ -460,7 +460,7 @@ TOMOGRAPHY_SCHEMA = {
 }
 
 
-def cmd_tomography(config, out_dir, check=False):
+def cmd_tomography(config, out_dir, check):
     out_dir.mkdir(parents=True, exist_ok=True)
     shots = config["shots"]
     rows = []

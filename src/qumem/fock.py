@@ -45,6 +45,14 @@ def _is_int(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_shots(shots):
+    """Reject a shot count that is neither None (exact statistics) nor
+    an integer >= 1."""
+    if not (shots is None or (_is_int(shots) and shots >= 1)):
+        raise ValueError(f"shots must be None or an integer >= 1, "
+                         f"got {shots!r}")
+
+
 def _check_counts(modes, photons):
     if not (_is_int(modes) and modes >= 1):
         raise DimensionError(f"mode count must be an integer >= 1, "

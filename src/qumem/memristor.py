@@ -176,11 +176,12 @@ class MemristorState:
     T seconds), 'lowpass' (first-order filter with cutoff f_cut toward
     the instantaneous target), or 'frozen' (open loop, R fixed), with
     `feedback_window`, the span of past input R follows, T, 1 / f_cut
-    and None.  Updates are single-writer: advance() mutates this object.
+    and None.  The state starts at time 0 with R clamped to [R_MIN, 1].
+    Updates are single-writer: advance() mutates this object.
     """
 
     def __init__(self, reflectivity=0.5, window_seconds=1.0, law=WINDOWED,
-                 f_cut=None, r_min=R_MIN, t0=0.0):
+                 f_cut=None):
         if law not in _LAWS:
             raise ValueError(f"law must be one of {_LAWS}")
         if not math.isfinite(reflectivity):
@@ -198,13 +199,12 @@ class MemristorState:
         self.f_cut = f_cut
         self.feedback_window = (1.0 / f_cut if law == LOWPASS
                                 else self.T if law == WINDOWED else None)
-        self.r_min = r_min
-        self.R = min(max(reflectivity, r_min), 1.0)
+        self.R = min(max(reflectivity, R_MIN), 1.0)
         self.window = deque()  # sample timestamps spanning <= T
         self._terms = deque()  # (n_in - 0.5) dt of each window sample
         self._total = 0.0      # running sum of _terms
         self._countdown = 1    # evictions left before _total is re-summed
-        self.last_t = float(t0)
+        self.last_t = 0.0
 
     def advance(self, t, n_in):
         """Feed one (timestamp, <n_in>) sample and update R; returns self.
@@ -215,7 +215,7 @@ class MemristorState:
         to a per-sample re-sum until the first eviction and on re-sum
         steps, and within 1e-12 of it between.
         The window is scanned only on a step that evicts, and R is
-        clamped to [r_min, 1] by comparisons that keep a NaN and a -0.0
+        clamped to [R_MIN, 1] by comparisons that keep a NaN and a -0.0
         as min/max would."""
         last_t = self.last_t
         if t < last_t:
@@ -246,7 +246,7 @@ class MemristorState:
             r = n_in + (self.R - n_in) * decay
         else:  # frozen: R never moves
             return self
-        r = self.r_min if r < self.r_min else r
+        r = R_MIN if r < R_MIN else r
         self.R = 1.0 if r > 1.0 else r
         return self
 

@@ -57,11 +57,10 @@ class ReadoutModel:
             raise ValueError("hidden dimensions of w1 and w2 disagree")
 
     @classmethod
-    def initialize(cls, n_in, n_hidden, n_out, seed=0, scale=None):
-        """Random init; default scale is 1/sqrt(fan_in) per matrix."""
+    def initialize(cls, n_in, n_hidden, n_out, seed=0):
+        """Random init, scaled by 1/sqrt(fan_in) per matrix."""
         rng = np.random.default_rng(seed)
-        s1 = scale if scale is not None else 1.0 / math.sqrt(n_in)
-        s2 = scale if scale is not None else 1.0 / math.sqrt(n_hidden)
+        s1, s2 = 1.0 / math.sqrt(n_in), 1.0 / math.sqrt(n_hidden)
         return cls(
             s1 * rng.standard_normal((n_in, n_hidden)),
             s2 * rng.standard_normal((n_hidden, n_out)),

@@ -42,6 +42,7 @@ from .fock import (
     DimensionError,
     ModeUnitary,
     QuantumState,
+    _check_shots,
     _is_int,
     _lift_sectors,
     enumerate_basis,
@@ -62,8 +63,7 @@ class ReservoirConfig:
     mesh_seed: int = 2021
     shots: int = None        # None: exact Fock distribution
     window: int = 12         # MemristorState window, in unit steps
-    feedback: bool = True    # False freezes every reflectivity at r_init
-    r_init: float = 0.5
+    feedback: bool = True    # False freezes every reflectivity at 0.5
     sample_seed: int = None
 
     def __post_init__(self):
@@ -76,10 +76,7 @@ class ReservoirConfig:
         if not (_is_int(self.window) and self.window >= 1):
             raise ValueError(f"window must be an integer >= 1, "
                              f"got {self.window!r}")
-        if not (self.shots is None
-                or (_is_int(self.shots) and self.shots >= 1)):
-            raise ValueError(f"shots must be None or an integer >= 1, "
-                             f"got {self.shots!r}")
+        _check_shots(self.shots)
 
 
 @dataclass
@@ -165,28 +162,23 @@ def coherent_encode(v, basis):
 # ---------------------------------------------------------------------------
 # random meshes and random states
 
-def build_mesh(modes, seed=None, rng=None, reflectivity=None, phase=None):
+def build_mesh(modes, rng):
     """Rectangular nearest-neighbour coupler mesh of depth `modes`.
 
     Every coupler draws reflectivity ~ U[0,1] and phase ~ U[0, 2 pi)
-    from the seeded generator, in that order, coupler by coupler; fixed
-    values may be forced for tests.  All draws are one call, and each
-    2x2 block is `coupler(r, phase)` written out entry by entry.
+    from the generator rng, in that order, coupler by coupler.  All
+    draws are one call, and each 2x2 block is `coupler(r, phase)`
+    written out entry by entry.
     """
     if modes < 2:
         raise ValueError("a mesh needs at least two modes")
-    if reflectivity is not None and not 0.0 <= reflectivity <= 1.0:
-        raise ValueError("reflectivity must lie in [0, 1]")
-    if rng is None:
-        rng = np.random.default_rng(seed)
     sites = [j for layer in range(modes)
              for j in range(layer % 2, modes - 1, 2)]
-    n_drawn = (reflectivity is None) + (phase is None)
-    draws = iter(rng.uniform(size=n_drawn * len(sites)).tolist())
+    draws = iter(rng.uniform(size=2 * len(sites)).tolist())
     u = np.eye(modes, dtype=complex)
     for j in sites:
-        r = next(draws) if reflectivity is None else reflectivity
-        ph = 2.0 * math.pi * next(draws) if phase is None else phase
+        r = next(draws)
+        ph = 2.0 * math.pi * next(draws)
         t, ir, e = math.sqrt(1.0 - r), 1j * math.sqrt(r), cmath.exp(1j * ph)
         block = np.array([[t, ir * e], [ir, t * e]])
         u[j : j + 2, :] = block @ u[j : j + 2, :]
@@ -334,12 +326,12 @@ class Reservoir:
     # -- public API -------------------------------------------------------------
 
     def reset(self):
-        """Fresh memristors at r_init and time 0 (new example); the
+        """Fresh memristors at R = 0.5 and time 0 (new example); the
         sampling RNG stream is left running."""
         cfg = self.config
         law = WINDOWED if cfg.feedback else FROZEN
         self.memristors = [
-            MemristorState(cfg.r_init, window_seconds=cfg.window, law=law)
+            MemristorState(0.5, window_seconds=cfg.window, law=law)
             for _ in self.rails
         ]
         self.step_index = 0

@@ -1,22 +1,23 @@
 """Output-state tomography for the dual-rail memristor.
 
-The kept rails are analysed by a tunable coupler (reflectivity and
-relative phase) followed by photon counting.  Detection on the kept
-rails cannot see the no-photon population, so that corner of the 3x3
-density matrix is estimated separately from the feedback-port rate and
-the matrix is rescaled to unit trace after insertion.
+The kept rails are analysed by four fixed couplers followed by photon
+counting: bare detection plus balanced interference at three relative
+phases.  Detection on the kept rails cannot see the no-photon
+population, so that corner of the 3x3 density matrix is estimated
+separately from the feedback-port rate and the matrix is rescaled to
+unit trace after insertion.
 
-The lower 2x2 block is reconstructed from the per-setting click counts
+The lower 2x2 block is reconstructed from the per-coupler click counts
 by maximum likelihood over a Cholesky-parameterised positive block
 (James, Kwiat, Munro & White, PRA 64, 052312 (2001)).  The ascent
-depends only on the count table and the settings, not on p00; a
-caller reconstructing a batch of states can hand one `ascents` dict
-to every call so that equal count tables (the characterisation grid
-draws several) run their ascent once.  `fixture_counts` draws the
-batch's count tables once, and `pending_ascents` fills such a dict with
-them before the first call, which then ascends all of them in lock
-step: one stacked likelihood pass per round serves every table still
-climbing.  Each round trip is handed its drawn table.
+depends only on the count table, not on p00; a caller reconstructing a
+batch of states can hand one `ascents` dict to every call so that equal
+count tables (the characterisation grid draws several) run their ascent
+once.  `fixture_counts` draws the batch's count tables once, and
+`pending_ascents` fills such a dict with them before the first call,
+which then ascends all of them in lock step: one stacked likelihood
+pass per round serves every table still climbing.  Each round trip is
+handed its drawn table.
 
 On the fabricated device the surviving qubit's coherence carries an
 extra phase: the through arm of the splitter contributes asin(sqrt(R))
@@ -34,7 +35,7 @@ from importlib import resources
 
 import numpy as np
 
-from .fock import coupler, fidelity, purity
+from .fock import _check_shots, coupler, fidelity, purity
 from .memristor import QubitInput, output_state_dual_rail
 
 PHI_GLOBAL = 5.6  # rad, fitted rail-length phase offset of the device
@@ -44,37 +45,16 @@ _EPS = 1e-12
 _REL_TOL = 1e-9
 _MAX_ITER = 2000
 
-
-@dataclass(frozen=True)
-class TomographySetting:
-    """Analysis coupler setting applied to the two kept rails."""
-
-    reflectivity: float
-    phase: float = 0.0
-    name: str = ""
-    _unitary: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not 0.0 <= self.reflectivity <= 1.0:
-            raise ValueError("reflectivity must lie in [0, 1]")
-        v = coupler(self.reflectivity, self.phase)
-        v.flags.writeable = False
-        object.__setattr__(self, "_unitary", v)
-
-    def unitary(self):
-        """The analysis coupler, a read-only 2x2 array built once."""
-        return self._unitary
-
-
-def default_settings():
-    """Informationally complete set for the one-photon 2x2 block:
-    bare detection plus balanced interference at three relative phases."""
-    return (
-        TomographySetting(0.0, 0.0, "identity"),
-        TomographySetting(0.5, 0.0, "balanced"),
-        TomographySetting(0.5, math.pi / 2, "phase+"),
-        TomographySetting(0.5, -math.pi / 2, "phase-"),
-    )
+# The analysis couplers on the kept rails, (4, 2, 2), and their
+# conjugate transposes, both read-only: bare detection (R = 0) plus
+# balanced interference (R = 1/2) at relative phases 0, pi/2 and -pi/2,
+# an informationally complete set for the one-photon 2x2 block.  Count
+# tables have one row per coupler, in this order.
+_COUPLERS = np.array([coupler(r, phase) for r, phase in
+                      ((0.0, 0.0), (0.5, 0.0), (0.5, math.pi / 2),
+                       (0.5, -math.pi / 2))])
+_COUPLERS_H = _COUPLERS.conj().transpose(0, 2, 1)
+_COUPLERS.flags.writeable = _COUPLERS_H.flags.writeable = False
 
 
 def coherence_phase(reflectivity, phi_global=PHI_GLOBAL):
@@ -159,41 +139,29 @@ def reference_table():
 # ---------------------------------------------------------------------------
 # forward model and counts
 
-def _setting_conditionals(block, setting):
-    """Click distribution over the two kept rails, conditioned on the
-    photon having survived (the block need not be normalised).
-    Returns None when the block carries no population: no photon ever
-    reaches the kept rails, so there are no clicks to distribute."""
-    v = setting.unitary()
-    rotated = v @ block @ v.conj().T
-    p = np.clip(np.real(np.diag(rotated)), 0.0, None)
-    total = p.sum()
-    if total <= _EPS:
-        return None
-    return p / total
+def simulate_counts(rho_true, shots=None, seed=None):
+    """Click counts on the kept rails, one row per analysis coupler.
 
-
-def simulate_counts(rho_true, settings=None, shots=None, seed=None):
-    """Per-setting click counts on the kept rails.
-
-    shots=None is the infinite-statistics (exact) mode and returns the
-    conditional probabilities as float rows; otherwise each row is a
-    multinomial draw of `shots` detected photons.
+    Each row is the click distribution behind its coupler, conditioned
+    on the photon having survived.  shots=None is the
+    infinite-statistics (exact) mode and returns these probabilities as
+    float rows; otherwise each row is a multinomial draw of `shots`
+    detected photons.  A block without population gives zero rows: no
+    photon ever reaches the kept rails, so there are no clicks.
     """
-    settings = default_settings() if settings is None else tuple(settings)
-    if not settings:
-        raise ValueError("at least one analysis setting is required")
+    _check_shots(shots)
     block = np.array(rho_true, dtype=complex)[1:, 1:]  # one-photon block
     rows = []
     rng = np.random.default_rng(seed)
-    for setting in settings:
-        cond = _setting_conditionals(block, setting)
-        if cond is None:
-            rows.append(np.zeros(2))  # photon never survives: no clicks
+    for v, vh in zip(_COUPLERS, _COUPLERS_H):
+        p = np.clip(np.real(np.diag(v @ block @ vh)), 0.0, None)
+        total = p.sum()
+        if total <= _EPS:
+            rows.append(np.zeros(2))
         elif shots is None:
-            rows.append(cond)
+            rows.append(p / total)
         else:
-            rows.append(rng.multinomial(int(shots), cond).astype(float))
+            rows.append(rng.multinomial(int(shots), p / total).astype(float))
     return np.array(rows)
 
 
@@ -215,34 +183,26 @@ def _cholesky_blocks(params):
     return sigma / tr[:, None, None]
 
 
-def _analysis_unitaries(settings):
-    """The settings' coupler unitaries stacked as (S, 2, 2), with their
-    conjugate transposes."""
-    v = np.array([setting.unitary() for setting in settings])
-    return v, v.conj().transpose(0, 2, 1)
-
-
-def _log_likelihoods(params, counts, mats):
+def _log_likelihoods(params, counts):
     """Multinomial log-likelihood of each (n, 4) parameter row, as a
     float64 array.
 
-    Row r is scored on the count table counts[r], flattened to (S * 2,)
-    in setting order, and mats is the `_analysis_unitaries` pair of the
-    settings every row shares.  The rotated blocks V_k sigma V_k^H of
-    every row and setting come from stacked products that BLAS
-    evaluates block by block: V_k sigma of all settings as one
-    (2S, 2) @ (2, 2) product per row, then (V_k sigma) V_k^H of all rows
-    as one (2n, 2) @ (2, 2) product per setting, each block bit for bit
-    its own 2x2 product.  Each log q comes from math.log.  The terms
-    n log q are summed along a row from 0.0 in setting order; a
-    zero-count cell adds a signed zero, which leaves a sum that starts
-    at +0.0 unchanged, so each value is bit-for-bit the one a
-    row-by-row evaluation over the positive cells gives."""
-    v, vh = mats
-    n, s = len(params), len(v)
-    left = (v.reshape(-1, 2) @ _cholesky_blocks(params)).reshape(n, s, 2, 2)
-    rotated = left.transpose(1, 0, 2, 3).reshape(s, 2 * n, 2) @ vh
-    # the diagonals, (S, n, 2): entries 0 and 3 of each flattened 2x2
+    Row r is scored on the count table counts[r], flattened to (8,) in
+    coupler order.  The rotated blocks V_k sigma V_k^H of every row and
+    coupler come from stacked products that BLAS evaluates block by
+    block: V_k sigma of all couplers as one (8, 2) @ (2, 2) product per
+    row, then (V_k sigma) V_k^H of all rows as one (2n, 2) @ (2, 2)
+    product per coupler, each block bit for bit its own 2x2 product.
+    Each log q comes from math.log.  The terms n log q are summed along
+    a row from 0.0 in coupler order; a zero-count cell adds a signed
+    zero, which leaves a sum that starts at +0.0 unchanged, so each
+    value is bit-for-bit the one a row-by-row evaluation over the
+    positive cells gives."""
+    n, s = len(params), len(_COUPLERS)
+    left = _COUPLERS.reshape(-1, 2) @ _cholesky_blocks(params)
+    left = left.reshape(n, s, 2, 2).transpose(1, 0, 2, 3)
+    rotated = left.reshape(s, 2 * n, 2) @ _COUPLERS_H
+    # the diagonals, (4, n, 2): entries 0 and 3 of each flattened 2x2
     p = np.maximum(rotated.real.reshape(s, n, 4)[..., ::3], 0.0)
     q = np.maximum(p / (p[..., 0] + p[..., 1])[..., None], _EPS)
     q = q.transpose(1, 0, 2).ravel().tolist()  # row by row
@@ -253,28 +213,15 @@ def _log_likelihoods(params, counts, mats):
     return terms.cumsum(axis=1)[:, -1] + 0.0
 
 
-def _linear_inversion(counts, settings):
-    """Moment-based initial block estimate from the click frequencies.
-
-    Settings are recognised by their coupler, whatever their names:
-    R = 0 measures the populations, and R = 1/2 at relative phase 0 and
-    -pi/2 the imaginary and the real part of the coherence.  A moment
-    no setting measures is taken at its maximally mixed value."""
-    freqs = {}
-    for row, setting in zip(counts, settings):
-        total = row.sum()
-        freq = row[0] / total if total > 0 else 0.5
-        phase = math.remainder(setting.phase, 2.0 * math.pi)
-        if setting.reflectivity == 0.0:
-            freqs["identity"] = freq
-        elif setting.reflectivity == 0.5 and abs(phase) < 1e-12:
-            freqs["balanced"] = freq
-        elif (setting.reflectivity == 0.5
-              and abs(phase + math.pi / 2) < 1e-12):
-            freqs["phase-"] = freq
-    a = freqs.get("identity", 0.5)
-    im = freqs.get("balanced", 0.5) - 0.5
-    re = freqs.get("phase-", 0.5) - 0.5
+def _linear_inversion(counts):
+    """Moment-based initial block estimate from the click frequencies:
+    bare detection (row 0) measures the populations, and balanced
+    interference at relative phase 0 (row 1) and -pi/2 (row 3) the
+    imaginary and the real part of the coherence.  A row without clicks
+    gives its moment the maximally mixed value."""
+    a, im, re = (row[0] / row.sum() if row.sum() > 0 else 0.5
+                 for row in counts[[0, 1, 3]])
+    im, re = im - 0.5, re - 0.5
     block = np.array([[a, re + 1j * im], [re - 1j * im, 1.0 - a]],
                      dtype=complex)
     evals, evecs = np.linalg.eigh(block)
@@ -300,7 +247,7 @@ class ReconstructionReport:
     meta: dict = field(default_factory=dict)
 
 
-def mle_reconstruct(counts, p00_estimate, settings=None, *, ascents=None):
+def mle_reconstruct(counts, p00_estimate, *, ascents=None):
     """Maximum-likelihood 3x3 reconstruction.
 
     Maximises the multinomial likelihood of the kept-rail counts over
@@ -316,21 +263,20 @@ def mle_reconstruct(counts, p00_estimate, settings=None, *, ascents=None):
     halve-and-retry search walks.
 
     ascents, if given, is a dict the caller keeps for a batch of
-    reconstructions, keyed by count table and settings: the ascent of
-    a table already in it is reused, and a new one is stored.  An entry
+    reconstructions, keyed by the count table's bytes: the ascent of a
+    table already in it is reused, and a new one is stored.  An entry
     whose value is None is pending, as `pending_ascents` leaves them;
     the call that needs an ascent runs it in lock step with every
-    pending entry of the same settings that holds a valid count table,
-    and stores them all.  A pending entry that is not a valid table
-    stays pending, and a batch whose ascent fails is retried with the
-    call's own table alone, so one entry's error never reaches another
-    table's reconstruction.  Only p00 is installed afresh, so a reused
-    report equals a fresh one bit for bit, meta included.
+    pending entry that holds a valid count table, and stores them all.
+    A pending entry that is not a valid table stays pending, and a batch
+    whose ascent fails is retried with the call's own table alone, so
+    one entry's error never reaches another table's reconstruction.
+    Only p00 is installed afresh, so a reused report equals a fresh one
+    bit for bit, meta included.
     """
     counts = np.asarray(counts, dtype=float)
-    settings = default_settings() if settings is None else tuple(settings)
-    if counts.shape != (len(settings), 2):
-        raise ValueError("counts must be (n_settings, 2)")
+    if counts.shape != _COUPLERS.shape[:2]:
+        raise ValueError("counts must be (4, 2): one row per coupler")
     fault = _table_fault(counts)
     if fault:
         raise ValueError(fault)
@@ -339,15 +285,15 @@ def mle_reconstruct(counts, p00_estimate, settings=None, *, ascents=None):
 
     if ascents is None:
         ascents = {}
-    key = (counts.tobytes(), settings)
+    key = counts.tobytes()
     if ascents.get(key) is None:
         keys = [key] + [k for k, done in ascents.items() if done is None
-                        and k != key and _pending_table(k, settings)]
-        tables = [np.frombuffer(k[0]).reshape(-1, 2) for k in keys]
+                        and k != key and _pending_table(k)]
+        tables = [np.frombuffer(k).reshape(-1, 2) for k in keys]
         try:
-            results = _ascend(tables, settings)
+            results = _ascend(tables)
         except FloatingPointError:  # keep a table's failure its own
-            keys, results = [key], _ascend([counts], settings)
+            keys, results = [key], _ascend([counts])
         ascents.update(zip(keys, results))
     return _install_p00(*ascents[key], p00_estimate)
 
@@ -364,43 +310,40 @@ def _table_fault(counts):
     return None
 
 
-def _pending_table(key, settings):
-    """Whether an `ascents` key holds a count table for these settings
-    that `mle_reconstruct` accepts."""
-    return (isinstance(key, tuple) and len(key) == 2 and key[1] == settings
-            and isinstance(key[0], bytes)
-            and len(key[0]) == 2 * len(settings) * 8
-            and _table_fault(np.frombuffer(key[0])) is None)
+def _pending_table(key):
+    """Whether an `ascents` key holds a count table that
+    `mle_reconstruct` accepts."""
+    return (isinstance(key, bytes) and len(key) == 64  # (4, 2) float64
+            and _table_fault(np.frombuffer(key)) is None)
 
 
 def fixture_counts(fixtures, shots=None, seed=None):
     """The count table that the round trip of each of `fixtures` (as
-    `table_fixtures` gives them) draws at these shots and seed under the
-    default settings, in fixture order, for `reconstruction_roundtrip`'s
-    `counts`.  Finite shots without a seed draw fresh tables on every
-    call, so there are none to hand over then: the result is None."""
+    `table_fixtures` gives them) draws at these shots and seed, in
+    fixture order, for `reconstruction_roundtrip`'s `counts`.  Finite
+    shots without a seed draw fresh tables on every call, so there are
+    none to hand over then: the result is None."""
+    _check_shots(shots)
     if shots is not None and seed is None:
         return None
-    settings = default_settings()
     _, count_seed = _roundtrip_rng(seed)
-    return [simulate_counts(fixture.rho, settings, shots, count_seed)
+    return [simulate_counts(fixture.rho, shots, count_seed)
             for fixture in fixtures]
 
 
 def pending_ascents(tables):
-    """An `ascents` dict with one pending entry, under the default
-    settings, per distinct count table of `tables` that carries clicks,
-    so the first reconstruction ascends them all in lock step.  tables
-    is what `fixture_counts` returns; None leaves nothing pending."""
-    settings = default_settings()
-    return {(counts.tobytes(), settings): None for counts in tables or ()
+    """An `ascents` dict with one pending entry per distinct count table
+    of `tables` that carries clicks, so the first reconstruction ascends
+    them all in lock step.  tables is what `fixture_counts` returns;
+    None leaves nothing pending."""
+    return {counts.tobytes(): None for counts in tables or ()
             if counts.sum() > 0}
 
 
-def _ascend(tables, settings):
-    """The likelihood ascents of `mle_reconstruct` for count tables that
-    share these settings, run in lock step: a list of (unit-trace block,
-    final log-likelihood, iterations), one per table.
+def _ascend(tables):
+    """The likelihood ascents of `mle_reconstruct` for count tables, run
+    in lock step: a list of (unit-trace block, final log-likelihood,
+    iterations), one per table.
 
     Each round evaluates the gradient stencils of every table still
     climbing in one `_log_likelihoods` pass, and each line-search round
@@ -414,11 +357,10 @@ def _ascend(tables, settings):
     round gathers its tables only when some climbing table is not
     searching.  The gradient norm is sqrt(g . g), the value
     np.linalg.norm(g) gives."""
-    mats = _analysis_unitaries(settings)
     counts = np.array([table.ravel() for table in tables])
-    params = np.array([_cholesky_params(_linear_inversion(table, settings))
+    params = np.array([_cholesky_params(_linear_inversion(table))
                        for table in tables])
-    lls = _log_likelihoods(params, counts, mats).tolist()
+    lls = _log_likelihoods(params, counts).tolist()
     iterations = [0] * len(tables)
     h = 1e-6
     # rows i and 4 + i of a table's stencil: params[i] + h and - h.  A
@@ -437,7 +379,7 @@ def _ascend(tables, settings):
     x, step = params[:, None].copy(), np.full((len(tables), 1, 1), 0.1)
     c8, c2 = counts.repeat(8, axis=0), counts.repeat(2, axis=0)
     for iteration in range(1, _MAX_ITER + 1):
-        stencil = _log_likelihoods((x + offsets).reshape(-1, 4), c8, mats)
+        stencil = _log_likelihoods((x + offsets).reshape(-1, 4), c8)
         stencil = stencil.reshape(-1, 1, 8)
         grad = (stencil[..., :4] - stencil[..., 4:]) / (2 * h)
         gnorm = [math.sqrt(g.dot(g)) for g in grad[:, 0]]
@@ -453,8 +395,7 @@ def _ascend(tables, settings):
                                   for a in (x, step, grad, gnorm))
                 cs = counts[[ids[i] for i in searching]].repeat(2, axis=0)
             cands = xs + ss * halves * gs / ns
-            cand_lls = _log_likelihoods(cands.reshape(-1, 4), cs,
-                                        mats).tolist()
+            cand_lls = _log_likelihoods(cands.reshape(-1, 4), cs).tolist()
             still = []
             for j, (i, st) in enumerate(zip(searching, ss.ravel().tolist())):
                 prev, r = ll[i], None
@@ -507,8 +448,8 @@ def _install_p00(block, log_likelihood, iterations, p00_estimate):
 
 
 def reconstruction_roundtrip(beta2, reflectivity, shots=None, seed=None,
-                             settings=None, phi_global=PHI_GLOBAL, *,
-                             ascents=None, counts=None):
+                             phi_global=PHI_GLOBAL, *, ascents=None,
+                             counts=None):
     """Generate counts from the phased theory state and reconstruct it.
 
     In exact mode p00 is taken from the state; with finite shots it is
@@ -517,13 +458,14 @@ def reconstruction_roundtrip(beta2, reflectivity, shots=None, seed=None,
     table this round trip would draw, as `fixture_counts` gives it, and
     is used instead of drawing it again.
     """
+    _check_shots(shots)
     rho_true = apply_phase_model(
         output_state_dual_rail(QubitInput.from_beta2(beta2), reflectivity),
         reflectivity, phi_global,
     )
     rng, count_seed = _roundtrip_rng(seed)
     if counts is None:
-        counts = simulate_counts(rho_true, settings, shots, seed=count_seed)
+        counts = simulate_counts(rho_true, shots, seed=count_seed)
     p00 = rho_true[0, 0].real
     if shots is not None:
         p00 = rng.binomial(int(shots), p00) / float(shots)
@@ -535,7 +477,7 @@ def reconstruction_roundtrip(beta2, reflectivity, shots=None, seed=None,
         report = ReconstructionReport(rho=rho, purity=purity(rho),
                                       meta={"degenerate": True})
     else:
-        report = mle_reconstruct(counts, p00, settings, ascents=ascents)
+        report = mle_reconstruct(counts, p00, ascents=ascents)
     report.fidelity_to_theory = fidelity(report.rho, rho_true)
     report.meta.update(
         beta2=beta2, reflectivity=reflectivity,

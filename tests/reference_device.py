@@ -2,16 +2,19 @@
 
 These are the straightforward forms the library's fast paths replace:
 the MLE tomography that evaluates its likelihood one parameter point
-and one analysis setting at a time, the ascent of one count table on
-its own (the library runs a batch of tables in lock step), the
+and one analysis setting at a time, from an initial estimate that
+recognises each setting by its coupler (the library fixes its four
+couplers and reads their rows), the ascent of one count table on its
+own (the library runs a batch of tables in lock step), the
 windowed memristor law that folds (t, n_in, dt) window triples in
 order on every step, the closed hysteresis loop that recomputes its
 drive on every step and keeps every pulse count in a list, the
 discrete window of the reservoir's memristor bank kept as a list,
 the trace CSV written through `csv.writer`, the feature CSV written
 in place row by row, and the reservoir's coupler mesh built from one
-validated `coupler` block and two scalar draws per coupler.  The fast paths perform the same
-floating-point operations in the same order, so tests compare the two
+validated `coupler` block and two scalar draws per coupler.  The fast
+paths perform the same floating-point operations in the same order, so
+tests compare the two
 for exact equality; the windowed law's running sum is compared to
 1e-12, and exactly before the first eviction and on the steps
 `ResumCountdown` names.
@@ -35,11 +38,8 @@ from qumem.tomography import (
     _MAX_ITER,
     _REL_TOL,
     ReconstructionReport,
-    _analysis_unitaries,
     _cholesky_blocks,
     _cholesky_params,
-    _linear_inversion,
-    default_settings,
 )
 
 
@@ -56,8 +56,47 @@ def _cholesky_block(params):
     return sigma / tr
 
 
+# the analysis settings as (reflectivity, relative phase) of the coupler:
+# bare detection, then balanced interference at phases 0, pi/2, -pi/2
+SETTINGS = ((0.0, 0.0), (0.5, 0.0), (0.5, math.pi / 2), (0.5, -math.pi / 2))
+
+
+def _analysis_unitaries(settings):
+    """The settings' couplers stacked as (S, 2, 2), with their conjugate
+    transposes."""
+    v = np.array([coupler(r, phase) for r, phase in settings])
+    return v, v.conj().transpose(0, 2, 1)
+
+
+def _linear_inversion(counts, settings):
+    """Moment-based initial block estimate, each setting recognised by
+    its coupler: R = 0 measures the populations, and R = 1/2 at relative
+    phase 0 and -pi/2 the imaginary and the real part of the coherence.
+    A moment no setting measures is taken at its maximally mixed value."""
+    freqs = {}
+    for row, (reflectivity, phase) in zip(counts, settings):
+        total = row.sum()
+        freq = row[0] / total if total > 0 else 0.5
+        phase = math.remainder(phase, 2.0 * math.pi)
+        if reflectivity == 0.0:
+            freqs["identity"] = freq
+        elif reflectivity == 0.5 and abs(phase) < 1e-12:
+            freqs["balanced"] = freq
+        elif reflectivity == 0.5 and abs(phase + math.pi / 2) < 1e-12:
+            freqs["phase-"] = freq
+    a = freqs.get("identity", 0.5)
+    im = freqs.get("balanced", 0.5) - 0.5
+    re = freqs.get("phase-", 0.5) - 0.5
+    block = np.array([[a, re + 1j * im], [re - 1j * im, 1.0 - a]],
+                     dtype=complex)
+    evals, evecs = np.linalg.eigh(block)
+    evals = np.clip(evals, 1e-6, None)
+    block = (evecs * evals) @ evecs.conj().T
+    return block / np.trace(block).real
+
+
 def _setting_conditionals(block, setting):
-    v = setting.unitary()
+    v = coupler(*setting)
     rotated = v @ block @ v.conj().T
     p = np.clip(np.real(np.diag(rotated)), 0.0, None)
     total = p.sum()
@@ -66,7 +105,7 @@ def _setting_conditionals(block, setting):
     return p / total
 
 
-def log_likelihood(params, counts, settings):
+def log_likelihood(params, counts, settings=SETTINGS):
     sigma = _cholesky_block(params)
     ll = 0.0
     for row, setting in zip(counts, settings):
@@ -77,11 +116,10 @@ def log_likelihood(params, counts, settings):
     return ll
 
 
-def mle_reconstruct(counts, p00_estimate, settings=None,
+def mle_reconstruct(counts, p00_estimate, settings=SETTINGS,
                     rel_tol=1e-9, max_iter=2000):
     """Finite-difference gradient ascent, one likelihood call per point."""
     counts = np.asarray(counts, dtype=float)
-    settings = default_settings() if settings is None else tuple(settings)
     params = _cholesky_params(_linear_inversion(counts, settings))
     ll = log_likelihood(params, counts, settings)
     step = 0.1
@@ -149,7 +187,7 @@ def stacked_log_likelihoods(params, table, mats):
     return lls
 
 
-def ascend(counts, settings):
+def ascend(counts, settings=SETTINGS):
     """The ascent of one count table on its own: (unit-trace block,
     final log-likelihood, iterations)."""
     params = _cholesky_params(_linear_inversion(counts, settings))
@@ -197,16 +235,14 @@ class TripleWindowMemristor:
     """Windowed law of `MemristorState` that keeps (t, n_in, dt)
     triples and folds the whole window in order on every step."""
 
-    def __init__(self, reflectivity=0.5, window_seconds=1.0, r_min=R_MIN,
-                 t0=0.0):
+    def __init__(self, reflectivity=0.5, window_seconds=1.0):
         self.T = float(window_seconds)
-        self.r_min = r_min
         self.R = self._clamp(reflectivity)
         self.window = deque()
-        self.last_t = float(t0)
+        self.last_t = 0.0
 
     def _clamp(self, r):
-        return min(max(r, self.r_min), 1.0)
+        return min(max(r, R_MIN), 1.0)
 
     def advance(self, t, n_in):
         if t < self.last_t:
@@ -245,18 +281,17 @@ class ResumCountdown:
 
 
 class ListDiscreteMemristor:
-    """Discrete-time window kept as a list of samples, re-summed per step."""
+    """Discrete-time window kept as a list of samples, re-summed per
+    step, starting from R = 0.5."""
 
-    def __init__(self, window, r_init=0.5, frozen=False, r_min=R_MIN):
+    def __init__(self, window, frozen=False):
         self.window = int(window)
-        self.r_init = float(r_init)
         self.frozen = frozen
-        self.r_min = r_min
         self.samples = []
-        self.R = self._clamp(r_init)
+        self.R = 0.5
 
     def _clamp(self, r):
-        return min(max(r, self.r_min), 1.0)
+        return min(max(r, R_MIN), 1.0)
 
     def update(self, n_est):
         if self.frozen:
@@ -270,7 +305,7 @@ class ListDiscreteMemristor:
 
     def reset(self):
         self.samples = []
-        self.R = self._clamp(self.r_init)
+        self.R = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -370,16 +405,14 @@ def write_features_csv(path, probs, labels):
 # ---------------------------------------------------------------------------
 # reservoir mesh
 
-def build_mesh(modes, seed=None, rng=None, reflectivity=None, phase=None):
+def build_mesh(modes, rng):
     """The coupler mesh of `reservoir.build_mesh`, coupler by coupler:
     a reflectivity and a phase drawn one at a time, each block a checked
     `coupler(r, phase)`."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
     u = np.eye(modes, dtype=complex)
     for layer in range(modes):
         for j in range(layer % 2, modes - 1, 2):
-            r = rng.uniform() if reflectivity is None else reflectivity
-            ph = rng.uniform(0.0, 2.0 * math.pi) if phase is None else phase
+            r = rng.uniform()
+            ph = rng.uniform(0.0, 2.0 * math.pi)
             u[j : j + 2, :] = coupler(r, ph) @ u[j : j + 2, :]
     return ModeUnitary(u)

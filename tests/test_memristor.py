@@ -211,14 +211,15 @@ def test_state_rejects_non_finite_parameters(kwargs):
 
 def test_lowpass_step_response():
     f_cut = 4.62
-    mem = MemristorState(0.0, law=LOWPASS, f_cut=f_cut, r_min=0.0)
+    mem = MemristorState(0.0, law=LOWPASS, f_cut=f_cut)  # starts at R_MIN
     dt = 1e-4
     times, values = [], []
     for k in range(1, 5001):
         mem.advance(k * dt, 1.0)
         times.append(k * dt)
         values.append(mem.R)
-    expected = 1.0 - np.exp(-2 * math.pi * f_cut * np.array(times))
+    expected = 1.0 - (1.0 - R_MIN) * np.exp(
+        -2 * math.pi * f_cut * np.array(times))
     assert np.max(np.abs(np.array(values) - expected)) < 1e-9
 
 
@@ -260,13 +261,12 @@ samples = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([WINDOWED, LOWPASS]), st.floats(0.0, 1.0),
-       st.floats(1e-4, 1e2), st.floats(0.0, 1e3), samples)
-def test_laws_keep_reflectivity_in_bounds(law, r0, scale, t0, stream):
+       st.floats(1e-4, 1e2), samples)
+def test_laws_keep_reflectivity_in_bounds(law, r0, scale, stream):
     # scale is the window (windowed) or the cutoff frequency (lowpass)
-    mem = MemristorState(r0, window_seconds=scale, law=law, f_cut=scale,
-                         t0=t0)
+    mem = MemristorState(r0, window_seconds=scale, law=law, f_cut=scale)
     assert R_MIN <= mem.R <= 1.0
-    t = t0
+    t = 0.0
     for dt, n_in in stream:
         t += dt
         mem.advance(t, n_in)

@@ -116,14 +116,18 @@ def toy_clusters(n_per_class=60, seed=0):
 
 def test_training_separates_toy_clusters():
     x, y = toy_clusters()
-    model = ReadoutModel.initialize(3, 5, 3, seed=1, scale=0.1)
+    rng = np.random.default_rng(1)
+    model = ReadoutModel(0.1 * rng.standard_normal((3, 5)),
+                         0.1 * rng.standard_normal((5, 3)))
     result = train(model, (x, y), epochs=50, lr=0.5, seed=1)
     assert result.train_accuracy >= 0.99
 
 
 def test_training_loss_non_increasing_at_small_lr():
     x, y = toy_clusters()
-    model = ReadoutModel.initialize(3, 5, 3, seed=2, scale=0.1)
+    rng = np.random.default_rng(2)
+    model = ReadoutModel(0.1 * rng.standard_normal((3, 5)),
+                         0.1 * rng.standard_normal((5, 3)))
     result = train(model, (x, y), epochs=30, lr=0.01, seed=2, batch_size=len(y))
     diffs = np.diff(result.losses)
     assert np.all(diffs <= 1e-6)

@@ -176,14 +176,14 @@ def test_coherent_mesh_is_weights_over_one_meshed_ket_table(v, w):
 
 def test_mesh_unitary_many_seeds():
     for seed in range(100):
-        u = build_mesh(9, seed=seed)
+        u = build_mesh(9, np.random.default_rng(seed))
         dev = np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(9)))
         assert dev < 1e-10
 
 
 def test_mesh_deterministic():
-    assert np.array_equal(build_mesh(9, seed=4).matrix,
-                          build_mesh(9, seed=4).matrix)
+    assert np.array_equal(build_mesh(9, np.random.default_rng(4)).matrix,
+                          build_mesh(9, np.random.default_rng(4)).matrix)
 
 
 def test_mesh_matches_coupler_by_coupler_reference():
@@ -194,30 +194,10 @@ def test_mesh_matches_coupler_by_coupler_reference():
         rng = np.random.default_rng(seed)
         ref_rng = np.random.default_rng(seed)
         for modes in (9, 9, 2, 5):
-            got = build_mesh(modes, rng=rng).matrix
-            want = reference_device.build_mesh(modes, rng=ref_rng).matrix
+            got = build_mesh(modes, rng).matrix
+            want = reference_device.build_mesh(modes, ref_rng).matrix
             assert got.tobytes() == want.tobytes()
         assert rng.uniform() == ref_rng.uniform()
-    forced = [dict(reflectivity=r, phase=ph)
-              for r in (None, 0.0, 0.3, 1.0) for ph in (None, 0.0, 1.1)]
-    for seed in range(20):
-        for kwargs in forced:
-            got = build_mesh(9, seed=seed, **kwargs).matrix
-            want = reference_device.build_mesh(9, seed=seed, **kwargs).matrix
-            # a forced r of 0 or 1 may flip the sign of a zero entry
-            assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("r", [-0.1, 1.5, math.nan])
-def test_mesh_rejects_forced_reflectivity_outside_unit_interval(r):
-    with pytest.raises(ValueError, match="reflectivity"):
-        build_mesh(3, seed=0, reflectivity=r)
-
-
-def test_mesh_forced_balanced_coupler():
-    u = build_mesh(2, seed=0, reflectivity=0.5, phase=0.0)
-    expected = np.array([[1, 1j], [1j, 1]]) / math.sqrt(2)
-    assert np.allclose(u.matrix, expected, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +461,8 @@ def test_memristor_bank_matches_list_window_reference(window, feedback):
     to it before the first eviction and on re-sum steps."""
     rng = np.random.default_rng(window)
     res = Reservoir(ReservoirConfig(modes=9, photons=1, window=window,
-                                    r_init=0.4, feedback=feedback))
-    refs = [reference_device.ListDiscreteMemristor(window, r_init=0.4,
+                                    feedback=feedback))
+    refs = [reference_device.ListDiscreteMemristor(window,
                                                    frozen=not feedback)
             for _ in res.memristors]
     cadences = [reference_device.ResumCountdown() for _ in refs]

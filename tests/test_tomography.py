@@ -12,16 +12,13 @@ from qumem.fock import coupler, fidelity, purity
 from qumem.memristor import QubitInput, dual_rail_purity, output_state_dual_rail
 from qumem.tomography import (
     PHI_GLOBAL,
-    TomographySetting,
     apply_phase_model,
     coherence_phase,
-    default_settings,
     fit_global_phase,
     mle_reconstruct,
     project_physical,
     reconstruction_roundtrip,
     reference_table,
-    _analysis_unitaries,
     _log_likelihoods,
     simulate_counts,
     table_fixtures,
@@ -89,12 +86,11 @@ def test_reference_row5_fidelity():
 def test_settings_are_informationally_complete():
     # distinct blocks must give distinct click statistics
     rng = np.random.default_rng(0)
-    settings = default_settings()
 
     def stats(block):
         rho = np.zeros((3, 3), dtype=complex)
         rho[1:, 1:] = block
-        return simulate_counts(rho, settings)
+        return simulate_counts(rho)
 
     for _ in range(20):
         t = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -129,6 +125,28 @@ def test_simulate_counts_reproducible():
     a = simulate_counts(rho, shots=1000, seed=7)
     b = simulate_counts(rho, shots=1000, seed=7)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("shots", [0, 2.5, -1, True],
+                         ids=["zero", "fraction", "negative", "bool"])
+def test_shots_must_be_a_positive_integer(shots, monkeypatch):
+    """A shot count that is not None or an integer >= 1 is rejected
+    before any draw, by the draw, by the batch's tables and by a round
+    trip handed its table."""
+    drawn = count_calls(monkeypatch, "simulate_counts")
+    seeded = count_calls(monkeypatch, "_roundtrip_rng")
+    fixtures = table_fixtures()
+    for draw in [
+            lambda: tomography.simulate_counts(fixtures[3].rho, shots, 1),
+            lambda: tomography.fixture_counts(fixtures, shots, 1),
+            lambda: tomography.fixture_counts(fixtures, shots, None),
+            lambda: reconstruction_roundtrip(0.3, 0.5, shots=shots, seed=1),
+            lambda: reconstruction_roundtrip(0.3, 0.5, shots=shots, seed=1,
+                                             counts=np.ones((4, 2)))]:
+        with pytest.raises(ValueError, match="shots must be"):
+            draw()
+    assert len(drawn) == 1  # the direct call, which raised
+    assert seeded == []
 
 
 # ---------------------------------------------------------------------------
@@ -184,72 +202,61 @@ def test_mle_fidelity_improves_with_shots():
     assert means[-1] > 0.9995
 
 
-ORACLE_SETTINGS = {
-    "default": None,
-    "three": (TomographySetting(0.0, 0.0, "identity"),
-              TomographySetting(0.5, 0.0, "balanced"),
-              TomographySetting(0.5, -math.pi / 2, "phase-")),
-    "unnamed": (TomographySetting(0.0), TomographySetting(0.5),
-                TomographySetting(0.3, 1.0), TomographySetting(0.7, -2.0)),
-}
-
-
 def test_stacked_log_likelihoods_match_pointwise():
     """Every row is scored on its own count table, zero cells and
     all-zero tables included, and each value equals the one-point
     evaluation's bit for bit (signed zeros too)."""
     rng = np.random.default_rng(5)
-    for settings in ORACLE_SETTINGS.values():
-        settings = default_settings() if settings is None else settings
-        tables = rng.integers(0, 500, size=(32, len(settings), 2))
-        tables = np.where(rng.random(tables.shape) < 0.3, 0, tables)
-        tables[0] = 0
-        tables = tables.astype(float)
-        params = rng.normal(size=(32, 4))
-        got = _log_likelihoods(params, tables.reshape(32, -1),
-                               _analysis_unitaries(settings))
-        want = [reference_device.log_likelihood(row, table, settings)
-                for row, table in zip(params, tables)]
-        assert got.tobytes() == np.array(want).tobytes()
+    tables = rng.integers(0, 500, size=(32, 4, 2))
+    tables = np.where(rng.random(tables.shape) < 0.3, 0, tables)
+    tables[0] = 0
+    tables = tables.astype(float)
+    params = rng.normal(size=(32, 4))
+    got = _log_likelihoods(params, tables.reshape(32, -1))
+    want = [reference_device.log_likelihood(row, table)
+            for row, table in zip(params, tables)]
+    assert got.tobytes() == np.array(want).tobytes()
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_SETTINGS))
-def test_mle_matches_pointwise_reference_exactly(name):
+@pytest.mark.parametrize("settings", [reference_device.SETTINGS],
+                         ids=["default"])
+def test_mle_matches_pointwise_reference_exactly(settings):
     """The stacked likelihood changes no float operation: rho, the
     final log-likelihood and the iteration count are bit-identical to
-    the one-point-at-a-time ascent, exact and finite-shot."""
-    settings = ORACLE_SETTINGS[name]
+    the one-point-at-a-time ascent at the oracle's coupler settings,
+    exact and finite-shot."""
     cases = [(0.3, 0.5, None, None), (0.7, 0.3, 1000, 4),
              (1.0, 0.7, 1000, 11), (0.3, 0.0, 200, 2)]
     for beta2, refl, shots, seed in cases:
-        counts = simulate_counts(phased_state(beta2, refl), settings,
-                                 shots, seed=seed)
-        got = mle_reconstruct(counts, 0.2, settings)
+        counts = simulate_counts(phased_state(beta2, refl), shots,
+                                 seed=seed)
+        got = mle_reconstruct(counts, 0.2)
         want = reference_device.mle_reconstruct(counts, 0.2, settings)
         assert np.array_equal(got.rho, want.rho), (beta2, refl, shots)
         assert got.purity == want.purity
         assert got.meta == want.meta
-
-
-def test_unnamed_default_settings_start_like_named_ones():
-    """The initial estimate reads each setting's coupler, not its name,
-    so the default settings without names reconstruct identically."""
-    named = default_settings()
-    unnamed = tuple(TomographySetting(s.reflectivity, s.phase)
-                    for s in named)
-    cases = [(0.3, 0.5, None, None), (0.7, 0.3, None, None),
-             (0.7, 0.3, 1000, 4), (1.0, 0.7, 1000, 11)]
-    for beta2, refl, shots, seed in cases:
-        counts = simulate_counts(phased_state(beta2, refl), named,
-                                 shots, seed=seed)
-        got = mle_reconstruct(counts, 0.2, unnamed)
-        want = mle_reconstruct(counts, 0.2, named)
-        assert np.array_equal(got.rho, want.rho), (beta2, refl, shots)
-        assert got.meta["log_likelihood"] == want.meta["log_likelihood"]
-        assert got.meta["iterations"] == want.meta["iterations"]
     # exact counts: the moment estimate is already the optimum
-    exact = simulate_counts(phased_state(0.3, 0.5), named, None)
-    assert mle_reconstruct(exact, 0.2, unnamed).meta["iterations"] == 1
+    exact = simulate_counts(phased_state(0.3, 0.5))
+    assert mle_reconstruct(exact, 0.2).meta["iterations"] == 1
+
+
+def test_linear_inversion_matches_coupler_matching_reference():
+    """Reading the moments from fixed rows 0, 1 and 3 gives the initial
+    estimate of the oracle that recognises each setting by its coupler,
+    bit for bit: random tables with zero cells and click-free rows, the
+    all-zero table, and the exact tables of the 16 fixtures."""
+    rng = np.random.default_rng(8)
+    tables = rng.integers(0, 500, size=(300, 4, 2))
+    tables = np.where(rng.random(tables.shape) < 0.2, 0, tables)
+    tables[rng.random((300, 4)) < 0.2] = 0
+    tables[0] = 0
+    tables = [*tables.astype(float),
+              *(simulate_counts(fx.rho) for fx in table_fixtures())]
+    for table in tables:
+        got = tomography._linear_inversion(table)
+        want = reference_device._linear_inversion(table,
+                                                  reference_device.SETTINGS)
+        assert got.tobytes() == want.tobytes(), table
 
 
 def count_calls(monkeypatch, name):
@@ -274,12 +281,12 @@ def test_command_ascent_reuse_matches_fresh_roundtrips(tmp_path, seed,
     config = resolve_config("tomography",
                             overrides={"shots": 1000, "seed": seed})
     ascended = count_calls(monkeypatch, "_ascend")
-    states = cmd_tomography(config, tmp_path)["states"]
+    states = cmd_tomography(config, tmp_path, False)["states"]
     monkeypatch.undo()
     # the β² = 1 rows at R < 1 draw the same counts, and so do the R = 1
     # rows and (0, 0): 15 reconstructions, 10 distinct ascents
     assert len(ascended) == 1
-    (tables, _), = ascended
+    ((tables,),) = ascended
     assert len(tables) == 10
     assert len({table.tobytes() for table in tables}) == 10
     ascents = {}
@@ -298,16 +305,17 @@ def test_command_ascent_reuse_matches_fresh_roundtrips(tmp_path, seed,
 
 
 def test_setting_unitary_is_built_once_and_read_only():
-    setting = TomographySetting(0.5, math.pi / 2, "phase+")
-    v = setting.unitary()
-    assert v is setting.unitary()
-    assert not v.flags.writeable
-    assert np.array_equal(v, coupler(0.5, math.pi / 2))
-    # the stored unitary takes no part in ==, hash or repr
-    twin = TomographySetting(0.5, math.pi / 2, "phase+")
-    assert setting == twin and hash(setting) == hash(twin)
-    assert repr(setting) == ("TomographySetting(reflectivity=0.5, "
-                             f"phase={math.pi / 2!r}, name='phase+')")
+    """The four analysis couplers are one read-only (4, 2, 2) constant,
+    stored with its conjugate transpose: `coupler` at the oracle's
+    (R, phase) settings, entry for entry."""
+    v, vh = tomography._COUPLERS, tomography._COUPLERS_H
+    assert v.shape == vh.shape == (4, 2, 2)
+    assert not v.flags.writeable and not vh.flags.writeable
+    for k, (r, phase) in enumerate(reference_device.SETTINGS):
+        assert (v[k] == coupler(r, phase)).all()
+        assert (vh[k] == coupler(r, phase).conj().T).all()
+    with pytest.raises(ValueError):
+        v[0, 0, 0] = 0
 
 
 @pytest.mark.parametrize("shots", [1000, None])
@@ -319,7 +327,7 @@ def test_command_draws_each_count_table_once(tmp_path, monkeypatch, shots):
     config = resolve_config("tomography",
                             overrides={"shots": shots, "seed": 5})
     drawn = count_calls(monkeypatch, "simulate_counts")
-    states = cmd_tomography(config, tmp_path)["states"]
+    states = cmd_tomography(config, tmp_path, False)["states"]
     assert len(states) == 16
     assert len(drawn) == 16
     reconstruction_roundtrip(0.3, 0.5, shots=1000)
@@ -345,15 +353,17 @@ def test_shared_ascent_skips_the_likelihood(monkeypatch):
     assert again.meta is not first.meta
 
 
-def test_ascents_are_keyed_by_settings(monkeypatch):
+def test_ascents_are_keyed_by_table_bytes(monkeypatch):
+    """An ascent is stored under its count table's bytes, and an equal
+    table in another container finds it."""
     counts = simulate_counts(phased_state(0.3, 0.5), shots=1000, seed=2)
-    other = ORACLE_SETTINGS["unnamed"]
     ascents = {}
     mle_reconstruct(counts, 0.2, ascents=ascents)
+    assert list(ascents) == [counts.tobytes()]
     calls = count_calls(monkeypatch, "_log_likelihoods")
-    mle_reconstruct(counts, 0.2, other, ascents=ascents)
-    assert calls
-    assert len(ascents) == 2
+    mle_reconstruct(counts.tolist(), 0.3, ascents=ascents)
+    assert calls == []
+    assert len(ascents) == 1
 
 
 def pending(fixtures, shots=None, seed=None):
@@ -364,45 +374,38 @@ def pending(fixtures, shots=None, seed=None):
 
 def test_pending_entries_ascend_with_the_first_reconstruction(monkeypatch):
     """pending_ascents registers the command's distinct tables; the first
-    reconstruction ascends every pending entry of its settings at once,
-    and an entry of other settings stays pending."""
+    reconstruction ascends every pending entry at once."""
     fixtures = table_fixtures()
     ascents = pending(fixtures, 1000, 3)
     assert len(ascents) == 10
     assert set(ascents.values()) == {None}
-    other = ORACLE_SETTINGS["unnamed"]
-    counts = simulate_counts(phased_state(0.3, 0.5), other, 1000, seed=2)
-    ascents[(counts.tobytes(), other)] = None
     ascended = count_calls(monkeypatch, "_ascend")
     for fx in fixtures:
         reconstruction_roundtrip(fx.beta2, fx.reflectivity, shots=1000,
                                  seed=3, ascents=ascents)
-    assert [len(tables) for tables, _ in ascended] == [10]
-    assert ascents.pop((counts.tobytes(), other)) is None
+    assert [len(tables) for (tables,) in ascended] == [10]
     assert None not in ascents.values()
     # unseeded finite-shot round trips draw fresh tables: nothing pends
     assert tomography.fixture_counts(fixtures, 1000, None) is None
     assert pending(fixtures, 1000, None) == {}
     exact = {simulate_counts(fx.rho).tobytes() for fx in fixtures
              if fx.rho[0, 0].real < 1}
-    assert {data for data, _ in pending(fixtures)} == exact
+    assert set(pending(fixtures)) == exact
 
 
 def test_bad_pending_entries_stay_out_of_the_batch(monkeypatch):
     """A pending entry that is no valid count table neither joins the
     lock step nor disturbs the table reconstructed; a batch whose
     ascent fails falls back to the call's own table."""
-    default = default_settings()
     counts = simulate_counts(phased_state(0.7, 0.3), shots=1000, seed=4)
     good = simulate_counts(phased_state(0.3, 0.5), shots=1000, seed=2)
     bad = [np.zeros((4, 2)), -np.ones((4, 2)), np.full((4, 2), np.nan),
            np.full((4, 2), np.inf), np.ones((3, 2))]
-    ascents = {(table.tobytes(), default): None for table in bad}
-    ascents.update({(b"\0" * 12, default): None, "junk": None,
-                    (good.tobytes(), default): None})
+    ascents = {table.tobytes(): None for table in bad}
+    ascents.update({b"\0" * 12: None, "junk": None, good.tobytes(): None})
     ascended = count_calls(monkeypatch, "_ascend")
     got = mle_reconstruct(counts, 0.2, ascents=ascents)
-    (tables, _), = ascended
+    ((tables,),) = ascended
     assert [t.tobytes() for t in tables] == [counts.tobytes(),
                                              good.tobytes()]
     assert sum(done is None for done in ascents.values()) == 7
@@ -413,62 +416,53 @@ def test_bad_pending_entries_stay_out_of_the_batch(monkeypatch):
     monkeypatch.undo()
     lone = tomography._ascend
 
-    def failing(tables, settings):
+    def failing(tables):
         if len(tables) > 1:
             raise FloatingPointError("degenerate Cholesky factor")
-        return lone(tables, settings)
+        return lone(tables)
 
     monkeypatch.setattr(tomography, "_ascend", failing)
-    ascents = {(good.tobytes(), default): None}
+    ascents = {good.tobytes(): None}
     got = mle_reconstruct(counts, 0.2, ascents=ascents)
     assert np.array_equal(got.rho, fresh.rho)
     assert got.meta == fresh.meta
-    assert ascents[(good.tobytes(), default)] is None
+    assert ascents[good.tobytes()] is None
 
 
 @functools.lru_cache(maxsize=None)
-def reference_ascent(data, settings):
-    return reference_device.ascend(np.frombuffer(data).reshape(-1, 2),
-                                   settings)
+def reference_ascent(data):
+    return reference_device.ascend(np.frombuffer(data).reshape(-1, 2))
 
 
 def lockstep_batches():
-    """(tables, settings) batches for the lock-step oracle."""
-    default = default_settings()
-    seed23 = [np.frombuffer(data).reshape(-1, 2) for data, _ in
+    """Count-table batches for the lock-step oracle."""
+    seed23 = [np.frombuffer(data).reshape(-1, 2) for data in
               pending(table_fixtures(), 1000, 23)]
-    exact = simulate_counts(phased_state(0.3, 0.5), None, None)
+    exact = simulate_counts(phased_state(0.3, 0.5))
     capped = seed23[-1]
     mixed = [seed23[3], exact, *seed23, capped, seed23[0]]
     permuted = [mixed[k] for k in
                 np.random.default_rng(1).permutation(len(mixed))]
-    unnamed = ORACLE_SETTINGS["unnamed"]
-    custom = [simulate_counts(phased_state(b, r), unnamed, shots, seed=4)
-              for b, r, shots in [(0.3, 0.5, 1000), (0.7, 0.3, 200),
-                                  (1.0, 0.7, 1000), (0.3, 0.0, None)]]
-    return {"mixed": (mixed, default), "permuted": (permuted, default),
-            "one": ([capped], default), "unnamed": (custom, unnamed)}
+    return {"mixed": mixed, "permuted": permuted, "one": [capped]}
 
 
-@pytest.mark.parametrize("name", ["mixed", "permuted", "one", "unnamed"])
+@pytest.mark.parametrize("name", ["mixed", "permuted", "one"])
 def test_lockstep_ascent_matches_per_table_reference(name):
     """Each table of a lock-step batch ascends exactly as it does alone:
     block, log-likelihood and iteration count, with duplicates, any
-    order, a batch of one, tables that stop at _MAX_ITER and at the
-    first iteration, and unnamed custom settings."""
-    tables, settings = lockstep_batches()[name]
-    got = tomography._ascend(tables, settings)
+    order, a batch of one, and tables that stop at _MAX_ITER and at the
+    first iteration."""
+    tables = lockstep_batches()[name]
+    got = tomography._ascend(tables)
     assert len(got) == len(tables)
     iterations = []
     for table, (block, ll, its) in zip(tables, got):
-        want_block, want_ll, want_its = reference_ascent(table.tobytes(),
-                                                         settings)
+        want_block, want_ll, want_its = reference_ascent(table.tobytes())
         assert np.array_equal(block, want_block)
         assert ll == want_ll
         assert its == want_its
         iterations.append(its)
-    if name != "unnamed":
-        assert tomography._MAX_ITER in iterations
+    assert tomography._MAX_ITER in iterations
     if name in ("mixed", "permuted"):
         assert 1 in iterations
 
@@ -478,16 +472,14 @@ def test_zero_gradient_tables_stop_while_the_batch_climbs():
     leaves the batch; the tables around it go on searching (with the
     line-search rounds then gathering their rows), each as it does
     alone."""
-    settings = default_settings()
     flat = [np.array([[2.0, 2.0], [0, 0], [0, 0], [0, 0]]),
             np.array([[1e-300, 0], [0, 0], [0, 0], [0, 0]])]
-    seed23 = [np.frombuffer(data).reshape(-1, 2) for data, _ in
+    seed23 = [np.frombuffer(data).reshape(-1, 2) for data in
               pending(table_fixtures(), 1000, 23)]
     tables = [seed23[0], flat[0], seed23[3], flat[1], seed23[-1]]
-    got = tomography._ascend(tables, settings)
+    got = tomography._ascend(tables)
     for table, (block, ll, its) in zip(tables, got):
-        want_block, want_ll, want_its = reference_ascent(table.tobytes(),
-                                                         settings)
+        want_block, want_ll, want_its = reference_ascent(table.tobytes())
         assert np.array_equal(block, want_block)
         assert (ll, its) == (want_ll, want_its)
     assert [its for _, _, its in got][1::2] == [1, 1]
@@ -513,11 +505,6 @@ def test_mle_rejects_non_finite_counts(bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="must be finite"):
             mle_reconstruct(counts, 0.1)
-
-
-def test_setting_validation():
-    with pytest.raises(ValueError):
-        TomographySetting(1.2, 0.0)
 
 
 # ---------------------------------------------------------------------------
