@@ -51,6 +51,7 @@ from .memristor import (
 from .readout import (
     DataError,
     ReadoutModel,
+    _CROP_SHAPE,
     build_entanglement_dataset,
     image_features,
     load_mnist,
@@ -322,10 +323,10 @@ def _rc_entanglement_features(config, reservoir):
 
 
 # task -> (feature builder, class count, sequence length: the default
-# memristor window); a digit image is fed as its 12 columns
+# memristor window); a digit image is fed as its columns
 RC_TASKS = {
     "mnist": (_rc_mnist_features, lambda config: len(config["digits"]),
-              lambda config: 12),
+              lambda config: _CROP_SHAPE[1]),
     "entanglement": (_rc_entanglement_features, lambda config: 2,
                      lambda config: config["copies"]),
 }
@@ -359,7 +360,7 @@ def _relate_rc(config):
     """train_features and test_features are set together.  Without
     them, entanglement needs even n_train and n_test, and the reservoir
     dimension C(modes + photons - 1, photons) must hold d_loc^2
-    (entanglement) or 18, a digit column (mnist)."""
+    (entanglement) or a digit column (mnist)."""
     if (config["train_features"] is None) != (config["test_features"] is None):
         raise ConfigError(
             "train_features and test_features must be set together")
@@ -371,7 +372,7 @@ def _relate_rc(config):
             raise ConfigError(f"{key} must be even for entanglement "
                               f"(balanced classes), got {config[key]}")
     what, need = (("d_loc^2", config["d_loc"] ** 2) if entanglement
-                  else ("a digit column", 18))
+                  else ("a digit column", _CROP_SHAPE[0]))
     dim = math.comb(config["modes"] + config["photons"] - 1, config["photons"])
     if dim < need:
         raise ConfigError(

@@ -96,9 +96,6 @@ class OccupationBasis:
     def size(self):
         return len(self.states)
 
-    def __len__(self):
-        return len(self.states)
-
     def index_of(self, occupation):
         try:
             return self._index[tuple(occupation)]

@@ -170,8 +170,13 @@ class Trace:
         return len(self.t)
 
     def steady(self, warmup_periods=1):
-        """Drop the first `warmup_periods` drive periods."""
+        """Drop the first `warmup_periods` drive periods, an integer in
+        [0, whole periods in the trace)."""
         spp = self.meta["steps_per_period"]
+        periods = len(self.t) // spp
+        if not (_is_int(warmup_periods) and 0 <= warmup_periods < periods):
+            raise ValueError(f"warmup_periods must be an integer in "
+                             f"[0, {periods}), got {warmup_periods!r}")
         lo = warmup_periods * spp
         out = Trace(self.t[lo:], self.n_in[lo:], self.n_out[lo:],
                     self.R[lo:], dict(self.meta))

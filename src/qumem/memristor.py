@@ -250,13 +250,6 @@ class MemristorState:
         self.R = 1.0 if r > 1.0 else r
         return self
 
-    def copy(self):
-        """An independent state that advances as this one does."""
-        dup = object.__new__(MemristorState)
-        vars(dup).update(vars(self))
-        dup.window, dup._terms = deque(self.window), deque(self._terms)
-        return dup
-
 
 @dataclass(frozen=True)
 class ClassicalMemristorState:

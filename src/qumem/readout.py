@@ -33,6 +33,9 @@ IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 CROP_ROWS = slice(5, 23)   # 18 rows of the 28x28 frame
 CROP_COLS = slice(8, 20)   # 12 columns
+# (rows, columns) of a crop; each column is one reservoir input
+_CROP_SHAPE = (CROP_ROWS.stop - CROP_ROWS.start,
+               CROP_COLS.stop - CROP_COLS.start)
 
 TRAIN_IMAGES = "train-images-idx3-ubyte"
 TRAIN_LABELS = "train-labels-idx1-ubyte"
@@ -204,11 +207,9 @@ def crop_center(images):
 @dataclass
 class MnistSubset:
     train_images: np.ndarray  # (n_train, 18, 12), in [0, 1]
-    train_labels: np.ndarray  # class indices into `digits`
+    train_labels: np.ndarray  # class indices into the loaded digits
     test_images: np.ndarray
     test_labels: np.ndarray
-    digits: tuple
-    meta: dict = field(default_factory=dict)
 
 
 def _select_balanced(labels, wanted_total, digits, rng):
@@ -272,24 +273,15 @@ def load_mnist(data_dir, digits=(0, 3, 8), n_train=1000, n_test=1000,
                              n_train, balanced=False)
     test_x, test_y = _load(paths["test_images"], paths["test_labels"],
                            n_test, balanced=True)
-    return MnistSubset(
-        train_x, train_y, test_x, test_y, digits,
-        meta={
-            "n_train": n_train,
-            "n_test": n_test,
-            "seed": seed,
-            "crop_rows": [CROP_ROWS.start, CROP_ROWS.stop],
-            "crop_cols": [CROP_COLS.start, CROP_COLS.stop],
-            "sources": {k: str(v) for k, v in paths.items()},
-        },
-    )
+    return MnistSubset(train_x, train_y, test_x, test_y)
 
 
 def columns_as_sequence(image):
     """Left-to-right column vectors of an 18x12 image."""
     image = np.asarray(image)
-    if image.shape != (18, 12):
-        raise ValueError(f"expected an 18x12 image, got {image.shape}")
+    if image.shape != _CROP_SHAPE:
+        raise ValueError("expected an {}x{} image, got {}".format(
+            *_CROP_SHAPE, image.shape))
     return [image[:, j] for j in range(image.shape[1])]
 
 
@@ -385,11 +377,9 @@ def write_features_csv(path, probs, labels):
 def read_features_csv(path):
     """Inverse of write_features_csv: (probs, labels)."""
     try:
-        data = np.genfromtxt(path, delimiter=",", skip_header=1)
+        data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
     except (OSError, ValueError) as exc:  # ValueError: ragged rows
         raise DataError(f"cannot read features: {exc}")
-    if data.ndim == 1:
-        data = data[None, :]
     if data.shape[1] < 2 or np.any(np.isnan(data)):
         raise DataError(f"{path}: malformed features file")
     if np.any(data[:, 0] != np.round(data[:, 0])):

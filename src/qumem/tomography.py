@@ -507,7 +507,7 @@ def fit_global_phase(off_diag_samples):
         if abs(z) < 1e-12:
             continue
         usable += 1
-        expected = math.asin(math.sqrt(reflectivity)) + math.pi
+        expected = coherence_phase(reflectivity, 0.0)
         acc += abs(z) * np.exp(1j * (expected - np.angle(z)))
     if usable < 2:
         raise ValueError("need at least two samples with nonzero coherence")

@@ -1,10 +1,13 @@
-"""Every public name of the library has a caller, and every public knob
-a setter.
+"""Every public name of the library has one import path and a caller,
+and every public knob a setter.
 
-Parses the library modules (not the package ``__init__``, whose
-re-exports call nothing) and the demos.  A public top-level function or
-class, or a public method or property, that no parsed file refers to
-outside its own definition fails.  A reference is a bare identifier (a
+The package ``__init__`` holds only its docstring and ``__version__``:
+each name is imported from its module, and importing one module loads
+only the modules it depends on.
+
+The audit parses the library modules and the demos.  A public
+top-level function or class, or a public method or property, that no
+parsed file refers to outside its own definition fails.  A reference is a bare identifier (a
 name or an attribute access), so a name shared with another object
 counts as used: the audit finds names nothing calls, not every name a
 caller could do without.
@@ -20,7 +23,10 @@ as an attribute.  Tests are not callers.
 
 import ast
 import collections
+import os
 import pathlib
+import subprocess
+import sys
 import textwrap
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -50,6 +56,37 @@ KEEP = {
         "drive the CLI in process; the console script passes none",
 }
 
+
+def test_package_holds_only_its_docstring_and_version():
+    tree = ast.parse((ROOT / "src" / "qumem" / "__init__.py").read_text())
+    assert ast.get_docstring(tree)
+    assert len(tree.body) == 2, (
+        "qumem/__init__.py holds only its docstring and __version__; "
+        "import each name from its module")
+    version = tree.body[1]
+    assert isinstance(version, ast.Assign)
+    assert [ast.unparse(t) for t in version.targets] == ["__version__"]
+    assert isinstance(version.value, ast.Constant)
+    assert isinstance(version.value.value, str)
+
+
+def test_importing_the_reservoir_loads_only_its_dependencies():
+    code = ("import sys, qumem.reservoir; "
+            "print(' '.join(m for m in sys.modules if m.startswith('qumem')))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": path},
+        timeout=60).stdout.split()
+    assert "qumem.reservoir" in loaded
+    unrelated = {"qumem.cli", "qumem.readout", "qumem.tomography",
+                 "qumem.hysteresis"}
+    assert unrelated.isdisjoint(loaded), sorted(unrelated & set(loaded))
+
+
+# ---------------------------------------------------------------------------
+# callers
 
 def _parsed():
     library = sorted(p for p in (ROOT / "src" / "qumem").glob("*.py")

@@ -597,7 +597,8 @@ def test_rc_feature_label_out_of_range_exits_3(tmp_path, capsys, label):
 @pytest.mark.parametrize("train_text, error", [
     ("label,p0,p1\n0,0.5,0.5\n1,0.5\n", "cannot read features"),
     ("label,p0\n0,0.5\n0.5,0.5\n", "labels must be whole numbers"),
-], ids=["ragged-row", "fractional-label"])
+    ("label\n0\n1\n", "malformed features file"),
+], ids=["ragged-row", "fractional-label", "label-only"])
 def test_rc_malformed_feature_csv_exits_3(tmp_path, capsys, train_text,
                                           error):
     config = feature_csv_config(tmp_path, train_text,

@@ -250,6 +250,16 @@ def test_classify_regime():
         classify_regime(-1.0, 10.0)
 
 
+def test_steady_drops_whole_periods_and_rejects_others():
+    trace = windowed_run(0.2)  # 2 periods of T_OSC
+    assert np.array_equal(trace.steady(0).t, trace.t)
+    spp = trace.meta["steps_per_period"]
+    assert np.array_equal(trace.steady(np.int64(1)).t, trace.t[spp:])
+    for warmup in (-1, 2, 1.5, True, None):
+        with pytest.raises(ValueError, match="warmup_periods"):
+            trace.steady(warmup)
+
+
 def test_trace_csv_roundtrip(tmp_path):
     trace = windowed_run(0.2, n_periods=1)
     path = tmp_path / "trace.csv"

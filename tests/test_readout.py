@@ -246,7 +246,6 @@ def test_load_mnist_subset(synthetic_mnist_dir):
     assert set(subset.train_labels) <= {0, 1, 2}
     counts = np.bincount(subset.test_labels, minlength=3)
     assert counts.max() - counts.min() <= 1  # balanced test split
-    assert subset.meta["sources"]["train_images"].endswith("train-images-idx3-ubyte")
 
 
 def test_load_mnist_missing_file(tmp_path):
@@ -311,6 +310,15 @@ def test_features_csv_rejects_garbage(tmp_path):
     path.write_text("label,p0\n1,notanumber\n")
     with pytest.raises(DataError):
         read_features_csv(path)
+
+
+def test_features_csv_rejects_label_only_rows(tmp_path):
+    # one column per row: labels without features, however many rows
+    for text in ("label\n0\n", "label\n0\n1\n2\n"):
+        path = tmp_path / "labels.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match="malformed features file"):
+            read_features_csv(path)
 
 
 def test_columns_as_sequence():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import reference_device
 from dense_reservoir import DenseReservoir
+from test_fock import haar_unitary
 from qumem.fock import (
     DimensionError,
     QuantumState,
@@ -25,6 +26,7 @@ from qumem.reservoir import (
     amplitude_encode,
     build_mesh,
     coherent_encode,
+    haar_vector,
     sample_entangled,
     sample_separable,
 )
@@ -349,6 +351,34 @@ def test_single_photon_feedback_is_reflectivity_times_through_population(
     got = res.feedback_probabilities(res.apply_layer(factor))
     want = res.reflectivities * population
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_bypass_rails_never_feed_the_loop(seed):
+    """A unitary V on the bypass rails (0, 3, 6), applied after the
+    input mesh, commutes with the bank, the feedback readout and the
+    reinjection: psi and u_in^+ V u_in psi drive identical reflectivity
+    trajectories, while the output mesh still sees V."""
+    res = Reservoir(ReservoirConfig(window=12))
+    rng = np.random.default_rng(seed)
+    psi = haar_vector(res.basis.size, rng)
+    v = np.eye(9, dtype=complex)
+    v[np.ix_([0, 3, 6], [0, 3, 6])] = haar_unitary(3, rng)
+    v_f = lift_unitary(v, res.basis)
+    rotated = res.u_in_f.conj().T @ (v_f @ (res.u_in_f @ psi))
+    runs = []
+    for amps in (psi, rotated):
+        x = QuantumState.pure(res.basis, amps, validate=False)
+        res.reset()
+        trajectory = []
+        for _ in range(30):
+            probs = res.run_sequence([x])
+            trajectory.append(res.reflectivities)
+        runs.append((np.array(trajectory), probs))
+    (r_psi, p_psi), (r_rot, p_rot) = runs
+    assert np.max(np.abs(r_psi - r_rot)) <= 1e-12
+    assert np.max(np.abs(p_psi - p_rot)) > 1e-6
 
 
 # ---------------------------------------------------------------------------
