@@ -467,10 +467,10 @@ def cmd_tomography(config, out_dir, check):
     rows = []
     fixtures = table_fixtures(config["phi_global"])
     # each count table drawn once; one ascent per distinct table, all of
-    # them in lock step at the first reconstruction
+    # them together at the first reconstruction
     tables = fixture_counts(fixtures, shots, config["seed"])
     ascents = pending_ascents(tables)
-    for fixture, counts in zip(fixtures, tables or [None] * len(fixtures)):
+    for fixture, counts in zip(fixtures, tables):
         report = reconstruction_roundtrip(
             fixture.beta2, fixture.reflectivity, shots=shots,
             seed=config["seed"], phi_global=config["phi_global"],

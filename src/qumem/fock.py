@@ -141,10 +141,6 @@ class ModeUnitary:
             raise ValueError(f"matrix is not unitary (deviation {dev:.2e})")
         self.matrix = matrix
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
 
 def coupler(reflectivity, phase=0.0):
     """Two-mode coupler [[t, ir], [ir, t]] @ diag(1, e^{i phase})."""

@@ -13,6 +13,7 @@ dataset for the entanglement-detection task.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -377,7 +378,11 @@ def write_features_csv(path, probs, labels):
 def read_features_csv(path):
     """Inverse of write_features_csv: (probs, labels)."""
     try:
-        data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
+        with warnings.catch_warnings():  # a file without rows is an error
+            warnings.filterwarnings("error", "genfromtxt: Empty input file")
+            data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
+    except UserWarning:
+        raise DataError(f"{path}: no feature rows")
     except (OSError, ValueError) as exc:  # ValueError: ragged rows
         raise DataError(f"cannot read features: {exc}")
     if data.shape[1] < 2 or np.any(np.isnan(data)):

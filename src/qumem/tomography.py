@@ -15,8 +15,9 @@ batch of states can hand one `ascents` dict to every call so that equal
 count tables (the characterisation grid draws several) run their ascent
 once.  `fixture_counts` draws the batch's count tables once, and
 `pending_ascents` fills such a dict with them before the first call,
-which then ascends all of them in lock step: one stacked likelihood
-pass per round serves every table still climbing.  Each round trip is
+which then ascends all of them together: each table climbs on its own,
+and one stacked likelihood pass per round scores the rows that every
+unfinished climb asks for, stencil or line search.  Each round trip is
 handed its drawn table.
 
 On the fabricated device the surviving qubit's coherence carries an
@@ -44,6 +45,14 @@ _EPS = 1e-12
 # stopping rule of the likelihood ascent
 _REL_TOL = 1e-9
 _MAX_ITER = 2000
+# and its gradient stencil: rows i and 4 + i move parameter i by +_H
+# and -_H.  A zero offset turns a -0.0 parameter into 0.0, and no
+# likelihood depends on the sign of a zero: it only reaches clipped q
+_H = 1e-6
+_STENCIL = np.zeros((8, 4))
+_STENCIL[range(8), [0, 1, 2, 3] * 2] = [_H] * 4 + [-_H] * 4
+_HALVES = np.array([[1.0], [0.5]])  # a line search scores a step and its half
+_STENCIL.flags.writeable = _HALVES.flags.writeable = False
 
 # The analysis couplers on the kept rails, (4, 2, 2), and their
 # conjugate transposes, both read-only: bare detection (R = 0) plus
@@ -266,8 +275,8 @@ def mle_reconstruct(counts, p00_estimate, *, ascents=None):
     reconstructions, keyed by the count table's bytes: the ascent of a
     table already in it is reused, and a new one is stored.  An entry
     whose value is None is pending, as `pending_ascents` leaves them;
-    the call that needs an ascent runs it in lock step with every
-    pending entry that holds a valid count table, and stores them all.
+    the call that needs an ascent runs it together with every pending
+    entry that holds a valid count table, and stores them all.
     A pending entry that is not a valid table stays pending, and a batch
     whose ascent fails is retried with the call's own table alone, so
     one entry's error never reaches another table's reconstruction.
@@ -321,11 +330,8 @@ def fixture_counts(fixtures, shots=None, seed=None):
     """The count table that the round trip of each of `fixtures` (as
     `table_fixtures` gives them) draws at these shots and seed, in
     fixture order, for `reconstruction_roundtrip`'s `counts`.  Finite
-    shots without a seed draw fresh tables on every call, so there are
-    none to hand over then: the result is None."""
+    shots without a seed draw fresh tables on every call."""
     _check_shots(shots)
-    if shots is not None and seed is None:
-        return None
     _, count_seed = _roundtrip_rng(seed)
     return [simulate_counts(fixture.rho, shots, count_seed)
             for fixture in fixtures]
@@ -334,103 +340,66 @@ def fixture_counts(fixtures, shots=None, seed=None):
 def pending_ascents(tables):
     """An `ascents` dict with one pending entry per distinct count table
     of `tables` that carries clicks, so the first reconstruction ascends
-    them all in lock step.  tables is what `fixture_counts` returns;
-    None leaves nothing pending."""
-    return {counts.tobytes(): None for counts in tables or ()
-            if counts.sum() > 0}
+    them all together.  tables is what `fixture_counts` returns."""
+    return {counts.tobytes(): None for counts in tables if counts.sum() > 0}
+
+
+def _climb(counts):
+    """One count table's likelihood ascent, as a generator: it yields the
+    (m, 4) parameter rows it needs scored with their (m, 8) `counts` rows,
+    is sent their log-likelihoods, and returns (final parameters,
+    log-likelihood, iterations).  |g| = sqrt(g . g), as np.linalg.norm."""
+    x = _cholesky_params(_linear_inversion(counts))
+    c1, c2, c8 = (np.tile(counts.ravel(), (m, 1)) for m in (1, 2, 8))
+    (ll,) = (yield x[None], c1).tolist()
+    step = 0.1
+    for iterations in range(1, _MAX_ITER + 1):
+        stencil = yield x + _STENCIL, c8
+        grad = (stencil[:4] - stencil[4:]) / (2 * _H)
+        gnorm = math.sqrt(grad.dot(grad))
+        if gnorm == 0:
+            break
+        best = None
+        while best is None and step > 1e-14:
+            cands = x + step * _HALVES * grad / gnorm
+            for k, cand_ll in enumerate((yield cands, c2).tolist()):
+                if cand_ll > ll:
+                    best = cands[k], cand_ll
+                    break
+                step *= 0.5
+                if step <= 1e-14:
+                    break
+        if best is None:
+            break
+        rel_change = abs(best[1] - ll) / max(abs(ll), 1.0)
+        (x, ll), step = best, step * 1.5
+        if not rel_change >= _REL_TOL:  # a NaN change stops too
+            break
+    return x, ll, iterations
 
 
 def _ascend(tables):
-    """The likelihood ascents of `mle_reconstruct` for count tables, run
-    in lock step: a list of (unit-trace block, final log-likelihood,
-    iterations), one per table.
-
-    Each round evaluates the gradient stencils of every table still
-    climbing in one `_log_likelihoods` pass, and each line-search round
-    the candidates of every table still searching in another.  A row's
-    likelihood does not depend on the rows stacked with it, and every
-    decision (step, halving, acceptance, stopping) is taken per table
-    as a lone ascent takes it, so each result is that ascent's.  The
-    climbing tables' parameters, steps and count rows are kept
-    compacted, and are rebuilt only when a table stops, so a round's
-    bookkeeping touches only the tables still climbing; a line-search
-    round gathers its tables only when some climbing table is not
-    searching.  The gradient norm is sqrt(g . g), the value
-    np.linalg.norm(g) gives."""
-    counts = np.array([table.ravel() for table in tables])
-    params = np.array([_cholesky_params(_linear_inversion(table))
-                       for table in tables])
-    lls = _log_likelihoods(params, counts).tolist()
-    iterations = [0] * len(tables)
-    h = 1e-6
-    # rows i and 4 + i of a table's stencil: params[i] + h and - h.  A
-    # zero offset turns a -0.0 parameter into 0.0, and no likelihood
-    # depends on the sign of a zero: it only reaches q values clipped
-    # to _EPS
-    offsets = np.zeros((8, 4))
-    for i in range(4):
-        offsets[i, i] = h
-        offsets[4 + i, i] = -h
-    halves = np.array([[1.0], [0.5]])  # a line search tries both
-    # the climbing tables: their indices and log-likelihoods, their
-    # parameters and steps shaped (k, 1, ...) to broadcast over a
-    # stencil or a candidate pair, and their count rows repeated to match
-    ids, ll = list(range(len(tables))), lls[:]
-    x, step = params[:, None].copy(), np.full((len(tables), 1, 1), 0.1)
-    c8, c2 = counts.repeat(8, axis=0), counts.repeat(2, axis=0)
-    for iteration in range(1, _MAX_ITER + 1):
-        stencil = _log_likelihoods((x + offsets).reshape(-1, 4), c8)
-        stencil = stencil.reshape(-1, 1, 8)
-        grad = (stencil[..., :4] - stencil[..., 4:]) / (2 * h)
-        gnorm = [math.sqrt(g.dot(g)) for g in grad[:, 0]]
-        searching, stopped = range(len(ids)), []
-        if 0.0 in gnorm:  # a table with a zero gradient stops here
-            searching = [j for j, n in enumerate(gnorm) if n != 0]
-            stopped = [j for j, n in enumerate(gnorm) if n == 0]
-        gnorm = np.array(gnorm)[:, None, None]
-        while searching:
-            xs, ss, gs, ns, cs = x, step, grad, gnorm, c2
-            if len(searching) < len(ids):  # gather the searching tables
-                xs, ss, gs, ns = (a[searching]
-                                  for a in (x, step, grad, gnorm))
-                cs = counts[[ids[i] for i in searching]].repeat(2, axis=0)
-            cands = xs + ss * halves * gs / ns
-            cand_lls = _log_likelihoods(cands.reshape(-1, 4), cs).tolist()
-            still = []
-            for j, (i, st) in enumerate(zip(searching, ss.ravel().tolist())):
-                prev, r = ll[i], None
-                for k, cand in enumerate(cand_lls[2 * j:2 * j + 2]):
-                    if cand > prev:
-                        r = k
-                        break
-                    st *= 0.5
-                    if st <= 1e-14:  # the search gave up: the ascent ends
-                        stopped.append(i)
-                        break
-                else:
-                    still.append(j)
-                if r is None:
-                    step[i] = st
-                    continue
-                rel_change = abs(cand - prev) / max(abs(prev), 1.0)
-                x[i], ll[i], step[i] = cands[j, r], cand, st * 1.5
-                if not rel_change >= _REL_TOL:  # a NaN change stops too
-                    stopped.append(i)
-            searching = [searching[j] for j in still]
-        if iteration == _MAX_ITER:
-            stopped = range(len(ids))
-        if stopped:  # write the stopped tables back, compact the rest
-            for i in stopped:
-                params[ids[i]], lls[ids[i]] = x[i, 0], ll[i]
-                iterations[ids[i]] = iteration
-            keep = sorted(set(range(len(ids))).difference(stopped))
-            if not keep:
-                break
-            ids, ll = [ids[i] for i in keep], [ll[i] for i in keep]
-            x, step = x[keep], step[keep]
-            c8 = counts[ids].repeat(8, axis=0)
-            c2 = counts[ids].repeat(2, axis=0)
-    return list(zip(_cholesky_blocks(params), lls, iterations))
+    """The ascents of `mle_reconstruct` for count tables, one (unit-trace
+    block, log-likelihood, iterations) per table.  Each round scores the
+    rows every unfinished `_climb` asks for in one `_log_likelihoods`
+    pass; a row's value does not depend on the rows stacked with it, so
+    each result is the lone ascent's."""
+    results = dict.fromkeys(_climb(table) for table in tables)
+    asks = {climb: next(climb) for climb in results}
+    while asks:
+        requests = list(asks.values())  # a lone request needs no copy
+        rows, counts = (requests[0] if len(requests) == 1 else
+                        map(np.concatenate, zip(*requests)))
+        lls, end = _log_likelihoods(rows, counts), 0
+        for climb, (asked, _) in zip(list(asks), requests):
+            end += len(asked)
+            try:
+                asks[climb] = climb.send(lls[end - len(asked):end])
+            except StopIteration as stop:
+                results[climb] = stop.value
+                del asks[climb]
+    params, lls, iterations = zip(*results.values())
+    return list(zip(_cholesky_blocks(np.array(params)), lls, iterations))
 
 
 def _install_p00(block, log_likelihood, iterations, p00_estimate):

@@ -610,6 +610,19 @@ def test_rc_malformed_feature_csv_exits_3(tmp_path, capsys, train_text,
     assert not out.exists()
 
 
+def test_rc_header_only_feature_csvs_exit_3_without_warning(tmp_path,
+                                                           capsys, recwarn):
+    config = feature_csv_config(tmp_path, "label,p0\n", "label,p0\n")
+    out = tmp_path / "o"
+    assert run_cli("rc", "entanglement", "--config", str(config),
+                   "--out", str(out)) == EXIT_DATA
+    train = tmp_path / "train.csv"
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: {train}: no feature rows"]
+    assert [str(w.message) for w in recwarn] == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("test_text", [
     "label,p0,p1\n0,0.5,0.5\n1,1,0\n",  # would not broadcast
     "label,p0\n0,1\n1,1\n",             # would broadcast silently

@@ -321,6 +321,17 @@ def test_features_csv_rejects_label_only_rows(tmp_path):
             read_features_csv(path)
 
 
+@pytest.mark.parametrize("text", ["label,p0\n", "label,p0\n\n", ""],
+                         ids=["header-only", "blank-row", "empty"])
+def test_features_csv_without_rows_raises_without_warning(tmp_path, recwarn,
+                                                          text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match="no feature rows"):
+        read_features_csv(path)
+    assert [str(w.message) for w in recwarn] == []
+
+
 def test_columns_as_sequence():
     rng = np.random.default_rng(5)
     image = rng.uniform(size=(18, 12))

@@ -385,9 +385,10 @@ def test_pending_entries_ascend_with_the_first_reconstruction(monkeypatch):
                                  seed=3, ascents=ascents)
     assert [len(tables) for (tables,) in ascended] == [10]
     assert None not in ascents.values()
-    # unseeded finite-shot round trips draw fresh tables: nothing pends
-    assert tomography.fixture_counts(fixtures, 1000, None) is None
-    assert pending(fixtures, 1000, None) == {}
+    # unseeded finite shots draw each fixture's table once, afresh
+    unseeded = tomography.fixture_counts(fixtures, 1000, None)
+    assert [table.shape for table in unseeded] == [(4, 2)] * 16
+    assert all(table.sum() in (0, 4000) for table in unseeded)
     exact = {simulate_counts(fx.rho).tobytes() for fx in fixtures
              if fx.rho[0, 0].real < 1}
     assert set(pending(fixtures)) == exact
@@ -469,9 +470,8 @@ def test_lockstep_ascent_matches_per_table_reference(name):
 
 def test_zero_gradient_tables_stop_while_the_batch_climbs():
     """A table whose first gradient is exactly zero stops in round 1 and
-    leaves the batch; the tables around it go on searching (with the
-    line-search rounds then gathering their rows), each as it does
-    alone."""
+    leaves the batch; the tables around it go on searching (each later
+    round then scoring only their rows), each as it does alone."""
     flat = [np.array([[2.0, 2.0], [0, 0], [0, 0], [0, 0]]),
             np.array([[1e-300, 0], [0, 0], [0, 0], [0, 0]])]
     seed23 = [np.frombuffer(data).reshape(-1, 2) for data in
@@ -483,6 +483,23 @@ def test_zero_gradient_tables_stop_while_the_batch_climbs():
         assert np.array_equal(block, want_block)
         assert (ll, its) == (want_ll, want_its)
     assert [its for _, _, its in got][1::2] == [1, 1]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 23])
+def test_batch_makes_as_many_passes_as_its_slowest_table(monkeypatch, seed):
+    """Every unfinished table has one request in each likelihood pass,
+    so a command's batch makes exactly as many `_log_likelihoods` calls
+    as its slowest table makes alone."""
+    tables = [np.frombuffer(data).reshape(-1, 2) for data in
+              pending(table_fixtures(), 1000, seed)]
+    calls = count_calls(monkeypatch, "_log_likelihoods")
+    alone = []
+    for table in tables:
+        tomography._ascend([table])
+        alone.append(len(calls))
+        calls.clear()
+    tomography._ascend(tables)
+    assert len(calls) == max(alone)
 
 
 def test_mle_rejects_bad_inputs():
