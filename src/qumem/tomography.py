@@ -387,9 +387,8 @@ def _ascend(tables):
     results = dict.fromkeys(_climb(table) for table in tables)
     asks = {climb: next(climb) for climb in results}
     while asks:
-        requests = list(asks.values())  # a lone request needs no copy
-        rows, counts = (requests[0] if len(requests) == 1 else
-                        map(np.concatenate, zip(*requests)))
+        requests = list(asks.values())
+        rows, counts = map(np.concatenate, zip(*requests))
         lls, end = _log_likelihoods(rows, counts), 0
         for climb, (asked, _) in zip(list(asks), requests):
             end += len(asked)
