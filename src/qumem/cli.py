@@ -495,7 +495,7 @@ def cmd_tomography(config, out_dir, check):
         worst = min(r["fidelity"] for r in rows)
         if worst < 0.999:
             raise CheckFailure(f"exact round-trip fidelity {worst:.5f} < 0.999")
-        if abs(phi_fit - config["phi_global"]) > 0.01:
+        if abs(math.remainder(phi_fit - config["phi_global"], math.tau)) > 0.01:
             raise CheckFailure("global-phase round trip drifted")
     return payload
 

@@ -332,13 +332,13 @@ def encode_columns(image, basis, encoding=QUANTUM):
 
 def image_features(reservoir, images, encoding=QUANTUM):
     """Final reservoir distribution for every image (columns fed
-    left to right, memristor windows reset per image).
+    left to right, one fresh reservoir run per image).
     Rows are raw probability vectors; rescale with to_readout_features
     (and standardize) before training."""
     rows = []
     for image in images:
         seq = encode_columns(image, reservoir.basis, encoding)
-        rows.append(reservoir.run_sequence(seq, reset=True))
+        rows.append(reservoir.run_sequence(seq))
     return np.stack(rows)
 
 
@@ -385,7 +385,7 @@ def read_features_csv(path):
         raise DataError(f"{path}: no feature rows")
     except (OSError, ValueError) as exc:  # ValueError: ragged rows
         raise DataError(f"cannot read features: {exc}")
-    if data.shape[1] < 2 or np.any(np.isnan(data)):
+    if data.shape[1] < 2 or not np.all(np.isfinite(data)):
         raise DataError(f"{path}: malformed features file")
     if np.any(data[:, 0] != np.round(data[:, 0])):
         raise DataError(f"{path}: labels must be whole numbers")
@@ -394,9 +394,9 @@ def read_features_csv(path):
 
 def state_features(reservoir, states, copies=100):
     """Final reservoir distribution after `copies` repeats of each
-    state, memristor windows reset per state."""
+    state, one fresh reservoir run per state."""
     rows = []
     for state in states:
         seq = [EncodedInput(state)] * copies
-        rows.append(reservoir.run_sequence(seq, reset=True))
+        rows.append(reservoir.run_sequence(seq))
     return np.stack(rows)

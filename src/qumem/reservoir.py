@@ -7,7 +7,9 @@ memristors, scrambled again, and measured in the Fock basis.  Memory
 lives only in the memristor reflectivities: each step consumes a fresh
 encoded input, and the feedback-port statistics of that step drive
 every memristor, a `MemristorState` running the sliding-window law at
-unit time steps (one step is one second of its window).
+unit time steps (one step is one second of its window).  One input
+sequence is one example: each run starts its own bank at R = 0.5 and
+time 0, and only the sampling generator runs on from run to run.
 
 Each memristor owns a triple of rails (bypass, through, feedback); its
 coupler acts on (through, feedback).  A photon found on the feedback
@@ -107,6 +109,8 @@ def amplitude_encode(v, basis):
         )
     amps = np.zeros(basis.size, dtype=complex)
     norm = np.linalg.norm(v)
+    if not math.isfinite(norm):
+        raise ValueError("vector norm must be finite")
     if norm == 0.0:
         amps[0] = 1.0
         state = QuantumState.pure(basis, amps, validate=False)
@@ -145,6 +149,8 @@ def coherent_encode(v, basis):
     if np.any(v < 0):
         raise ValueError("mixture weights must be non-negative")
     total = v.sum()
+    if not math.isfinite(total):
+        raise ValueError("mixture weights must have a finite sum")
     if total == 0.0:
         raise ValueError("all-zero vector cannot form a mixture")
     if v.size > basis.size:
@@ -225,8 +231,10 @@ def sample_separable(d_loc, seed, basis=None):
 class Reservoir:
     """Fixed input/output meshes around a bank of memristor couplers.
 
-    Single-writer: run_sequence() mutates the memristor bank and the
-    step counter.  Distinct instances are independent.
+    Each run_sequence() builds its own bank, so no run depends on an
+    earlier one; between runs the instance keeps only the sampling
+    generator and `reflectivities`, the read-only R each memristor
+    ended the last run with (0.5 before the first).
     """
 
     def __init__(self, config):
@@ -241,7 +249,7 @@ class Reservoir:
         # input length -> u_in_f @ _coherent_kets(length, dim)
         self._coherent_tables = {}
         self.rails = list(geometry.rails)
-        self.reset()
+        self.reflectivities = _read_only(np.full(len(self.rails), 0.5))
         self._rng = np.random.default_rng(cfg.sample_seed)
         self._pair_layout = geometry.pair_layout
         self._lift_coeffs = geometry.lift_coeffs
@@ -256,16 +264,16 @@ class Reservoir:
 
     # -- per-step pieces -------------------------------------------------------
 
-    def apply_layer(self, factor):
-        """Memristor bank on a ket factor: the lift of the bank's mode
-        matrix (coupler(R) on each (through, feedback) pair) applied to
-        the (dim, rank) K, one pair and one pair-photon sector at a
-        time.  Returns a new array."""
+    def apply_layer(self, factor, reflectivities):
+        """Memristor bank at reflectivities R (one per memristor) on a
+        ket factor: the lift of the bank's mode matrix (coupler(R) on
+        each (through, feedback) pair) applied to the (dim, rank) K, one
+        pair and one pair-photon sector at a time.  Returns a new array."""
         out = np.array(factor, dtype=complex)
-        for (index, runs), mem in zip(self._pair_layout, self.memristors):
-            # the entries t and i r of coupler(mem.R)
-            t_pow = complex(math.sqrt(1.0 - mem.R)) ** self._powers
-            s_pow = complex(0.0, math.sqrt(mem.R)) ** self._powers
+        for (index, runs), r in zip(self._pair_layout, reflectivities):
+            # the entries t and i r of coupler(R)
+            t_pow = complex(math.sqrt(1.0 - r)) ** self._powers
+            s_pow = complex(0.0, math.sqrt(r)) ** self._powers
             rows = out[index]
             for q, start, stop in runs:
                 lift = self._lift_coeffs[q] @ (t_pow[q::-1] * s_pow[: q + 1])
@@ -288,15 +296,6 @@ class Reservoir:
             probs += (amps.real ** 2 + amps.imag ** 2).sum(axis=1)
         return probs
 
-    def _advance_memristors(self, fb_probs):
-        """One unit time step of every memristor, fed the input
-        estimated from its feedback-rail expectation."""
-        self.step_index += 1
-        t = float(self.step_index)
-        # Python floats: numpy scalars make each advance about 10% slower
-        for mem, fb in zip(self.memristors, fb_probs.tolist()):
-            mem.advance(t, estimate_n_in(fb, mem.R))
-
     def _measured_probs(self, probs):
         probs = np.clip(probs, 0.0, None)
         probs /= probs.sum()
@@ -309,12 +308,11 @@ class Reservoir:
         """Input mesh applied to the ket factor of an input.  A coherent
         input scales the kept columns of its length's meshed ket table
         by sqrt(weight): the same factor, meshed before it is weighted."""
-        state = x.state if isinstance(x, EncodedInput) else x
-        if state.dim != self.basis.size:
+        if x.state.dim != self.basis.size:
             raise DimensionError("input state does not match the reservoir")
-        weights = x.weights if isinstance(x, EncodedInput) else None
+        weights = x.weights
         if weights is None:
-            return self.u_in_f @ state.ket_factor()
+            return self.u_in_f @ x.state.ket_factor()
         table = self._coherent_tables.get(weights.size)
         if table is None:
             table = _read_only(
@@ -323,44 +321,43 @@ class Reservoir:
         keep = np.flatnonzero(weights)
         return table[:, keep] * np.sqrt(weights[keep])
 
-    # -- public API -------------------------------------------------------------
-
-    def reset(self):
-        """Fresh memristors at R = 0.5 and time 0 (new example); the
-        sampling RNG stream is left running."""
+    def _bank(self):
+        """Fresh memristors at R = 0.5 and time 0, one per rail."""
         cfg = self.config
         law = WINDOWED if cfg.feedback else FROZEN
-        self.memristors = [
-            MemristorState(0.5, window_seconds=cfg.window, law=law)
-            for _ in self.rails
-        ]
-        self.step_index = 0
-        return self
+        return [MemristorState(0.5, window_seconds=cfg.window, law=law)
+                for _ in self.rails]
 
-    def run_sequence(self, inputs, reset=False):
-        """Fold the reservoir over an input sequence and return the
-        measured distribution of the final step.  Earlier optical
-        states are discarded by construction (memory lives in the
-        reflectivities), so only the last output is computed, and an
-        input object repeated in the sequence passes the input mesh
-        once."""
+    # -- public API -------------------------------------------------------------
+
+    def run_sequence(self, inputs):
+        """Run a fresh memristor bank over a sequence of `EncodedInput`s
+        at t = 1..n and return the measured distribution of the final
+        step.  Earlier optical states are discarded by construction
+        (memory lives in the reflectivities), so only the last output is
+        computed, and an input object repeated in the sequence passes
+        the input mesh once."""
         inputs = list(inputs)
         if not inputs:
             raise ValueError("input sequence must be non-empty")
-        if reset:
-            self.reset()
         meshed = {}
         for x in inputs:
             if id(x) not in meshed:
                 meshed[id(x)] = self._mesh_input(x)
-        for x in inputs:
-            factor = self.apply_layer(meshed[id(x)])
-            self._advance_memristors(self.feedback_probabilities(factor))
+        bank = self._bank()
+        for t, x in enumerate(inputs, 1):
+            factor = self.apply_layer(meshed[id(x)], [m.R for m in bank])
+            _advance(bank, float(t), self.feedback_probabilities(factor))
+        self.reflectivities = _read_only(np.array([m.R for m in bank]))
         return self._measured_probs(self.output_probabilities(factor))
 
-    @property
-    def reflectivities(self):
-        return np.array([mem.R for mem in self.memristors])
+
+def _advance(bank, t, fb_probs):
+    """One unit time step, to time t, of every memristor of a bank, each
+    fed the input estimated from its feedback-rail expectation."""
+    # Python floats: numpy scalars make each advance about 10% slower
+    for mem, fb in zip(bank, fb_probs.tolist()):
+        mem.advance(t, estimate_n_in(fb, mem.R))
 
 
 # ---------------------------------------------------------------------------

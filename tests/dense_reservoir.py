@@ -5,15 +5,16 @@ Every step rebuilds the lifted memristor bank as a full dim x dim
 matrix from per-pair coupler lifts, pushes a pure amplitude vector or a
 full density matrix through the input mesh and the bank, and computes
 reinjection and the output mesh on the whole state.  It shares only the
-meshes, rails, memristors and sampling generator of `Reservoir`, so the
-ket-factor engine can be checked against it step for step.
+meshes, rails, fresh memristor bank, window step (`_advance`) and
+sampling generator of `Reservoir`, so the ket-factor engine can be
+checked against it step for step.
 """
 
 import numpy as np
 
 from permanent_lift import lift_sector
 from qumem.fock import DimensionError, _sector, coupler
-from qumem.reservoir import EncodedInput, Reservoir
+from qumem.reservoir import Reservoir, _advance
 
 
 class DenseReservoir(Reservoir):
@@ -53,11 +54,11 @@ class DenseReservoir(Reservoir):
         occm = occ.astype(float)
         self._fb_weights = [occm[:, fb] for _, _, fb in self.rails]
 
-    def layer_lift(self):
+    def layer_lift(self, reflectivities):
         p = self.config.photons
         out = self._layer_mask.astype(complex)
-        for k, mem in enumerate(self.memristors):
-            block = coupler(mem.R)
+        for k, r in enumerate(reflectivities):
+            block = coupler(r)
             table = np.zeros((p + 1, p + 1, p + 1), dtype=complex)
             for q in range(p + 1):
                 table[q, : q + 1, : q + 1] = lift_sector(
@@ -82,11 +83,11 @@ class DenseReservoir(Reservoir):
                 cols.append(col)
         return np.stack(cols, axis=1)
 
-    def _dense_step(self, x, want_output):
-        state = x.state if isinstance(x, EncodedInput) else x
+    def _dense_step(self, x, bank, t, want_output):
+        state = x.state
         if state.dim != self.basis.size:
             raise DimensionError("input state does not match the reservoir")
-        lifted_layer = self.layer_lift()
+        lifted_layer = self.layer_lift([mem.R for mem in bank])
         probs = None
         if state.is_pure:
             vec = self.u_in_f @ state.amplitudes
@@ -106,17 +107,16 @@ class DenseReservoir(Reservoir):
                 rho = self._reinject_density(rho)
                 rho = self.u_out_f @ rho @ self.u_out_f.conj().T
                 probs = rho.diagonal().real
-        self._advance_memristors(fb_probs)
-        if want_output:
-            return self._measured_probs(probs)
-        return None
+        _advance(bank, t, fb_probs)
+        return probs
 
-    def run_sequence(self, inputs, reset=False):
+    def run_sequence(self, inputs):
         inputs = list(inputs)
         if not inputs:
             raise ValueError("input sequence must be non-empty")
-        if reset:
-            self.reset()
-        for x in inputs[:-1]:
-            self._dense_step(x, want_output=False)
-        return self._dense_step(inputs[-1], want_output=True)
+        bank = self._bank()
+        for t, x in enumerate(inputs, 1):
+            probs = self._dense_step(x, bank, float(t),
+                                     want_output=t == len(inputs))
+        self.reflectivities = np.array([mem.R for mem in bank])
+        return self._measured_probs(probs)

@@ -48,9 +48,6 @@ KEEP = {
     "readout.forward":
         "class probabilities of a trained readout: the model's "
         "prediction as probabilities, where training works on logits",
-    "reservoir.Reservoir.reflectivities":
-        "the reservoir's whole memory, its memristor reflectivities, "
-        "read between steps",
     "cli.main(argv)":
         "the command line as a list, so the benchmark and the tests "
         "drive the CLI in process; the console script passes none",

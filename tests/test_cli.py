@@ -288,6 +288,30 @@ def test_tomography_command_exact(tmp_path):
     assert point["purity"] == pytest.approx(0.67, abs=0.005)
 
 
+@pytest.mark.parametrize("phi", [0.0, 7.0, -1.0])
+def test_tomography_check_compares_phases_on_the_circle(tmp_path, phi):
+    # the fit is reduced mod 2 pi: 0.0 fits 2 pi (to the last bit), 7.0
+    # and -1.0 fit their values mod 2 pi
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"phi_global": phi}))
+    out = tmp_path / "out"
+    assert run_cli("tomography", "--config", str(config), "--out", str(out),
+                   "--check") == EXIT_OK
+    fit = json.loads((out / "tomography.json").read_text())["phi_global_fit"]
+    assert 0.0 <= fit <= 2 * np.pi
+    assert abs((fit - phi + np.pi) % (2 * np.pi) - np.pi) <= 0.01
+
+
+def test_tomography_check_catches_a_drifted_phase(tmp_path, capsys,
+                                                  monkeypatch):
+    fit = cli.fit_global_phase
+    monkeypatch.setattr(cli, "fit_global_phase",
+                        lambda samples: fit(samples) + 0.02)
+    assert run_cli("tomography", "--out", str(tmp_path / "out"),
+                   "--check") == EXIT_CHECK
+    assert "global-phase round trip drifted" in capsys.readouterr().err
+
+
 def test_tomography_sampled_embeds_seed(tmp_path):
     out = tmp_path / "out"
     assert run_cli("tomography", "--out", str(out), "--shots", "2000",
@@ -599,7 +623,9 @@ def test_rc_feature_label_out_of_range_exits_3(tmp_path, capsys, label):
     ("label,p0\n0,0.5\n0.5,0.5\n", "labels must be whole numbers"),
     ("label\n0\n1\n", "malformed features file"),
     ("label,p0\n", "no feature rows"),
-], ids=["ragged-row", "fractional-label", "label-only", "header-only"])
+    ("label,p0\n0,0.5\n1,inf\n", "malformed features file"),
+], ids=["ragged-row", "fractional-label", "label-only", "header-only",
+        "non-finite"])
 def test_rc_malformed_feature_csv_exits_3(tmp_path, capsys, recwarn,
                                           train_text, error):
     config = feature_csv_config(tmp_path, train_text,

@@ -26,6 +26,7 @@ from qumem.reservoir import (
     amplitude_encode,
     build_mesh,
     coherent_encode,
+    _advance,
     haar_vector,
     sample_entangled,
     sample_separable,
@@ -127,6 +128,14 @@ def test_coherent_encode_rejects_bad_weights():
         coherent_encode([-0.1, 0.5], BASIS93)
 
 
+@pytest.mark.parametrize("encode", [amplitude_encode, coherent_encode])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_encodings_reject_non_finite_entries(encode, bad, recwarn):
+    with pytest.raises(ValueError, match="finite"):
+        encode([0.5, bad, 1.0], BASIS93)
+    assert [str(w.message) for w in recwarn] == []
+
+
 def test_coherent_encode_records_read_only_weights():
     v = np.array([0.0, 2.0, 0.0, 6.0])
     enc = coherent_encode(v, BASIS93)
@@ -217,21 +226,22 @@ def test_layer_lift_matches_generic_lift():
         res = Reservoir(ReservoirConfig(modes=modes, photons=photons,
                                         mesh_seed=1, window=3))
         for r_value in (0.0, R_MIN, 1.0, None):
-            for mem in res.memristors:
-                mem.R = float(rng.uniform()) if r_value is None else r_value
+            r_set = [float(rng.uniform()) if r_value is None else r_value
+                     for _ in res.rails]
             factor = _random_factor(res.basis.size, 3, rng)
             bank = np.eye(modes, dtype=complex)
-            for (_, thru, fb), mem in zip(res.rails, res.memristors):
-                bank[np.ix_((thru, fb), (thru, fb))] = coupler(mem.R)
+            for (_, thru, fb), r in zip(res.rails, r_set):
+                bank[np.ix_((thru, fb), (thru, fb))] = coupler(r)
             dense = lift_unitary(bank, res.basis) @ factor
-            assert np.max(np.abs(res.apply_layer(factor) - dense)) <= 1e-12
+            got = res.apply_layer(factor, r_set)
+            assert np.max(np.abs(got - dense)) <= 1e-12
 
 
-def _coupler_matrix_layer(res, factor):
+def _coupler_matrix_layer(res, factor, reflectivities):
     """apply_layer with t and i r read off a validated coupler(R)."""
     out = np.array(factor, dtype=complex)
-    for (index, runs), mem in zip(res._pair_layout, res.memristors):
-        block = coupler(mem.R)
+    for (index, runs), r in zip(res._pair_layout, reflectivities):
+        block = coupler(r)
         t_pow = block[0, 0] ** res._powers
         s_pow = block[0, 1] ** res._powers
         rows = out[index]
@@ -250,11 +260,10 @@ def test_layer_coupler_entries_match_coupler_matrix_exactly():
     r_sets = [(r,) * 3 for r in (0.0, R_MIN, 1.0, *rng.uniform(size=5))]
     r_sets.append(tuple(rng.uniform(size=3)))
     for r_set in r_sets:
-        for mem, r_value in zip(res.memristors, r_set):
-            mem.R = float(r_value)
+        r_set = [float(r) for r in r_set]
         factor = _random_factor(res.basis.size, 2, rng)
-        assert np.array_equal(res.apply_layer(factor),
-                              _coupler_matrix_layer(res, factor))
+        assert np.array_equal(res.apply_layer(factor, r_set),
+                              _coupler_matrix_layer(res, factor, r_set))
 
 
 def test_reservoirs_share_read_only_geometry_but_not_meshes():
@@ -273,10 +282,8 @@ def test_reservoirs_share_read_only_geometry_but_not_meshes():
 
 def test_layer_identity_at_zero_reflectivity():
     res = small_reservoir()
-    for mem in res.memristors:
-        mem.R = 0.0
     amps = np.array([0.6, 0.8, 0.0], dtype=complex)
-    out = res.apply_layer(amps[:, None])
+    out = res.apply_layer(amps[:, None], [0.0])
     assert np.allclose(out[:, 0], amps, atol=1e-12)
     assert np.allclose(res.feedback_probabilities(out), 0.0, atol=1e-14)
     # nothing on the feedback rail: reinjection leaves the state alone
@@ -286,10 +293,9 @@ def test_layer_identity_at_zero_reflectivity():
 
 def test_layer_feedback_probability_matches_reflectivity():
     res = small_reservoir()
-    res.memristors[0].R = 0.3
     # single photon on the through rail (mode 1)
     state = QuantumState.pure(res.basis, [0.0, 1.0, 0.0])
-    out = res.apply_layer(state.ket_factor())
+    out = res.apply_layer(state.ket_factor(), [0.3])
     assert res.feedback_probabilities(out)[0] == pytest.approx(0.3, abs=1e-12)
     # reinjection conserves the photon
     probs = res.output_probabilities(out)
@@ -298,12 +304,10 @@ def test_layer_feedback_probability_matches_reflectivity():
 
 def test_layer_conserves_photons_at_full_reflection():
     res = Reservoir(ReservoirConfig(modes=6, photons=2, mesh_seed=2, window=3))
-    for mem in res.memristors:
-        mem.R = 1.0
     rng = np.random.default_rng(0)
     amps = rng.normal(size=res.basis.size) + 1j * rng.normal(size=res.basis.size)
     state = QuantumState.pure(res.basis, amps / np.linalg.norm(amps))
-    out = res.apply_layer(state.ket_factor())
+    out = res.apply_layer(state.ket_factor(), [1.0, 1.0])
     layer_probs = np.abs(out[:, 0]) ** 2
     assert layer_probs.sum() == pytest.approx(1.0, abs=1e-10)
     assert layer_probs @ res.basis.totals == pytest.approx(2.0, abs=1e-10)
@@ -322,10 +326,9 @@ def test_layer_and_reinjection_conserve_probability_and_photons(
     res = Reservoir(ReservoirConfig(modes=modes, photons=photons,
                                     mesh_seed=seed, window=3))
     rng = np.random.default_rng(seed)
-    for mem in res.memristors:
-        mem.R = float(rng.uniform(R_MIN, 1.0))
+    r_set = [float(rng.uniform(R_MIN, 1.0)) for _ in res.rails]
     factor = _random_factor(res.basis.size, rank, rng)
-    probs = res.output_probabilities(res.apply_layer(factor))
+    probs = res.output_probabilities(res.apply_layer(factor, r_set))
     assert abs(probs.sum() - 1.0) <= 1e-12
     assert abs(probs @ res.basis.totals - photons) <= 1e-12
 
@@ -340,16 +343,15 @@ def test_single_photon_feedback_is_reflectivity_times_through_population(
     the fraction R of its through-rail population to its feedback rail."""
     res = Reservoir(ReservoirConfig(modes=modes, photons=1, mesh_seed=seed,
                                     window=3))
-    for mem, r in zip(res.memristors, reflectivities):
-        mem.R = r
+    r_set = np.array(reflectivities[: len(res.rails)])
     occ = res.basis.occupation_matrix()
     thru = [t for _, t, _ in res.rails]
     fb = [f for _, _, f in res.rails]
     factor = _random_factor(res.basis.size, rank, np.random.default_rng(seed))
     factor[occ[:, fb].sum(axis=1) > 0] = 0.0
     population = (np.abs(factor) ** 2).sum(axis=1) @ occ[:, thru]
-    got = res.feedback_probabilities(res.apply_layer(factor))
-    want = res.reflectivities * population
+    got = res.feedback_probabilities(res.apply_layer(factor, r_set))
+    want = r_set * population
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -359,7 +361,8 @@ def test_bypass_rails_never_feed_the_loop(seed):
     """A unitary V on the bypass rails (0, 3, 6), applied after the
     input mesh, commutes with the bank, the feedback readout and the
     reinjection: psi and u_in^+ V u_in psi drive identical reflectivity
-    trajectories, while the output mesh still sees V."""
+    trajectories (read off the prefix runs of 1..30 copies), while the
+    output mesh still sees V."""
     res = Reservoir(ReservoirConfig(window=12))
     rng = np.random.default_rng(seed)
     psi = haar_vector(res.basis.size, rng)
@@ -369,11 +372,10 @@ def test_bypass_rails_never_feed_the_loop(seed):
     rotated = res.u_in_f.conj().T @ (v_f @ (res.u_in_f @ psi))
     runs = []
     for amps in (psi, rotated):
-        x = QuantumState.pure(res.basis, amps, validate=False)
-        res.reset()
+        x = EncodedInput(QuantumState.pure(res.basis, amps, validate=False))
         trajectory = []
-        for _ in range(30):
-            probs = res.run_sequence([x])
+        for k in range(1, 31):
+            probs = res.run_sequence([x] * k)
             trajectory.append(res.reflectivities)
         runs.append((np.array(trajectory), probs))
     (r_psi, p_psi), (r_rot, p_rot) = runs
@@ -397,9 +399,9 @@ def _oracle_inputs(kind, basis, rng):
                 for _ in range(6)]
     if kind == "density":
         # a density-matrix state enters through its eigen-factor
-        return [QuantumState.from_density(
+        return [EncodedInput(QuantumState.from_density(
             basis, coherent_encode(rng.uniform(size=18), basis)
-            .state.density()) for _ in range(4)]
+            .state.density())) for _ in range(4)]
     if kind == "zero_fallback":
         blank = amplitude_encode(np.zeros(18), basis)
         return [blank, blank, amplitude_encode(rng.uniform(size=18), basis),
@@ -416,12 +418,11 @@ def test_run_sequence_matches_dense_engine(kind, feedback):
     rng = np.random.default_rng(5)
     for _ in range(2):
         seq = _oracle_inputs(kind, fast.basis, rng)
-        got = fast.run_sequence(seq, reset=True)
-        want = dense.run_sequence(seq, reset=True)
+        got = fast.run_sequence(seq)
+        want = dense.run_sequence(seq)
         assert np.max(np.abs(got - want)) <= 1e-12
         assert np.max(np.abs(fast.reflectivities -
                              dense.reflectivities)) <= 1e-12
-        assert fast.step_index == dense.step_index == len(seq)
 
 
 def test_sampled_run_sequence_matches_dense_engine():
@@ -430,8 +431,8 @@ def test_sampled_run_sequence_matches_dense_engine():
     rng = np.random.default_rng(6)
     for kind in ("pure", "coherent", "repeated"):
         seq = _oracle_inputs(kind, fast.basis, rng)
-        assert np.array_equal(fast.run_sequence(seq, reset=True),
-                              dense.run_sequence(seq, reset=True))
+        assert np.array_equal(fast.run_sequence(seq),
+                              dense.run_sequence(seq))
     x = amplitude_encode(rng.uniform(size=18), fast.basis)
     assert np.array_equal(fast.run_sequence([x]), dense.run_sequence([x]))
 
@@ -440,26 +441,23 @@ def test_sampled_run_sequence_matches_dense_engine():
 def test_digit_sequences_match_dense_engine(shots):
     """Image columns as `rc mnist --encoding coherent` feeds them:
     coherent mixtures, meshed from the reservoir's ket table, between
-    blank columns on the zero-vector fallback, image after image with
-    and without a reset in between."""
+    blank columns on the zero-vector fallback, image after image."""
     cfg = ReservoirConfig(mesh_seed=27, window=5, shots=shots, sample_seed=4)
     fast, dense = Reservoir(cfg), DenseReservoir(cfg)
     rng = np.random.default_rng(8)
-    for reset, blank in [(True, [0, 4, 11]), (False, [1, 2, 7]),
-                         (False, [5, 10, 11]), (True, [3, 6, 9])]:
+    for blank in [[0, 4, 11], [3, 6, 9]]:
         image = rng.uniform(size=(18, 12)) * (rng.uniform(size=(18, 12)) > 0.5)
         image[:, blank] = 0.0
         seq = encode_columns(image, fast.basis, COHERENT)
         assert [j for j, x in enumerate(seq) if x.zero_fallback] == blank
-        got = fast.run_sequence(seq, reset=reset)
-        want = dense.run_sequence(seq, reset=reset)
+        got = fast.run_sequence(seq)
+        want = dense.run_sequence(seq)
         if shots is None:
             assert np.max(np.abs(got - want)) <= 1e-12
         else:
             assert np.array_equal(got, want)
         assert np.max(np.abs(fast.reflectivities -
                              dense.reflectivities)) <= 1e-12
-        assert fast.step_index == dense.step_index
     assert sorted(fast._coherent_tables) == [18]
 
 
@@ -485,24 +483,24 @@ def test_step_probabilities_normalised():
 @pytest.mark.parametrize("feedback", [True, False])
 @pytest.mark.parametrize("window", [1, 3, 100])
 def test_memristor_bank_matches_list_window_reference(window, feedback):
-    """The bank's MemristorState window law at unit steps, with the
-    feedback inversion, stays within 1e-12 of a discrete window of the
-    last `window` clamped estimates across resets, and is bit-identical
-    to it before the first eviction and on re-sum steps."""
+    """A run's bank (the MemristorState window law at unit steps, with
+    the feedback inversion, stepped by `_advance`) stays within 1e-12 of
+    a discrete window of the last `window` clamped estimates, over fresh
+    banks started as runs start them, and is bit-identical to it before
+    the first eviction and on re-sum steps."""
     rng = np.random.default_rng(window)
     res = Reservoir(ReservoirConfig(modes=9, photons=1, window=window,
                                     feedback=feedback))
     refs = [reference_device.ListDiscreteMemristor(window,
                                                    frozen=not feedback)
-            for _ in res.memristors]
-    cadences = [reference_device.ResumCountdown() for _ in refs]
+            for _ in res.rails]
     for k in range(500):
-        if k in (120, 121, 400):
-            res.reset()
+        if k in (0, 120, 121, 400):
+            bank, t = res._bank(), 0
             for ref in refs:
                 ref.reset()
             cadences = [reference_device.ResumCountdown() for _ in refs]
-            assert res.reflectivities.tolist() == [ref.R for ref in refs]
+            assert [mem.R for mem in bank] == [ref.R for ref in refs]
         # np.float64 feedback expectations: some above R (estimate
         # clamped to 1), some zero (R driven to the floor at window 1)
         fb_probs = rng.random(len(refs))
@@ -510,17 +508,17 @@ def test_memristor_bank_matches_list_window_reference(window, feedback):
         # both sides invert through the bank's R, so that a last-bit
         # difference between re-sums does not change the reference's input
         exact = []
-        for ref, mem, fb, cadence in zip(refs, res.memristors, fb_probs,
-                                         cadences):
+        for ref, mem, fb, cadence in zip(refs, bank, fb_probs, cadences):
             before = len(ref.samples)
             ref.update(min(max(fb / mem.R, 0.0), 1.0))
             exact.append(not feedback
                          or cadence.exact_after(before, len(ref.samples)))
-        res._advance_memristors(fb_probs)
-        for r, ref, ex in zip(res.reflectivities.tolist(), refs, exact):
-            assert abs(r - ref.R) <= 1e-12
+        t += 1
+        _advance(bank, float(t), fb_probs)
+        for mem, ref, ex in zip(bank, refs, exact):
+            assert abs(mem.R - ref.R) <= 1e-12
             if ex:
-                assert r == ref.R
+                assert mem.R == ref.R
 
 
 def test_frozen_memristors_make_step_memoryless():
@@ -528,8 +526,8 @@ def test_frozen_memristors_make_step_memoryless():
                                     window=4, feedback=False))
     enc = amplitude_encode(np.linspace(0.2, 1.0, 18), res.basis)
     first = res.run_sequence([enc])
-    for _ in range(3):
-        again = res.run_sequence([enc])
+    for copies in range(2, 5):
+        again = res.run_sequence([enc] * copies)
         assert np.allclose(again, first, atol=1e-12)
 
 
@@ -543,7 +541,7 @@ def test_feedback_propagates_memory():
         res = Reservoir(ReservoirConfig(modes=9, photons=3, mesh_seed=7,
                                         window=5))
         seq = [amplitude_encode(c, res.basis) for c in cols]
-        return res.run_sequence(seq, reset=True)
+        return res.run_sequence(seq)
 
     diff = np.max(np.abs(final_probs(cols_a) - final_probs(cols_b)))
     assert diff > 1e-12
@@ -558,7 +556,7 @@ def test_frozen_output_depends_only_on_last_input():
         res = Reservoir(ReservoirConfig(modes=9, photons=3, mesh_seed=9,
                                         window=6, feedback=False))
         seq = [amplitude_encode(c, res.basis) for c in sequence]
-        return res.run_sequence(seq, reset=True)
+        return res.run_sequence(seq)
 
     assert np.allclose(final_probs(cols), final_probs(perm), atol=1e-12)
 
@@ -568,7 +566,7 @@ def test_run_sequence_deterministic():
         res = Reservoir(ReservoirConfig(mesh_seed=13, window=4,
                                         shots=500, sample_seed=seed))
         seq = [amplitude_encode(np.linspace(0.1, 1.0, 18), res.basis)] * 4
-        return res.run_sequence(seq, reset=True)
+        return res.run_sequence(seq)
 
     assert np.allclose(run(21), run(21))
     assert not np.allclose(run(21), run(22))
@@ -596,12 +594,26 @@ def test_sampled_probs_converge_to_exact():
 def test_reflectivities_move_with_feedback():
     res = Reservoir(ReservoirConfig(mesh_seed=17, window=2))
     enc = amplitude_encode(np.ones(18), res.basis)
-    before = res.reflectivities.copy()
-    for _ in range(4):
-        res.run_sequence([enc])
-    assert np.max(np.abs(res.reflectivities - before)) > 1e-6
-    res.reset()
-    assert np.allclose(res.reflectivities, before)
+    assert res.reflectivities.tolist() == [0.5] * 3
+    res.run_sequence([enc] * 4)
+    assert np.max(np.abs(res.reflectivities - 0.5)) > 1e-6
+    assert not res.reflectivities.flags.writeable
+
+
+@pytest.mark.parametrize("coherent", [False, True])
+def test_run_does_not_depend_on_earlier_runs(coherent):
+    """Each run starts a fresh bank: a sequence gives the same exact
+    distribution and final reflectivities after runs of other inputs."""
+    res = Reservoir(ReservoirConfig(mesh_seed=29, window=4))
+    encode = coherent_encode if coherent else amplitude_encode
+    rng = np.random.default_rng(10)
+    seq = [encode(rng.uniform(size=18), res.basis) for _ in range(6)]
+    first = res.run_sequence(seq)
+    reflectivities = res.reflectivities
+    for _ in range(2):
+        res.run_sequence([encode(rng.uniform(size=18), res.basis)] * 5)
+        assert np.array_equal(res.run_sequence(seq), first)
+        assert np.array_equal(res.reflectivities, reflectivities)
 
 
 def test_coherent_input_through_reservoir():
@@ -654,4 +666,4 @@ def test_reservoir_config_validation():
         ReservoirConfig(modes=2)
     with pytest.raises(ValueError):
         ReservoirConfig(window=0)
-    assert len(Reservoir(ReservoirConfig(modes=9)).memristors) == 3
+    assert len(Reservoir(ReservoirConfig(modes=9)).reflectivities) == 3
