@@ -14,6 +14,7 @@ its traceback), 2 config error, 3 data error, 4 failed --check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -547,10 +548,12 @@ def _config_help(schema, relate):
     return "\n".join(lines)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
     """One subcommand per COMMANDS entry.  Its override arguments
     default to argparse.SUPPRESS, so only those given reach the
-    parsed namespace."""
+    parsed namespace.  Built once per process: parsing leaves the
+    parser as it was, so every main call shares it."""
     parser = argparse.ArgumentParser(
         prog="qumem",
         description="photonic quantum memristor simulator",

@@ -65,13 +65,25 @@ def _check_counts(modes, photons):
 @functools.lru_cache(maxsize=256)
 def _sector(modes, photons):
     """Occupation vectors of `modes` modes holding exactly `photons`
-    photons, in descending lexicographic order (a cached tuple)."""
-    if modes == 1:
-        return ((photons,),)
-    out = []
-    for k in range(photons, -1, -1):
-        out.extend((k,) + tail for tail in _sector(modes - 1, photons - k))
-    return tuple(out)
+    photons, in descending lexicographic order (a cached tuple).
+
+    Each vector follows from the one before: the last mode before the
+    final one that holds a photon gives one up, and the next mode takes
+    it together with every photon of the final mode."""
+    occ = [photons] + [0] * (modes - 1)
+    out = [tuple(occ)]
+    i = modes - 2
+    while True:
+        while i >= 0 and not occ[i]:
+            i -= 1
+        if i < 0:
+            return tuple(out)
+        moved = occ[-1] + 1
+        occ[-1] = 0
+        occ[i] -= 1
+        occ[i + 1] = moved
+        out.append(tuple(occ))
+        i = min(i + 1, modes - 2)
 
 
 class OccupationBasis:

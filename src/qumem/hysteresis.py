@@ -64,6 +64,14 @@ class DriveConfig:
             raise ValueError("dt must be positive and finite")
         if self.dt > self.T_osc / 200.0:
             raise ValueError("dt must resolve the drive (dt <= T_osc/200)")
+        try:  # the time of the last sample, as `samples` forms it
+            last = self.n_periods * self.steps_per_period * self.dt
+        except OverflowError:  # T_osc / dt or the step count overflows
+            last = math.inf
+        if not math.isfinite(math.pi * last / self.T_osc):
+            raise ValueError(f"T_osc, dt and n_periods put the last sample "
+                             f"at t = {last!r}: t and pi * t / T_osc must "
+                             f"be finite")
 
     def n_in(self, t):
         return math.sin(math.pi * t / self.T_osc) ** 2

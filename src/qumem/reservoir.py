@@ -25,10 +25,11 @@ one table of meshed coherent kets, built once per reservoir and input
 length, so meshing it only scales the table's kept columns.  Each
 coupler acts only on groups of basis states that differ in how the
 photons of its pair are split, so the bank is applied group by group
-with small (q+1) x (q+1) lifts evaluated from precomputed polynomial
-coefficients; the lifted bank matrix is never built.  Reinjection and
-the output mesh run only where an output is measured, one feedback
-outcome (incoherent branch) at a time.
+with small (q+1) x (q+1) lifts; every lift of a step comes from one
+product of the couplers' monomials with a precomputed lift table, and
+the lifted bank matrix is never built.  Reinjection and the output mesh
+run only where an output is measured: each feedback outcome is an
+incoherent branch, and one reduction sums the branches.
 """
 
 from __future__ import annotations
@@ -252,8 +253,7 @@ class Reservoir:
         self.reflectivities = _read_only(np.full(len(self.rails), 0.5))
         self._rng = np.random.default_rng(cfg.sample_seed)
         self._pair_layout = geometry.pair_layout
-        self._lift_coeffs = geometry.lift_coeffs
-        self._powers = geometry.powers
+        self._lift_table = geometry.lift_table
         self._fb_occ = geometry.fb_occ
         # each feedback-rail outcome with the output mesh columns of its
         # reinjection targets
@@ -268,18 +268,22 @@ class Reservoir:
         """Memristor bank at reflectivities R (one per memristor) on a
         ket factor: the lift of the bank's mode matrix (coupler(R) on
         each (through, feedback) pair) applied to the (dim, rank) K, one
-        pair and one pair-photon sector at a time.  Returns a new array."""
+        pair at a time.  Returns a new array."""
+        r = np.asarray(reflectivities, dtype=float)
+        # the entries t and i r of every coupler(R)
+        lifts = self._lift_table.lifts(np.sqrt(1.0 - r) + 0j, 1j * np.sqrt(r))
         out = np.array(factor, dtype=complex)
-        for (index, runs), r in zip(self._pair_layout, reflectivities):
-            # the entries t and i r of coupler(R)
-            t_pow = complex(math.sqrt(1.0 - r)) ** self._powers
-            s_pow = complex(0.0, math.sqrt(r)) ** self._powers
+        # every pair mixes as many basis states (all those with a photon
+        # on it), so one buffer takes each pair's products in turn
+        buf = np.empty((self._pair_layout[0][0].size, out.shape[1]),
+                       dtype=complex)
+        for pair_lifts, (index, runs) in zip(zip(*lifts), self._pair_layout):
             rows = out[index]
             for q, start, stop in runs:
-                lift = self._lift_coeffs[q] @ (t_pow[q::-1] * s_pow[: q + 1])
-                run = rows[start:stop]
-                run[...] = (lift @ run.reshape(q + 1, -1)).reshape(run.shape)
-            out[index] = rows
+                np.matmul(pair_lifts[q - 1],
+                          rows[start:stop].reshape(q + 1, -1),
+                          out=buf[start:stop].reshape(q + 1, -1))
+            out[index] = buf
         return out
 
     def feedback_probabilities(self, factor):
@@ -290,11 +294,15 @@ class Reservoir:
     def output_probabilities(self, factor):
         """Fock distribution after reinjection and the output mesh: each
         feedback-rail outcome is an incoherent branch."""
-        probs = np.zeros(self.basis.size)
-        for idx, u_cols in self._reinjection_groups:
-            amps = u_cols @ factor[idx]
-            probs += (amps.real ** 2 + amps.imag ** 2).sum(axis=1)
-        return probs
+        groups = self._reinjection_groups
+        amps = np.empty((len(groups), self.basis.size, factor.shape[1]),
+                        dtype=complex)
+        for (idx, u_cols), branch in zip(groups, amps):
+            np.matmul(u_cols, factor[idx], out=branch)
+        power = amps.real ** 2
+        power += amps.imag ** 2
+        # branch by branch, in order, as a running sum would add them
+        return power.sum(axis=2).sum(axis=0)
 
     def _measured_probs(self, probs):
         probs = np.clip(probs, 0.0, None)
@@ -376,8 +384,7 @@ class _Geometry:
     basis: object
     rails: tuple
     pair_layout: tuple   # per pair: (index, ((q, start, stop), ...))
-    lift_coeffs: tuple   # per q: _coupler_lift_coeffs(q)
-    powers: np.ndarray
+    lift_table: _LiftTable
     reinjection: tuple   # per feedback pattern: (indices, target indices)
     fb_occ: np.ndarray   # (dim, memristors) feedback-rail occupations
 
@@ -432,9 +439,7 @@ def _geometry(modes, photons):
         rails=rails,
         pair_layout=tuple(_pair_layout(occ, photons, thru, fb)
                           for _, thru, fb in rails),
-        lift_coeffs=tuple(_read_only(_coupler_lift_coeffs(q))
-                          for q in range(photons + 1)),
-        powers=_read_only(np.arange(photons + 1)),
+        lift_table=_LiftTable(photons),
         reinjection=_reinjection(basis, rails),
         fb_occ=_read_only(occ[:, [fb for _, _, fb in rails]].astype(float)),
     )
@@ -450,3 +455,39 @@ def _coupler_lift_coeffs(q):
     lifts = [_lift_sectors(np.array([[1.0, w], [w, 1.0]]), 2, q)[q]
              for w in roots]
     return (np.fft.fft(np.stack(lifts, axis=-1), axis=-1) / (q + 1)).real
+
+
+class _LiftTable:
+    """Every coupler lift of the sectors q = 1..photons as one linear map
+    of monomials.  Each lift entry is a homogeneous degree-q polynomial
+    in the coupler entries t and s, so with the monomials t^(q-j) s^j
+    (exponents `t_exp`, `s_exp`, q ascending) as a row, one product with
+    the read-only (monomials, lift entries) `matrix` gives every entry;
+    the entries of sector q are the columns `columns[q - 1]`, row-major
+    (q+1) x (q+1)."""
+
+    def __init__(self, photons):
+        sectors = range(1, photons + 1)
+        self.t_exp = _read_only(np.array(
+            [q - j for q in sectors for j in range(q + 1)]))
+        self.s_exp = _read_only(np.array(
+            [j for q in sectors for j in range(q + 1)]))
+        matrix = np.zeros((self.t_exp.size,
+                           sum((q + 1) ** 2 for q in sectors)), dtype=complex)
+        columns, row, col = [], 0, 0
+        for q in sectors:
+            block = _coupler_lift_coeffs(q).reshape(-1, q + 1).T
+            matrix[row : row + q + 1, col : col + block.shape[1]] = block
+            columns.append(slice(col, col + block.shape[1]))
+            row, col = row + q + 1, col + block.shape[1]
+        self.matrix = _read_only(matrix)
+        self.columns = tuple(columns)
+
+    def lifts(self, t, s):
+        """Per sector q = 1..photons, the (n, q+1, q+1) lifts of the n
+        couplers [[t, s], [s, t]] given by the (n,) complex arrays t
+        and s."""
+        monomials = t[:, None] ** self.t_exp * s[:, None] ** self.s_exp
+        entries = monomials @ self.matrix
+        return tuple(entries[:, cols].reshape(t.size, q + 1, q + 1)
+                     for q, cols in enumerate(self.columns, start=1))

@@ -462,7 +462,8 @@ def _roundtrip_rng(seed):
 
 
 def fit_global_phase(off_diag_samples):
-    """Least-squares global phase from (reflectivity, coherence) pairs.
+    """Least-squares global phase, in [0, 2 pi), from (reflectivity,
+    coherence) pairs.
 
     Inverts arg z = asin(sqrt(R)) + pi - phi_global by a magnitude-
     weighted circular mean.  Samples with (numerically) zero coherence
@@ -479,4 +480,6 @@ def fit_global_phase(off_diag_samples):
         acc += abs(z) * np.exp(1j * (expected - np.angle(z)))
     if usable < 2:
         raise ValueError("need at least two samples with nonzero coherence")
-    return float(np.angle(acc) % (2 * math.pi))
+    phase = float(np.angle(acc) % (2 * math.pi))
+    # an angle just below 0 rounds up to 2 pi itself: that is 0 on [0, 2 pi)
+    return 0.0 if phase == 2 * math.pi else phase

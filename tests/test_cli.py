@@ -14,6 +14,7 @@ from qumem.cli import (
     EXIT_OK,
     HYSTERESIS_SCHEMA,
     ConfigError,
+    build_parser,
     main,
     resolve_config,
 )
@@ -231,6 +232,10 @@ HYSTERESIS_BAD = {
     "max_rate-str": {"max_rate": "x"}, "f_cut-str-windowed": {"f_cut": "x"},
     # each value finite, the panel window ratio * T_osc not
     "window-overflow": {"ratios": [1e300], "T_osc": 1e10},
+    # each value finite, the drive's sample times or pi t / T_osc not
+    "T_osc-overflow": {"T_osc": 1e308},
+    "drive-phase-overflow": {"T_osc": 5e307},
+    "steps-overflow": {"T_osc": 1e300, "dt": 1e-10},
 }
 
 BAD_GRIDS = ["x", -3, 0, 1, 2.5, True]
@@ -290,16 +295,18 @@ def test_tomography_command_exact(tmp_path):
 
 @pytest.mark.parametrize("phi", [0.0, 7.0, -1.0])
 def test_tomography_check_compares_phases_on_the_circle(tmp_path, phi):
-    # the fit is reduced mod 2 pi: 0.0 fits 2 pi (to the last bit), 7.0
-    # and -1.0 fit their values mod 2 pi
+    # the fit lies in [0, 2 pi): 0.0 fits 0.0 (its mean angle, just below
+    # 0, folded back), 7.0 and -1.0 fit their values mod 2 pi
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"phi_global": phi}))
     out = tmp_path / "out"
     assert run_cli("tomography", "--config", str(config), "--out", str(out),
                    "--check") == EXIT_OK
     fit = json.loads((out / "tomography.json").read_text())["phi_global_fit"]
-    assert 0.0 <= fit <= 2 * np.pi
+    assert 0.0 <= fit < 2 * np.pi
     assert abs((fit - phi + np.pi) % (2 * np.pi) - np.pi) <= 0.01
+    if phi == 0.0:
+        assert fit == 0.0
 
 
 def test_tomography_check_catches_a_drifted_phase(tmp_path, capsys,
@@ -689,3 +696,50 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def _outputs(out):
+    """Every file under out, by relative name, as bytes."""
+    return {str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_repeated_main_calls_share_one_parser(tmp_path, capsys):
+    """main builds its parser once per process, and a reused parser
+    gives every command the outputs and exit code of a fresh one, with
+    no override of one call reaching the next."""
+    hysteresis = fast_hysteresis_config(tmp_path)
+    rc = tmp_path / "rc.json"
+    rc.write_text(json.dumps({"n_train": 2, "n_test": 2, "copies": 2,
+                              "epochs": 1, "d_loc": 3}))
+    calls = [
+        ("purity-map", "--check"),
+        ("tomography", "--shots", "50", "--seed", "3"),
+        ("tomography",),
+        ("hysteresis", "--config", str(hysteresis), "--seed", "2",
+         "--law", "lowpass"),
+        ("hysteresis", "--config", str(hysteresis)),
+        ("rc", "entanglement", "--config", str(rc), "--shots", "200"),
+        ("rc", "entanglement", "--config", str(rc), "--feedback", "off"),
+        ("rc", "entanglement", "--config", str(rc)),
+        ("tomography", "--shots", "abc"),
+        ("purity-map", "--seed", "3"),
+    ]
+    runs = {}
+    for fresh in (False, True):
+        build_parser.cache_clear()
+        for k, call in enumerate(calls):
+            if fresh:
+                build_parser.cache_clear()
+            out = tmp_path / f"{fresh}_{k}"
+            code = run_cli(*call, "--out", str(out))
+            runs.setdefault(k, []).append(
+                (code, _outputs(out) if out.exists() else None,
+                 capsys.readouterr().err))
+        if not fresh:
+            info = build_parser.cache_info()
+            assert (info.misses, info.hits) == (1, len(calls) - 1)
+    for k, (cached, fresh) in runs.items():
+        assert cached == fresh, calls[k]
+    assert [runs[k][0][0] for k in range(len(calls))] == [
+        EXIT_OK] * 8 + [EXIT_CONFIG] * 2

@@ -57,6 +57,29 @@ def test_basis_vacuum_only():
     assert basis.states == ((0, 0, 0),)
 
 
+def _recursive_sector(modes, photons):
+    """The sector by recursion on the first mode's occupation."""
+    if modes == 1:
+        return ((photons,),)
+    return tuple((k,) + tail for k in range(photons, -1, -1)
+                 for tail in _recursive_sector(modes - 1, photons - k))
+
+
+@pytest.mark.parametrize("modes", range(1, 7))
+def test_basis_order_matches_recursive_reference(modes):
+    for photons in range(5):
+        assert (enumerate_basis(modes, photons).states
+                == _recursive_sector(modes, photons))
+
+
+def test_basis_of_more_modes_than_the_recursion_limit():
+    basis = enumerate_basis(1200, 1)
+    assert basis.size == 1200
+    assert basis.states[0] == (1,) + (0,) * 1199
+    assert basis.states[-1] == (0,) * 1199 + (1,)
+    assert enumerate_basis_upto(1200, 1).size == 1201
+
+
 def test_basis_index_roundtrip():
     basis = enumerate_basis(9, 3)
     for i in range(basis.size):

@@ -104,6 +104,22 @@ def test_drive_config_rejects_nonpositive_or_nonfinite_steps(kwargs):
         DriveConfig(**{"T_osc": 1.0, **kwargs})
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"T_osc": 1e308}, {"T_osc": 5e307}, {"T_osc": 1e300, "dt": 1e-10},
+    {"T_osc": 1e300, "n_periods": 10**400},
+], ids=["time-overflow", "phase-overflow", "steps-overflow",
+        "periods-overflow"])
+def test_drive_config_rejects_overflowing_sample_times(kwargs):
+    with pytest.raises(ValueError, match="last sample"):
+        DriveConfig(**kwargs)
+
+
+def test_drive_config_keeps_large_finite_drives():
+    drive = DriveConfig(T_osc=1e306, n_periods=1)
+    t, n_in = drive.samples
+    assert math.isfinite(t[-1]) and n_in[-1] == pytest.approx(0.0, abs=1e-9)
+
+
 @pytest.mark.parametrize("n_periods", [2.5, True, 2.0],
                          ids=["float", "bool", "integral-float"])
 def test_drive_config_rejects_non_integer_periods(n_periods):

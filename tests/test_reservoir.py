@@ -11,6 +11,7 @@ from test_fock import haar_unitary
 from qumem.fock import (
     DimensionError,
     QuantumState,
+    _lift_sectors,
     coupler,
     enumerate_basis,
     lift_unitary,
@@ -27,6 +28,7 @@ from qumem.reservoir import (
     build_mesh,
     coherent_encode,
     _advance,
+    _geometry,
     haar_vector,
     sample_entangled,
     sample_separable,
@@ -238,17 +240,18 @@ def test_layer_lift_matches_generic_lift():
 
 
 def _coupler_matrix_layer(res, factor, reflectivities):
-    """apply_layer with t and i r read off a validated coupler(R)."""
+    """apply_layer with the lift table evaluated at t and i r read off a
+    validated coupler(R), one pair and one q-run product at a time."""
+    blocks = [coupler(r) for r in reflectivities]
+    lifts = res._lift_table.lifts(np.array([b[0, 0] for b in blocks]),
+                                  np.array([b[0, 1] for b in blocks]))
     out = np.array(factor, dtype=complex)
-    for (index, runs), r in zip(res._pair_layout, reflectivities):
-        block = coupler(r)
-        t_pow = block[0, 0] ** res._powers
-        s_pow = block[0, 1] ** res._powers
+    for m, (index, runs) in enumerate(res._pair_layout):
         rows = out[index]
         for q, start, stop in runs:
-            lift = res._lift_coeffs[q] @ (t_pow[q::-1] * s_pow[: q + 1])
             run = rows[start:stop]
-            run[...] = (lift @ run.reshape(q + 1, -1)).reshape(run.shape)
+            run[...] = (lifts[q - 1][m] @ run.reshape(q + 1, -1)
+                        ).reshape(run.shape)
         out[index] = rows
     return out
 
@@ -266,6 +269,22 @@ def test_layer_coupler_entries_match_coupler_matrix_exactly():
                               _coupler_matrix_layer(res, factor, r_set))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from([0.0, R_MIN, 1.0]), st.floats(0.0, 1.0)),
+       st.sampled_from([1, 2, 3, 4]))
+def test_lift_table_matches_generic_two_mode_lift(r, photons):
+    """Every lift the table gives is the generic Fock lift of coupler(R)
+    on its two modes, sector by sector."""
+    table = _geometry(3, photons).lift_table
+    block = coupler(r)
+    lifts = table.lifts(np.array([block[0, 0]]), np.array([block[0, 1]]))
+    generic = _lift_sectors(block, 2, photons)
+    assert len(lifts) == photons
+    for q, lift in enumerate(lifts, start=1):
+        assert lift.shape == (1, q + 1, q + 1)
+        assert np.max(np.abs(lift[0] - generic[q])) <= 1e-14
+
+
 def test_reservoirs_share_read_only_geometry_but_not_meshes():
     a = Reservoir(ReservoirConfig(mesh_seed=1, window=3))
     b = Reservoir(ReservoirConfig(mesh_seed=2, window=5, feedback=False))
@@ -274,7 +293,10 @@ def test_reservoirs_share_read_only_geometry_but_not_meshes():
     for index, _ in a._pair_layout:
         assert not index.flags.writeable
     assert not a._fb_occ.flags.writeable
-    assert all(not c.flags.writeable for c in a._lift_coeffs)
+    assert a._lift_table is b._lift_table
+    table = a._lift_table
+    assert not any(arr.flags.writeable
+                   for arr in (table.t_exp, table.s_exp, table.matrix))
     assert not np.allclose(a.u_in_f, b.u_in_f)
     assert np.array_equal(a.u_in_f, lift_unitary(a.u_in, a.basis))
     assert np.array_equal(b.u_out_f, lift_unitary(b.u_out, b.basis))

@@ -553,6 +553,14 @@ def test_fit_global_phase_zero_offset():
     assert min(fitted, 2 * math.pi - fitted) == pytest.approx(0.0, abs=0.01)
 
 
+@pytest.mark.parametrize("offset", [1e-16, 3e-16])
+def test_fit_global_phase_folds_an_angle_just_below_zero(offset):
+    # the phasors' mean angle is -offset, which % 2 pi rounds up to 2 pi
+    samples = [(refl, np.exp(1j * (coherence_phase(refl, 0.0) + offset)))
+               for refl in (0.2, 0.5)]
+    assert fit_global_phase(samples) == 0.0
+
+
 def test_fit_global_phase_from_published_entries():
     samples = [
         (row["reflectivity"], row["rho_theory"][1, 2])
