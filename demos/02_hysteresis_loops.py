@@ -24,7 +24,7 @@ from qumem.hysteresis import (
     run_closed_loop,
     run_lpf_loop,
 )
-from qumem.memristor import WINDOWED, MemristorState
+from qumem.memristor import MemristorState
 
 OUT = Path(__file__).resolve().parent
 T_OSC = 10.0
@@ -36,7 +36,7 @@ def main():
     traces = {}
     for ratio in RATIOS:
         drive = DriveConfig(T_osc=T_OSC, n_periods=2)
-        mem = MemristorState(0.5, window_seconds=ratio * T_OSC, law=WINDOWED)
+        mem = MemristorState(0.5, window_seconds=ratio * T_OSC)
         trace = run_closed_loop(drive, mem, DetectionConfig())
         steady = trace.steady()
         traces[ratio] = steady
@@ -58,7 +58,7 @@ def main():
 
     print("\n=== photon-counting noise (3e4 counts/s, RC = 100 ms) ===")
     drive = DriveConfig(T_osc=T_OSC, n_periods=2)
-    mem = MemristorState(0.5, window_seconds=T_OSC, law=WINDOWED)
+    mem = MemristorState(0.5, window_seconds=T_OSC)
     det = DetectionConfig(noise="poisson", seed=1)
     noisy = run_closed_loop(drive, mem, det)
     steady = noisy.steady()

@@ -27,11 +27,12 @@ import numpy as np
 
 from . import __version__
 from ._atomic import write_atomic
-from .fock import _is_int
+from .fock import MAX_SHOTS, _is_int
 from .hysteresis import (
     EXACT,
     POISSON,
     DetectionConfig,
+    DetectorModel,
     DriveConfig,
     _lowpass_memristor,
     _validate_loop,
@@ -192,23 +193,24 @@ def _loop_configs(config):
 
 def _panel_memristor(config, ratio):
     """The memristor of the panel at `ratio`: the lowpass law's start
-    state, or R = 0.5 with the window ratio * T_osc."""
+    state, or R = 0.5, windowed over ratio * T_osc or frozen."""
     if config["law"] == LOWPASS:
         return _lowpass_memristor(config["f_cut"])
-    return MemristorState(0.5, window_seconds=ratio * config["T_osc"],
-                          law=config["law"])
+    return MemristorState(0.5, window_seconds=ratio * config["T_osc"]
+                          if config["law"] == WINDOWED else None)
 
 
 def _relate_hysteresis(config):
     """warmup_periods < n_periods; dt <= T_osc/200; every panel's
-    memristor can be built (a windowed or frozen one needs a finite
-    window ratio * T_osc) and, with poisson noise, has rc below its
-    feedback window: ratio * T_osc under the windowed law, 1/f_cut under
-    the lowpass law."""
+    memristor can be built (a windowed one needs a finite window
+    ratio * T_osc) and, with poisson noise, has rc below its feedback
+    window (ratio * T_osc windowed, 1/f_cut lowpass) and max_rate * dt
+    within numpy's largest Poisson mean, about 9.22e18."""
     if config["warmup_periods"] >= config["n_periods"]:
         raise ConfigError("warmup_periods must be < n_periods")
     try:
-        det = _loop_configs(config)[1]
+        drive, det = _loop_configs(config)
+        DetectorModel(det, drive.dt)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     for ratio in config["ratios"]:
@@ -339,7 +341,7 @@ RC_SCHEMA = {
     "modes": (9, integer(3)),
     "photons": (3, integer(1)),
     "mesh_seed": (2021, integer(0)),
-    "shots": (None, null_or(integer(1))),    # null: exact distribution
+    "shots": (None, null_or(integer(1, MAX_SHOTS))),  # null: exact Fock
     "window": (None, null_or(integer(1))),   # null: task sequence length
     "hidden": (10, integer(1)),
     "epochs": (15, integer(1)),
@@ -456,7 +458,7 @@ def cmd_rc(config, out_dir, check):
 
 
 TOMOGRAPHY_SCHEMA = {
-    "shots": (None, null_or(integer(1))),    # null: exact statistics
+    "shots": (None, null_or(integer(1, MAX_SHOTS))),  # null: exact
     "seed": (0, integer(0)),
     "phi_global": (PHI_GLOBAL, number()),
 }

@@ -33,6 +33,7 @@ import numpy as np
 ATOL_UNITARY = 1e-10
 ATOL_STATE = 1e-10
 EIG_FLOOR = -1e-9  # tolerated round-off on density-operator eigenvalues
+MAX_SHOTS = 2**63 - 1  # the largest count numpy's int64 draws take
 
 
 class DimensionError(ValueError):
@@ -47,10 +48,10 @@ def _is_int(value):
 
 def _check_shots(shots):
     """Reject a shot count that is neither None (exact statistics) nor
-    an integer >= 1."""
-    if not (shots is None or (_is_int(shots) and shots >= 1)):
-        raise ValueError(f"shots must be None or an integer >= 1, "
-                         f"got {shots!r}")
+    an integer in [1, MAX_SHOTS]."""
+    if not (shots is None or (_is_int(shots) and 1 <= shots <= MAX_SHOTS)):
+        raise ValueError(f"shots must be None or an integer in "
+                         f"[1, {MAX_SHOTS}], got {shots!r}")
 
 
 def _check_counts(modes, photons):

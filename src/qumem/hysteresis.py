@@ -27,12 +27,7 @@ import numpy as np
 
 from ._atomic import write_atomic
 from .fock import _is_int
-from .memristor import (
-    LOWPASS,
-    WINDOWED,
-    MemristorState,
-    estimate_n_in,
-)
+from .memristor import MemristorState, estimate_n_in
 
 EXACT = "exact"
 POISSON = "poisson"
@@ -40,6 +35,9 @@ POISSON = "poisson"
 LOW_FREQ = "LowFreq"
 INTERMEDIATE = "Intermediate"
 HIGH_FREQ = "HighFreq"
+
+# numpy's Generator.poisson draws means up to int64 max - 10 sqrt(it)
+_POISSON_MEAN_MAX = 2**63 - 1 - math.sqrt(2**63 - 1) * 10
 
 
 @dataclass(frozen=True)
@@ -129,6 +127,7 @@ class DetectorModel:
     keeps the raw pulse counts summed (`pulse_total`) over its Poisson
     steps (`pulse_steps`).  All but the filter state is fixed at
     construction, so `estimate` does only the step's own arithmetic.
+    A Poisson model whose means (max_rate * dt) numpy cannot draw raises.
     """
 
     def __init__(self, config, dt):
@@ -140,6 +139,9 @@ class DetectorModel:
         self.pulse_steps = 0
         self._limit = config.max_rate * (1 + 1e-9)
         self._exact = config.noise == EXACT
+        if not self._exact and self._limit * dt > _POISSON_MEAN_MAX:
+            raise ValueError(f"max_rate * dt = {config.max_rate * dt!r} is "
+                             f"above numpy's largest Poisson mean, 9.22e18")
         self._poisson = self.rng.poisson
         self._alpha = 1.0 - math.exp(-dt / config.rc)
         self._scale = config.max_rate * dt
@@ -247,7 +249,7 @@ def run_closed_loop(drive, mem, det=DetectionConfig()):
         "n_periods": drive.n_periods,
         "steps_per_period": drive.steps_per_period,
         "law": mem.law,
-        "T": mem.T if mem.law == WINDOWED else None,
+        "T": mem.T,
         "f_cut": mem.f_cut,
         "noise": det.noise,
         "seed": det.seed,
@@ -267,7 +269,7 @@ def run_closed_loop(drive, mem, det=DetectionConfig()):
 
 def _lowpass_memristor(f_cut):
     """The low-pass loop's memristor: R starts at 0, clamped to R_MIN."""
-    return MemristorState(reflectivity=0.0, law=LOWPASS, f_cut=f_cut)
+    return MemristorState(reflectivity=0.0, f_cut=f_cut)
 
 
 def run_lpf_loop(drive, f_cut, det=DetectionConfig()):

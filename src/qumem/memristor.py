@@ -29,7 +29,6 @@ R_MIN = 1e-3  # feedback floor: the controller never lets R reach zero
 WINDOWED = "windowed"
 LOWPASS = "lowpass"
 FROZEN = "frozen"
-_LAWS = (WINDOWED, LOWPASS, FROZEN)
 
 
 @dataclass(frozen=True)
@@ -172,33 +171,30 @@ def estimate_n_in(n_meas_d, r_prev):
 class MemristorState:
     """Reflectivity R plus the sample window that drives it.
 
-    law is one of 'windowed' (sliding-window integration over the last
-    T seconds), 'lowpass' (first-order filter with cutoff f_cut toward
-    the instantaneous target), or 'frozen' (open loop, R fixed), with
-    `feedback_window`, the span of past input R follows, T, 1 / f_cut
-    and None.  The state starts at time 0 with R clamped to [R_MIN, 1].
-    Updates are single-writer: advance() mutates this object.
+    window_seconds gives the 'windowed' law (sliding-window integration
+    over the last T seconds), f_cut 'lowpass' (first-order filter toward
+    the instantaneous target), neither 'frozen' (open loop, R fixed).
+    `law` names it, T is None unless windowed, and `feedback_window`,
+    the span of past input R follows, is T, 1 / f_cut or None.  R starts
+    clamped to [R_MIN, 1] at time 0; advance() mutates this object.
     """
 
-    def __init__(self, reflectivity=0.5, window_seconds=1.0, law=WINDOWED,
-                 f_cut=None):
-        if law not in _LAWS:
-            raise ValueError(f"law must be one of {_LAWS}")
+    def __init__(self, reflectivity=0.5, window_seconds=None, f_cut=None):
         if not math.isfinite(reflectivity):
             raise ValueError("reflectivity must be finite")
-        if not math.isfinite(window_seconds):
-            raise ValueError("window_seconds must be finite")
-        if f_cut is not None and not math.isfinite(f_cut):
-            raise ValueError("f_cut must be finite")
-        if law == LOWPASS and (f_cut is None or f_cut <= 0):
-            raise ValueError("lowpass law needs a positive f_cut")
-        if law == WINDOWED and window_seconds <= 0:
-            raise ValueError("windowed law needs a positive window")
-        self.law = law
-        self.T = float(window_seconds)
-        self.f_cut = f_cut
-        self.feedback_window = (1.0 / f_cut if law == LOWPASS
-                                else self.T if law == WINDOWED else None)
+        self.law, self.T, self.f_cut, self.feedback_window = (
+            FROZEN, None, f_cut, None)
+        if window_seconds is not None:
+            if f_cut is not None:
+                raise ValueError("give window_seconds or f_cut, not both")
+            if not 0 < window_seconds < math.inf:
+                raise ValueError("window_seconds must be finite and positive")
+            self.law = WINDOWED
+            self.T = self.feedback_window = float(window_seconds)
+        elif f_cut is not None:
+            if not 0 < f_cut < math.inf:
+                raise ValueError("f_cut must be finite and positive")
+            self.law, self.feedback_window = LOWPASS, 1.0 / f_cut
         self.R = min(max(reflectivity, R_MIN), 1.0)
         self.window = deque()  # sample timestamps spanning <= T
         self._terms = deque()  # (n_in - 0.5) dt of each window sample

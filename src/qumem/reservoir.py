@@ -51,7 +51,7 @@ from .fock import (
     enumerate_basis,
     lift_unitary,
 )
-from .memristor import FROZEN, WINDOWED, MemristorState, estimate_n_in
+from .memristor import MemristorState, estimate_n_in
 
 QUANTUM = "quantum"
 COHERENT = "coherent"
@@ -331,10 +331,8 @@ class Reservoir:
 
     def _bank(self):
         """Fresh memristors at R = 0.5 and time 0, one per rail."""
-        cfg = self.config
-        law = WINDOWED if cfg.feedback else FROZEN
-        return [MemristorState(0.5, window_seconds=cfg.window, law=law)
-                for _ in self.rails]
+        window = self.config.window if self.config.feedback else None
+        return [MemristorState(0.5, window_seconds=window) for _ in self.rails]
 
     # -- public API -------------------------------------------------------------
 

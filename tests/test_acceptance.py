@@ -22,7 +22,6 @@ from qumem.hysteresis import (
     run_lpf_loop,
 )
 from qumem.memristor import (
-    WINDOWED,
     MemristorState,
     QubitInput,
     dual_rail_purity,
@@ -171,7 +170,7 @@ def test_criterion_2_fixtures_and_roundtrip():
 
 def _noiseless_panel(ratio, t_osc=10.0):
     drive = DriveConfig(T_osc=t_osc, n_periods=2)
-    mem = MemristorState(0.5, window_seconds=ratio * t_osc, law=WINDOWED)
+    mem = MemristorState(0.5, window_seconds=ratio * t_osc)
     return run_closed_loop(drive, mem, DetectionConfig())
 
 
@@ -207,7 +206,7 @@ def test_criterion_4_poisson_realism():
     for ratio in (0.2, 0.6, 1.0):
         clean = _noiseless_panel(ratio).steady()
         drive = DriveConfig(T_osc=10.0, n_periods=2)
-        mem = MemristorState(0.5, window_seconds=ratio * 10.0, law=WINDOWED)
+        mem = MemristorState(0.5, window_seconds=ratio * 10.0)
         det = DetectionConfig(max_rate=3.0e4, rc=0.1, noise="poisson", seed=8)
         noisy_trace = run_closed_loop(drive, mem, det)
         noisy = noisy_trace.steady()

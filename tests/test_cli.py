@@ -232,6 +232,8 @@ HYSTERESIS_BAD = {
     "max_rate-str": {"max_rate": "x"}, "f_cut-str-windowed": {"f_cut": "x"},
     # each value finite, the panel window ratio * T_osc not
     "window-overflow": {"ratios": [1e300], "T_osc": 1e10},
+    # a Poisson mean max_rate * dt beyond what numpy draws from
+    "poisson-mean-overflow": {"noise": "poisson", "max_rate": 1e300},
     # each value finite, the drive's sample times or pi t / T_osc not
     "T_osc-overflow": {"T_osc": 1e308},
     "drive-phase-overflow": {"T_osc": 5e307},
@@ -246,6 +248,32 @@ BAD_GRIDS = ["x", -3, 0, 1, 2.5, True]
 def test_hysteresis_bad_config_exits_2_before_writing(tmp_path, capsys,
                                                       config):
     _exits_2_before_writing(tmp_path, capsys, "hysteresis", config)
+
+
+def test_frozen_panels_read_no_window(tmp_path, capsys):
+    """A frozen memristor has no window, so a panel whose ratio * T_osc
+    overflows runs and writes every file; the windowed law, which reads
+    that window, still exits 2."""
+    path = fast_hysteresis_config(tmp_path, law="frozen", ratios=[1e300],
+                                  T_osc=1e10, dt=None)
+    out = tmp_path / "out"
+    assert run_cli("hysteresis", "--config", str(path),
+                   "--out", str(out)) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == [
+        "summary.json", "trace_T1e+300.csv", "trace_T1e+300.json"]
+    assert json.loads((out / "trace_T1e+300.json").read_text())["T"] is None
+    assert run_cli("hysteresis", "--config", str(path), "--law", "windowed",
+                   "--out", str(tmp_path / "windowed")) == EXIT_CONFIG
+    assert "window_seconds" in capsys.readouterr().err
+    assert not (tmp_path / "windowed").exists()
+
+
+def test_poisson_mean_below_numpy_limit_runs(tmp_path):
+    # 1e17 counts/s at dt = 0.002 s: means up to 2e14, well within numpy's
+    path = fast_hysteresis_config(tmp_path, noise="poisson", max_rate=1e17,
+                                  rc=0.01)
+    assert run_cli("hysteresis", "--config", str(path),
+                   "--out", str(tmp_path / "o")) == EXIT_OK
 
 
 @pytest.mark.parametrize("grid", BAD_GRIDS)
@@ -346,6 +374,9 @@ TOMOGRAPHY_BAD = {
     "shots-float": ({"shots": 2.5}, ()),
     "shots-bool": ({"shots": True}, ()),
     "shots-str": ({"shots": "abc"}, ()),
+    # beyond the int64 counts numpy draws
+    "flag-shots-1e20": (None, ("--shots", str(10**20))),
+    "shots-int64-max-plus-1": ({"shots": 2**63}, ()),
     "seed-neg": ({"seed": -1}, ()),
     "seed-float": ({"seed": 1.5}, ()),
     "seed-bool": ({"seed": True}, ()),
@@ -499,7 +530,8 @@ RC_BAD = [
     {"copies": 0}, {"n_train": 0}, {"n_test": True}, {"d_loc": 0},
     {"seed": -1}, {"mesh_seed": 1.5}, {"lr": "x"}, {"lr": 0},
     {"lr": float("nan")}, {"window": 0}, {"window": 2.5}, {"shots": 0},
-    {"shots": "abc"}, {"encoding": "gauss"}, {"feedback": 1},
+    {"shots": "abc"}, {"shots": 10**20}, {"encoding": "gauss"},
+    {"feedback": 1},
     {"feedback": "on"}, {"digits": [3]}, {"digits": [3, 3]},
     {"digits": [0, 10]}, {"digits": [0, True]}, {"digits": "038"},
     # the positional task overrides the file's, which is still checked
@@ -553,6 +585,19 @@ def test_rc_mnist_small_reservoir_exits_2_before_reading_data(
     assert not out.exists()
     err = capsys.readouterr().err
     assert "modes" in err and "photons" in err
+
+
+def test_largest_int64_shot_count_runs(tmp_path):
+    """2**63 - 1 shots, the largest count numpy draws, still runs."""
+    small = tmp_path / "c.json"
+    small.write_text(json.dumps({"n_train": 2, "n_test": 2, "copies": 2,
+                                 "epochs": 1, "d_loc": 3}))
+    for command in (["tomography"],
+                    ["rc", "entanglement", "--config", str(small)]):
+        out = tmp_path / command[0]
+        assert run_cli(*command, "--shots", str(2**63 - 1),
+                       "--out", str(out)) == EXIT_OK
+        assert any(out.iterdir())
 
 
 def test_every_schema_key_has_a_bad_value_case():

@@ -13,6 +13,7 @@ from qumem.hysteresis import (
     INTERMEDIATE,
     LOW_FREQ,
     POISSON,
+    _POISSON_MEAN_MAX,
     DetectionConfig,
     DetectorModel,
     DriveConfig,
@@ -31,7 +32,7 @@ T_OSC = 10.0
 
 def windowed_run(ratio, noise=EXACT, seed=None, n_periods=2, rc=0.1):
     drive = DriveConfig(T_osc=T_OSC, n_periods=n_periods)
-    mem = MemristorState(0.5, window_seconds=ratio * T_OSC, law=WINDOWED)
+    mem = MemristorState(0.5, window_seconds=ratio * T_OSC)
     det = DetectionConfig(noise=noise, seed=seed, rc=rc)
     return run_closed_loop(drive, mem, det)
 
@@ -74,7 +75,7 @@ def test_orbit_area_unimodal_in_window():
 
 def test_frozen_law_gives_exact_line():
     drive = DriveConfig(T_osc=T_OSC, n_periods=1)
-    mem = MemristorState(0.5, law=FROZEN)
+    mem = MemristorState(0.5)  # frozen
     trace = run_closed_loop(drive, mem, DetectionConfig())
     assert np.allclose(trace.n_out, 0.5 * trace.n_in, atol=1e-14)
 
@@ -82,17 +83,33 @@ def test_frozen_law_gives_exact_line():
 def test_rc_larger_than_window_rejected():
     # the guard binds when the RC filter participates (pulse counting)
     drive = DriveConfig(T_osc=T_OSC)
-    mem = MemristorState(0.5, window_seconds=0.05, law=WINDOWED)
+    mem = MemristorState(0.5, window_seconds=0.05)
     with pytest.raises(ValueError):
         run_closed_loop(drive, mem, DetectionConfig(rc=0.1, noise=POISSON))
     # exact readout has no filter, so the same geometry is fine
-    mem2 = MemristorState(0.5, window_seconds=0.05, law=WINDOWED)
+    mem2 = MemristorState(0.5, window_seconds=0.05)
     run_closed_loop(drive, mem2, DetectionConfig(rc=0.1, noise=EXACT))
 
 
 def test_drive_config_needs_fine_dt():
     with pytest.raises(ValueError):
         DriveConfig(T_osc=1.0, dt=0.01)
+
+
+def test_poisson_detector_rejects_means_numpy_cannot_draw():
+    """numpy draws a Poisson mean up to _POISSON_MEAN_MAX and no further;
+    a pulse-counting detector whose max_rate * dt passes it is rejected
+    when it is built, and an exact one, which draws nothing, is not."""
+    rng = np.random.default_rng(0)
+    rng.poisson(_POISSON_MEAN_MAX)
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(np.nextafter(_POISSON_MEAN_MAX, np.inf))
+    with pytest.raises(ValueError, match="max_rate"):
+        DetectorModel(DetectionConfig(max_rate=1e300, noise=POISSON), 0.01)
+    DetectorModel(DetectionConfig(max_rate=1e300, noise=EXACT), 0.01)
+    detector = DetectorModel(DetectionConfig(max_rate=1e17, noise=POISSON,
+                                             seed=1), 0.01)
+    assert detector.estimate(1e17) > 0.0
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -250,7 +267,8 @@ def test_each_step_calls_estimate_and_advance_once(monkeypatch, law, noise):
     if law == LOWPASS:
         trace = run_lpf_loop(drive, 2.0, det)
     else:
-        mem = MemristorState(0.5, window_seconds=0.4 * T_OSC, law=law)
+        mem = MemristorState(0.5, window_seconds=0.4 * T_OSC
+                             if law == WINDOWED else None)
         trace = run_closed_loop(drive, mem, det)
     steps = drive.n_periods * drive.steps_per_period
     assert len(trace) == steps
@@ -333,10 +351,11 @@ def test_closed_loop_matches_reference(tmp_path_factory, T_osc,
     def run(reference):
         if law == LOWPASS:
             if reference:
-                mem = MemristorState(0.0, law=LOWPASS, f_cut=1.0 / window)
+                mem = MemristorState(0.0, f_cut=1.0 / window)
                 return reference_device.run_loop(drive, mem, det)
             return run_lpf_loop(drive, 1.0 / window, det)
-        mem = MemristorState(0.5, window_seconds=window, law=law)
+        mem = MemristorState(0.5, window_seconds=window
+                             if law == WINDOWED else None)
         if reference:
             return reference_device.run_loop(drive, mem, det)
         return run_closed_loop(drive, mem, det)
@@ -344,7 +363,7 @@ def test_closed_loop_matches_reference(tmp_path_factory, T_osc,
     want = run(reference=True)
     gots = [run(reference=False), run(reference=False)]
     if law == LOWPASS:  # run_closed_loop on a low-pass memristor of its own
-        mem = MemristorState(0.0, law=LOWPASS, f_cut=1.0 / window)
+        mem = MemristorState(0.0, f_cut=1.0 / window)
         gots.append(run_closed_loop(drive, mem, det))
     for got in gots:
         for column in ("t", "n_in", "n_out", "R"):

@@ -156,7 +156,7 @@ def test_estimate_n_in():
 # update laws
 
 def test_windowed_constant_one_saturates():
-    mem = MemristorState(0.5, window_seconds=1.0, law=WINDOWED)
+    mem = MemristorState(0.5, window_seconds=1.0)
     dt = 1e-3
     for k in range(1, 1001):
         mem.advance(k * dt, 1.0)
@@ -164,7 +164,7 @@ def test_windowed_constant_one_saturates():
 
 
 def test_windowed_constant_half_is_fixed_point():
-    mem = MemristorState(0.5, window_seconds=1.0, law=WINDOWED)
+    mem = MemristorState(0.5, window_seconds=1.0)
     dt = 1e-3
     for k in range(1, 2001):
         mem.advance(k * dt, 0.5)
@@ -173,7 +173,7 @@ def test_windowed_constant_half_is_fixed_point():
 
 def test_windowed_full_period_integral_vanishes():
     t_osc = 2.0
-    mem = MemristorState(0.5, window_seconds=t_osc, law=WINDOWED)
+    mem = MemristorState(0.5, window_seconds=t_osc)
     dt = t_osc / 1000
     n_steps = 2000  # two periods
     for k in range(1, n_steps + 1):
@@ -184,7 +184,7 @@ def test_windowed_full_period_integral_vanishes():
 
 def test_windowed_stays_clamped_under_any_stream():
     rng = np.random.default_rng(7)
-    mem = MemristorState(0.5, window_seconds=0.05, law=WINDOWED)
+    mem = MemristorState(0.5, window_seconds=0.05)
     dt = 1e-3
     for k in range(1, 3000):
         mem.advance(k * dt, float(rng.uniform()))
@@ -192,7 +192,7 @@ def test_windowed_stays_clamped_under_any_stream():
 
 
 def test_windowed_rejects_decreasing_time():
-    mem = MemristorState(0.5, window_seconds=1.0, law=WINDOWED)
+    mem = MemristorState(0.5, window_seconds=1.0)
     mem.advance(1.0, 0.7)
     with pytest.raises(ValueError):
         mem.advance(0.5, 0.7)
@@ -201,7 +201,7 @@ def test_windowed_rejects_decreasing_time():
 @pytest.mark.parametrize("kwargs", [
     {"reflectivity": math.nan}, {"reflectivity": -math.inf},
     {"window_seconds": math.nan}, {"window_seconds": math.inf},
-    {"law": LOWPASS, "f_cut": math.nan}, {"law": LOWPASS, "f_cut": math.inf},
+    {"f_cut": math.nan}, {"f_cut": math.inf},
 ], ids=["R-nan", "R-inf", "window-nan", "window-inf", "f_cut-nan",
         "f_cut-inf"])
 def test_state_rejects_non_finite_parameters(kwargs):
@@ -211,7 +211,7 @@ def test_state_rejects_non_finite_parameters(kwargs):
 
 def test_lowpass_step_response():
     f_cut = 4.62
-    mem = MemristorState(0.0, law=LOWPASS, f_cut=f_cut)  # starts at R_MIN
+    mem = MemristorState(0.0, f_cut=f_cut)  # starts at R_MIN
     dt = 1e-4
     times, values = [], []
     for k in range(1, 5001):
@@ -224,7 +224,7 @@ def test_lowpass_step_response():
 
 
 def test_lowpass_dc_gain():
-    mem = MemristorState(0.5, law=LOWPASS, f_cut=2.0)
+    mem = MemristorState(0.5, f_cut=2.0)
     for k in range(1, 20001):
         mem.advance(k * 1e-3, 0.8)
     assert mem.R == pytest.approx(0.8, abs=1e-9)
@@ -233,7 +233,7 @@ def test_lowpass_dc_gain():
 def test_lowpass_attenuates_fast_oscillation():
     f_cut = 1.0
     f_osc = 50.0
-    mem = MemristorState(0.5, law=LOWPASS, f_cut=f_cut)
+    mem = MemristorState(0.5, f_cut=f_cut)
     dt = 1e-4
     rs = []
     for k in range(1, 100001):
@@ -247,7 +247,7 @@ def test_lowpass_attenuates_fast_oscillation():
 
 
 def test_frozen_law_never_moves():
-    mem = MemristorState(0.5, law=FROZEN)
+    mem = MemristorState(0.5)
     for k in range(1, 100):
         mem.advance(k * 0.01, 1.0)
     assert mem.R == 0.5
@@ -260,11 +260,11 @@ samples = st.lists(
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([WINDOWED, LOWPASS]), st.floats(0.0, 1.0),
+@given(st.sampled_from(["window_seconds", "f_cut"]), st.floats(0.0, 1.0),
        st.floats(1e-4, 1e2), samples)
-def test_laws_keep_reflectivity_in_bounds(law, r0, scale, stream):
+def test_laws_keep_reflectivity_in_bounds(parameter, r0, scale, stream):
     # scale is the window (windowed) or the cutoff frequency (lowpass)
-    mem = MemristorState(r0, window_seconds=scale, law=law, f_cut=scale)
+    mem = MemristorState(r0, **{parameter: scale})
     assert R_MIN <= mem.R <= 1.0
     t = 0.0
     for dt, n_in in stream:
@@ -304,7 +304,7 @@ def test_windowed_law_matches_triple_window_reference(window):
     triples, and bit-identical before the first eviction and on re-sum
     steps, for windows from shorter than one step to many steps."""
     rng = np.random.default_rng(int(window * 1e4))
-    mem = MemristorState(0.5, window_seconds=window, law=WINDOWED)
+    mem = MemristorState(0.5, window_seconds=window)
     ref = reference_device.TripleWindowMemristor(0.5, window_seconds=window)
     _advance_with_reference(mem, ref, _random_samples(rng, 600, 0.01),
                             reference_device.ResumCountdown())
@@ -342,6 +342,59 @@ def test_running_window_sum_matches_reference(window, steps):
                        [n_in for _, n_in in steps]))
     _advance_with_reference(mem, ref, samples,
                             reference_device.ResumCountdown())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([WINDOWED, LOWPASS, FROZEN]), st.floats(-1.0, 2.0),
+       st.floats(1e-3, 10.0), law_samples)
+def test_parameter_forms_advance_as_the_law_knob_did(law, r0, scale,
+                                                     steps):
+    """Each law built from its parameter alone steps bit for bit as the
+    law named by the former `law` knob, which also carried a window
+    (here `scale`) under the low-pass and frozen laws."""
+    form = {WINDOWED: {"window_seconds": scale}, LOWPASS: {"f_cut": scale},
+            FROZEN: {}}[law]
+    mem = MemristorState(r0, **form)
+    ref = reference_device.LawKnobMemristor(
+        r0, window_seconds=scale, law=law,
+        f_cut=scale if law == LOWPASS else None)
+    assert (mem.law, mem.f_cut, mem.feedback_window) == (
+        ref.law, ref.f_cut, ref.feedback_window)
+    assert mem.T == (ref.T if law == WINDOWED else None)
+    assert mem.R == ref.R
+    t = 0.0
+    for dt, n_in in steps:
+        t += dt
+        mem.advance(t, n_in)
+        ref.advance(t, n_in)
+        assert mem.R == ref.R
+        assert len(mem.window) == len(ref.window)
+
+
+def test_law_follows_the_parameter_given():
+    windowed = MemristorState(0.5, window_seconds=2)
+    assert (windowed.law, windowed.T, windowed.f_cut) == (WINDOWED, 2.0, None)
+    assert type(windowed.T) is float and windowed.feedback_window == 2.0
+    lowpass = MemristorState(0.5, f_cut=4.0)
+    assert (lowpass.law, lowpass.T, lowpass.f_cut) == (LOWPASS, None, 4.0)
+    assert lowpass.feedback_window == 0.25
+    frozen = MemristorState()
+    assert (frozen.law, frozen.T, frozen.f_cut) == (FROZEN, None, None)
+    assert (frozen.feedback_window, frozen.R) == (None, 0.5)
+
+
+def test_window_and_cutoff_together_raise():
+    with pytest.raises(ValueError, match="not both"):
+        MemristorState(0.5, window_seconds=1.0, f_cut=1.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"window_seconds": 0}, {"window_seconds": -1.0}, {"f_cut": 0.0},
+    {"f_cut": -2.0},
+])
+def test_state_rejects_non_positive_parameters(kwargs):
+    with pytest.raises(ValueError, match="positive"):
+        MemristorState(**kwargs)
 
 
 # ---------------------------------------------------------------------------

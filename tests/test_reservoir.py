@@ -9,6 +9,7 @@ import reference_device
 from dense_reservoir import DenseReservoir
 from test_fock import haar_unitary
 from qumem.fock import (
+    MAX_SHOTS,
     DimensionError,
     QuantumState,
     _lift_sectors,
@@ -66,6 +67,18 @@ def test_config_accepts_integer_shots_and_window():
     config = ReservoirConfig(shots=np.int64(5), window=np.int64(3))
     assert (config.shots, config.window) == (5, 3)
     assert ReservoirConfig(shots=None).shots is None
+
+
+def test_shots_stop_at_the_largest_int64_draw():
+    """numpy draws at most 2**63 - 1 shots: one more is a config error,
+    and the largest count samples a run."""
+    for shots in (MAX_SHOTS + 1, 10**20):
+        with pytest.raises(ValueError, match="shots must be"):
+            ReservoirConfig(shots=shots)
+    res = Reservoir(ReservoirConfig(modes=3, photons=1, shots=MAX_SHOTS,
+                                    sample_seed=0))
+    probs = res.run_sequence([amplitude_encode([1.0, 2.0], res.basis)])
+    assert probs.sum() == pytest.approx(1.0)
 
 
 def small_reservoir(**kwargs):

@@ -8,7 +8,7 @@ import pytest
 import reference_device
 from qumem import tomography
 from qumem.cli import cmd_tomography, resolve_config
-from qumem.fock import coupler, fidelity, purity
+from qumem.fock import MAX_SHOTS, coupler, fidelity, purity
 from qumem.memristor import QubitInput, dual_rail_purity, output_state_dual_rail
 from qumem.tomography import (
     PHI_GLOBAL,
@@ -120,6 +120,11 @@ def test_simulate_counts_one_photon_state_all_in_bypass():
     assert rows[0].tolist() == [4000.0, 0.0]
 
 
+def test_simulate_counts_draws_the_largest_int64_count():
+    rows = simulate_counts(phased_state(0.3, 0.5), shots=MAX_SHOTS, seed=2)
+    assert np.allclose(rows.sum(axis=1), float(MAX_SHOTS))
+
+
 def test_simulate_counts_reproducible():
     rho = phased_state(0.7, 0.3)
     a = simulate_counts(rho, shots=1000, seed=7)
@@ -127,10 +132,12 @@ def test_simulate_counts_reproducible():
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("shots", [0, 2.5, -1, True],
-                         ids=["zero", "fraction", "negative", "bool"])
+@pytest.mark.parametrize("shots", [0, 2.5, -1, True, MAX_SHOTS + 1, 10**20],
+                         ids=["zero", "fraction", "negative", "bool",
+                              "int64-max-plus-1", "1e20"])
 def test_shots_must_be_a_positive_integer(shots, monkeypatch):
-    """A shot count that is not None or an integer >= 1 is rejected
+    """A shot count that is not None or an integer in [1, 2**63 - 1],
+    the counts numpy draws, is rejected
     before any draw, by the draw, by the batch's tables and by a round
     trip handed its table."""
     drawn = count_calls(monkeypatch, "simulate_counts")
