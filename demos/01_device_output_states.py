@@ -61,9 +61,11 @@ def main():
     mode_u = np.eye(3, dtype=complex)
     mode_u[1:, 1:] = coupler(0.7)
     joint = apply(state, lift_unitary(mode_u, basis))
+    # the reduced density matrix of the two output rails, rows and
+    # columns |00>, |10>, |01> as in the closed form
     reduced = partial_trace(joint, keep_modes=(0, 1))
     print("max |closed form - simulated| =",
-          f"{np.max(np.abs(reduced.density() - rho3)):.2e}")
+          f"{np.max(np.abs(reduced - rho3)):.2e}")
 
     print("\n=== purity map over (|beta|^2, R) ===")
     beta2 = np.linspace(0, 1, 101)

@@ -414,18 +414,20 @@ def cmd_rc(config, out_dir, check):
             sample_seed=config["seed"],
         ))
         train_set, test_set = features(config, reservoir)
+    x_train, x_test = standardize(to_readout_features(train_set[0]),
+                                  to_readout_features(test_set[0]))
+    model = ReadoutModel.initialize(x_train.shape[1], config["hidden"],
+                                    n_out, seed=config["seed"])
+    try:
+        result = train(model, (x_train, train_set[1]),
+                       epochs=config["epochs"], lr=config["lr"],
+                       seed=config["seed"], batch_size=config["batch_size"],
+                       test_data=(x_test, test_set[1]))
+    except FloatingPointError as exc:
+        raise ConfigError(f"lr = {config['lr']!r}: {exc}") from None
     out_dir.mkdir(parents=True, exist_ok=True)
     write_features_csv(out_dir / "train_features.csv", *train_set)
     write_features_csv(out_dir / "test_features.csv", *test_set)
-    x_train, x_test = standardize(to_readout_features(train_set[0]),
-                                  to_readout_features(test_set[0]))
-    train_set = (x_train, train_set[1])
-    test_set = (x_test, test_set[1])
-    model = ReadoutModel.initialize(x_train.shape[1], config["hidden"],
-                                    n_out, seed=config["seed"])
-    result = train(model, train_set, epochs=config["epochs"],
-                   lr=config["lr"], seed=config["seed"],
-                   batch_size=config["batch_size"], test_data=test_set)
     metrics = {
         "config": config,
         "window": window,
@@ -579,6 +581,16 @@ def build_parser():
     return parser
 
 
+def _check_out(out_dir):
+    """Raise ConfigError unless `out_dir`, or its nearest existing
+    ancestor, is a directory, so the command can create or fill it.  A
+    dangling symbolic link exists and is not a directory."""
+    existing = next(p for p in (out_dir, *out_dir.parents)
+                    if os.path.lexists(p))
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out_dir}: {existing} is not a directory")
+
+
 def main(argv=None):
     """Run one command and return its exit code.  Config, data and
     --check faults are reported on stderr; other exceptions propagate."""
@@ -586,7 +598,9 @@ def main(argv=None):
     name = args.pop("command")
     path, out_dir, check = (args.pop(k) for k in ("config", "out", "check"))
     try:
-        COMMANDS[name][2](resolve_config(name, path, args), out_dir, check)
+        config = resolve_config(name, path, args)
+        _check_out(out_dir)
+        COMMANDS[name][2](config, out_dir, check)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

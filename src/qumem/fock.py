@@ -32,7 +32,6 @@ import numpy as np
 
 ATOL_UNITARY = 1e-10
 ATOL_STATE = 1e-10
-EIG_FLOOR = -1e-9  # tolerated round-off on density-operator eigenvalues
 MAX_SHOTS = 2**63 - 1  # the largest count numpy's int64 draws take
 
 
@@ -88,22 +87,16 @@ def _sector(modes, photons):
 
 
 class OccupationBasis:
-    """Ordered enumeration of m-mode occupation vectors.
-
-    Either a fixed photon-number sector (size binomial(m+p-1, p)) or
-    the union of all sectors 0..p (needed for reduced states and for
-    vacuum/one-photon qubits).  The ordering is deterministic: sectors
-    ascend in total photon number, and each sector is descending
-    lexicographic.
+    """Ordered enumeration of the occupation vectors of m modes holding
+    exactly p photons: one photon-number sector, of size
+    binomial(m+p-1, p), in descending lexicographic order.
     """
 
-    def __init__(self, modes, photons, states, fixed_total):
+    def __init__(self, modes, photons, states):
         self.modes = modes
         self.photons = photons
         self.states = tuple(tuple(s) for s in states)
-        self.fixed_total = fixed_total
         self._index = {occ: i for i, occ in enumerate(self.states)}
-        self.totals = np.array([sum(occ) for occ in self.states], dtype=int)
 
     @property
     def size(self):
@@ -120,8 +113,8 @@ class OccupationBasis:
         return np.array(self.states, dtype=int)
 
     def __repr__(self):
-        kind = "p=%d" % self.photons if self.fixed_total else "p<=%d" % self.photons
-        return f"OccupationBasis(m={self.modes}, {kind}, size={self.size})"
+        return (f"OccupationBasis(m={self.modes}, p={self.photons}, "
+                f"size={self.size})")
 
 
 def enumerate_basis(modes, photons):
@@ -130,16 +123,7 @@ def enumerate_basis(modes, photons):
     _check_counts(modes, photons)
     states = _sector(modes, photons)
     assert len(states) == math.comb(modes + photons - 1, photons)
-    return OccupationBasis(modes, photons, states, fixed_total=True)
-
-
-def enumerate_basis_upto(modes, photons):
-    """Union of the 0..photons sectors (ascending total photon number)."""
-    _check_counts(modes, photons)
-    states = []
-    for p in range(photons + 1):
-        states.extend(_sector(modes, p))
-    return OccupationBasis(modes, photons, states, fixed_total=False)
+    return OccupationBasis(modes, photons, states)
 
 
 class ModeUnitary:
@@ -189,31 +173,6 @@ class QuantumState:
     def pure(cls, basis, amplitudes, validate=True):
         vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
         return cls(basis, vec[:, None], validate=validate)
-
-    @classmethod
-    def from_density(cls, basis, matrix, validate=True):
-        """State of a density operator, factored by one eigen-
-        decomposition.  Eigenvalues within 8 dim ulps of the largest
-        are round-off zeros and are dropped, so a projector gives a
-        pure state.  density() returns the given matrix."""
-        mat = np.asarray(matrix, dtype=complex)
-        if mat.shape != (basis.size, basis.size):
-            raise DimensionError("density shape does not match basis size")
-        if validate:
-            if np.max(np.abs(mat - mat.conj().T)) > ATOL_STATE:
-                raise ValueError("density operator is not Hermitian")
-            tr = np.trace(mat).real
-            if abs(tr - 1.0) > ATOL_STATE:
-                raise ValueError(f"density trace {tr} deviates from 1")
-        evals, evecs = np.linalg.eigh(mat)
-        if validate and evals[0] < EIG_FLOOR:
-            raise ValueError("density operator has a negative eigenvalue")
-        ulp = max(evals[-1], 0.0) * np.finfo(float).eps
-        keep = evals > 8 * mat.shape[0] * ulp
-        state = cls(basis, evecs[:, keep] * np.sqrt(evals[keep]),
-                    validate=False)
-        state._density = mat
-        return state
 
     @property
     def is_pure(self):
@@ -312,13 +271,8 @@ def _lift_sectors(u, modes, photons):
 
 
 def lift_unitary(u, basis):
-    """Lift a mode unitary to the Fock space over `basis`.
-
-    For a mixed-sector basis the lift is block diagonal over photon
-    number (a passive unitary conserves total photon number).  The
-    basis must be in the order of `enumerate_basis` or
-    `enumerate_basis_upto`.
-    """
+    """Lift a mode unitary to the Fock space over `basis`, which must be
+    in the order of `enumerate_basis`."""
     if isinstance(u, ModeUnitary):
         u = u.matrix
     u = np.asarray(u, dtype=complex)
@@ -326,20 +280,9 @@ def lift_unitary(u, basis):
         raise DimensionError(
             f"mode matrix is {u.shape}, basis has {basis.modes} modes"
         )
-    first = basis.photons if basis.fixed_total else 0
-    sectors = range(first, basis.photons + 1)
-    if basis.states != sum((_sector(basis.modes, k) for k in sectors), ()):
+    if basis.states != _sector(basis.modes, basis.photons):
         raise ValueError("lifting needs a basis in enumerate_basis order")
-    lifts = _lift_sectors(u, basis.modes, basis.photons)
-    if basis.fixed_total:
-        return lifts[-1]
-    out = np.zeros((basis.size, basis.size), dtype=complex)
-    start = 0
-    for block in lifts:
-        stop = start + block.shape[0]
-        out[start:stop, start:stop] = block
-        start = stop
-    return out
+    return _lift_sectors(u, basis.modes, basis.photons)[-1]
 
 
 def apply(state, lifted):
@@ -355,10 +298,12 @@ def apply(state, lifted):
 # reduction and scalar functionals
 
 def partial_trace(state, keep_modes):
-    """Trace out all modes except `keep_modes`.
+    """Reduced density matrix of `keep_modes`, every other mode traced
+    out.
 
-    The reduced state lives on the 0..p sector union of the kept modes,
-    since the discarded modes may carry any share of the photons.
+    The discarded modes may carry any share of the p photons, so the
+    rows and columns are the kept modes' occupations with 0..p photons:
+    ascending photon number, each sector in `enumerate_basis` order.
     """
     basis = state.basis
     keep = tuple(sorted(keep_modes))
@@ -370,20 +315,21 @@ def partial_trace(state, keep_modes):
         raise ValueError("keep_modes must be a proper subset of the modes")
     env = tuple(m for m in range(basis.modes) if m not in keep)
 
-    reduced = enumerate_basis_upto(len(keep), basis.photons)
+    sectors = (_sector(len(keep), k) for k in range(basis.photons + 1))
+    row = {occ: r for r, occ in enumerate(sum(sectors, ()))}
     rho = state.density()
-    out = np.zeros((reduced.size, reduced.size), dtype=complex)
+    out = np.zeros((len(row), len(row)), dtype=complex)
 
     groups = {}
     for i, occ in enumerate(basis.states):
         kocc = tuple(occ[m] for m in keep)
         eocc = tuple(occ[m] for m in env)
-        groups.setdefault(eocc, []).append((i, reduced.index_of(kocc)))
+        groups.setdefault(eocc, []).append((i, row[kocc]))
     for pairs in groups.values():
         idx = [i for i, _ in pairs]
         ridx = [r for _, r in pairs]
         out[np.ix_(ridx, ridx)] += rho[np.ix_(idx, idx)]
-    return QuantumState.from_density(reduced, out, validate=False)
+    return out
 
 
 def purity(rho):

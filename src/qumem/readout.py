@@ -134,6 +134,11 @@ def train(model, data, epochs=15, lr=0.05, seed=0, batch_size=32,
     `data` and `test_data` are (X, y) pairs: feature rows and class
     indices.  Returns the trained model together with per-epoch losses
     and final train/test accuracies.
+
+    Raises FloatingPointError when training diverges: at the first
+    non-finite batch loss, or when the last step leaves a non-finite
+    weight.  Numpy's overflow and invalid-value warnings are silenced,
+    so this error is the one report of a divergence.
     """
     x = np.asarray(data[0], dtype=float)
     y = np.asarray(data[1], dtype=int)
@@ -143,19 +148,29 @@ def train(model, data, epochs=15, lr=0.05, seed=0, batch_size=32,
     rng = np.random.default_rng(seed)
     n = x.shape[0]
     losses = []
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for lo in range(0, n, batch_size):
-            batch = order[lo : lo + batch_size]
-            loss, dw1, dw2 = loss_and_gradients(model, x[batch], y[batch])
-            model.w1 -= lr * dw1
-            model.w2 -= lr * dw2
-            epoch_loss += loss * len(batch)
-        losses.append(epoch_loss / n)
-    result = TrainResult(model, losses, train_accuracy=accuracy(model, x, y))
-    if test_data is not None:
-        result.test_accuracy = accuracy(model, *test_data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, epochs + 1):
+            order = rng.permutation(n)
+            epoch_loss = 0.0
+            for lo in range(0, n, batch_size):
+                batch = order[lo : lo + batch_size]
+                loss, dw1, dw2 = loss_and_gradients(model, x[batch], y[batch])
+                if not math.isfinite(loss):
+                    raise FloatingPointError(
+                        f"the readout diverged: batch loss {loss} in "
+                        f"epoch {epoch}")
+                model.w1 -= lr * dw1
+                model.w2 -= lr * dw2
+                epoch_loss += loss * len(batch)
+            losses.append(epoch_loss / n)
+        if not (np.isfinite(model.w1).all() and np.isfinite(model.w2).all()):
+            raise FloatingPointError(
+                "the readout diverged: a weight is not finite after the "
+                "last step")
+        result = TrainResult(model, losses,
+                             train_accuracy=accuracy(model, x, y))
+        if test_data is not None:
+            result.test_accuracy = accuracy(model, *test_data)
     return result
 
 

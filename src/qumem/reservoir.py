@@ -429,7 +429,6 @@ def _reinjection(basis, rails):
 @functools.lru_cache(maxsize=8)
 def _geometry(modes, photons):
     basis = enumerate_basis(modes, photons)
-    _read_only(basis.totals)
     rails = tuple((3 * k, 3 * k + 1, 3 * k + 2) for k in range(modes // 3))
     occ = basis.occupation_matrix()
     return _Geometry(

@@ -75,13 +75,5 @@ def lift_sector(u, occs):
 
 
 def permanent_lift(u, basis):
-    """Lift over a fixed-sector or mixed-sector basis; block diagonal
-    over photon number in the mixed case."""
-    u = np.asarray(u, dtype=complex)
-    if basis.fixed_total:
-        return lift_sector(u, basis.states)
-    out = np.zeros((basis.size, basis.size), dtype=complex)
-    for p in range(basis.photons + 1):
-        idx = np.flatnonzero(basis.totals == p)
-        out[np.ix_(idx, idx)] = lift_sector(u, [basis.states[i] for i in idx])
-    return out
+    """Lift over an OccupationBasis, in its order."""
+    return lift_sector(u, basis.states)

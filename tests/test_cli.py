@@ -612,6 +612,60 @@ def test_every_schema_key_has_a_bad_value_case():
         assert set(schema) - set().union(*cases[name]) == set(), name
 
 
+@pytest.mark.parametrize("target", ["file", "file/sub", "link/sub"])
+@pytest.mark.parametrize("command", [
+    ["hysteresis"], ["purity-map"], ["rc", "entanglement"], ["tomography"],
+], ids=lambda command: command[0])
+def test_out_not_a_directory_exits_2_before_work(tmp_path, capsys,
+                                                 monkeypatch, command,
+                                                 target):
+    def no_work(*args):
+        raise AssertionError("work started before --out was checked")
+
+    for name, (schema, relate, _, help_text) in COMMANDS.items():
+        monkeypatch.setitem(COMMANDS, name,
+                            (schema, relate, no_work, help_text))
+    (tmp_path / "file").write_text("kept\n")
+    (tmp_path / "link").symlink_to(tmp_path / "missing")
+    blocker = tmp_path / target.split("/")[0]
+    assert run_cli(*command, "--out", str(tmp_path / target)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == (f"config error: --out {tmp_path / target}: {blocker} "
+                   f"is not a directory\n")
+    assert (tmp_path / "file").read_text() == "kept\n"
+    assert not (tmp_path / "missing").exists()
+
+
+def diverging_rc_config(tmp_path, lr):
+    config = tmp_path / f"lr{lr:g}.json"
+    config.write_text(json.dumps({"n_train": 2, "n_test": 2, "copies": 2,
+                                  "d_loc": 4, "lr": lr}))
+    return config
+
+
+def test_rc_diverging_readout_exits_2_without_output(tmp_path, capsys,
+                                                     recwarn):
+    out = tmp_path / "o"
+    assert run_cli("rc", "entanglement", "--config",
+                   str(diverging_rc_config(tmp_path, 1e300)),
+                   "--out", str(out)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: lr = 1e+300: the readout diverged")
+    assert "Warning" not in err
+    assert [str(w.message) for w in recwarn] == []
+    assert not out.exists()
+
+
+def test_rc_large_converging_lr_still_runs(tmp_path, recwarn):
+    out = tmp_path / "o"
+    assert run_cli("rc", "entanglement", "--config",
+                   str(diverging_rc_config(tmp_path, 50)),
+                   "--out", str(out)) == EXIT_OK
+    for name in ("metrics.json", "checkpoint.json"):
+        assert "NaN" not in (out / name).read_text()
+    assert [str(w.message) for w in recwarn] == []
+
+
 def test_rc_outputs_byte_identical(tmp_path):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from qumem.fock import (
     apply,
     coupler,
     enumerate_basis,
-    enumerate_basis_upto,
     fidelity,
     lift_unitary,
     partial_trace,
@@ -77,7 +77,6 @@ def test_basis_of_more_modes_than_the_recursion_limit():
     assert basis.size == 1200
     assert basis.states[0] == (1,) + (0,) * 1199
     assert basis.states[-1] == (0,) * 1199 + (1,)
-    assert enumerate_basis_upto(1200, 1).size == 1201
 
 
 def test_basis_index_roundtrip():
@@ -101,8 +100,7 @@ def test_basis_zero_modes_rejected():
         enumerate_basis(0, 1)
 
 
-@pytest.mark.parametrize("enumerate_", [enumerate_basis,
-                                        enumerate_basis_upto])
+@pytest.mark.parametrize("enumerate_", [enumerate_basis])
 @pytest.mark.parametrize("modes, photons, error", [
     (4.5, 2, DimensionError), (True, 2, DimensionError),
     (3, 2.5, ValueError), (3, True, ValueError), (3, -1, ValueError),
@@ -116,13 +114,6 @@ def test_basis_rejects_non_integer_counts(enumerate_, modes, photons,
 
 def test_basis_accepts_numpy_integer_counts():
     assert enumerate_basis(np.int64(3), np.int64(2)).size == 6
-    assert enumerate_basis_upto(np.int64(3), np.int64(2)).size == 10
-
-
-def test_basis_upto_sector_sizes():
-    basis = enumerate_basis_upto(2, 1)
-    assert basis.states == ((0, 0), (1, 0), (0, 1))
-    assert enumerate_basis_upto(3, 2).size == 1 + 3 + 6
 
 
 # ---------------------------------------------------------------------------
@@ -230,23 +221,16 @@ def test_lift_matches_brute_force_oracle():
                 )
 
 
-def lift_basis(modes, photons, mixed):
-    if mixed:
-        return enumerate_basis_upto(modes, photons)
-    return enumerate_basis(modes, photons)
-
-
-# (modes, photons, mixed-sector basis) with modes <= 4 and photons <= 3
-geometries = st.tuples(st.integers(1, 4), st.integers(0, 3), st.booleans())
+# (modes, photons) with modes <= 4 and photons <= 3
+geometries = st.tuples(st.integers(1, 4), st.integers(0, 3))
 seeds = st.integers(0, 2**32 - 1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(geometries, seeds)
 def test_lift_matches_permanent_oracle(geometry, seed):
-    modes, photons, mixed = geometry
-    basis = lift_basis(modes, photons, mixed)
-    u = haar_unitary(modes, np.random.default_rng(seed))
+    basis = enumerate_basis(*geometry)
+    u = haar_unitary(basis.modes, np.random.default_rng(seed))
     dev = np.max(np.abs(lift_unitary(u, basis) - permanent_lift(u, basis)))
     assert dev <= 1e-12
 
@@ -254,10 +238,9 @@ def test_lift_matches_permanent_oracle(geometry, seed):
 @settings(max_examples=60, deadline=None)
 @given(geometries, seeds)
 def test_lift_is_multiplicative_and_unitary(geometry, seed):
-    modes, photons, mixed = geometry
-    basis = lift_basis(modes, photons, mixed)
+    basis = enumerate_basis(*geometry)
     rng = np.random.default_rng(seed)
-    u, v = haar_unitary(modes, rng), haar_unitary(modes, rng)
+    u, v = haar_unitary(basis.modes, rng), haar_unitary(basis.modes, rng)
     lu, lv = lift_unitary(u, basis), lift_unitary(v, basis)
     assert np.max(np.abs(lift_unitary(u @ v, basis) - lu @ lv)) <= 1e-12
     assert np.max(np.abs(lu.conj().T @ lu - np.eye(basis.size))) <= 1e-12
@@ -265,28 +248,15 @@ def test_lift_is_multiplicative_and_unitary(geometry, seed):
 
 def test_lift_matches_permanent_oracle_at_reservoir_size():
     rng = np.random.default_rng(37)
-    for basis in (enumerate_basis(9, 3), enumerate_basis_upto(6, 3)):
+    for basis in (enumerate_basis(9, 3), enumerate_basis(6, 3)):
         u = haar_unitary(basis.modes, rng)
         dev = np.max(np.abs(lift_unitary(u, basis) - permanent_lift(u, basis)))
         assert dev <= 1e-12
 
 
-def test_lift_mixed_basis_is_block_diagonal_over_photon_number():
-    rng = np.random.default_rng(41)
-    basis = enumerate_basis_upto(4, 3)
-    u = haar_unitary(4, rng)
-    lifted = lift_unitary(u, basis)
-    same = basis.totals[:, None] == basis.totals[None, :]
-    assert np.all(lifted[~same] == 0)
-    for p in range(4):
-        idx = np.flatnonzero(basis.totals == p)
-        block = lifted[np.ix_(idx, idx)]
-        assert np.array_equal(block, lift_unitary(u, enumerate_basis(4, p)))
-
-
 def test_lift_rejects_reordered_basis():
     basis = enumerate_basis(3, 2)
-    shuffled = OccupationBasis(3, 2, basis.states[::-1], fixed_total=True)
+    shuffled = OccupationBasis(3, 2, basis.states[::-1])
     with pytest.raises(ValueError):
         lift_unitary(np.eye(3), shuffled)
 
@@ -315,55 +285,99 @@ def test_apply_dimension_mismatch():
 
 
 def test_single_rail_splitter_amplitudes():
-    # vacuum/one-photon qubit through a reflectivity-R splitter:
+    # vacuum/one-photon qubit through a reflectivity-R splitter, its
+    # vacuum carried by a photon on the bypass rail (mode 0):
     # (alpha, beta) -> (alpha, beta sqrt(1-R), i beta sqrt(R))
-    basis = enumerate_basis_upto(2, 1)
+    basis = enumerate_basis(3, 1)
     beta2, refl = 0.3, 0.7
     alpha, beta = math.sqrt(1 - beta2), math.sqrt(beta2)
     state = QuantumState.pure(basis, [alpha, beta, 0.0])
-    lifted = lift_unitary(coupler(refl), basis)
-    out = apply(state, lifted)
+    mode_u = np.eye(3, dtype=complex)
+    mode_u[1:, 1:] = coupler(refl)
+    out = apply(state, lift_unitary(mode_u, basis))
     expect = np.array(
         [alpha, beta * math.sqrt(1 - refl), 1j * beta * math.sqrt(refl)]
     )
     assert np.allclose(out.amplitudes, expect, atol=1e-12)
 
 
-def random_upto_state(modes, photons, rng):
-    basis = enumerate_basis_upto(modes, photons)
+def random_factor(dim, rank, rng):
+    k = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    return k / np.linalg.norm(k)
+
+
+def random_state(modes, photons, rng):
+    basis = enumerate_basis(modes, photons)
     amps = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     return QuantumState.pure(basis, amps / np.linalg.norm(amps))
 
 
+def reduced_rows(modes, photons):
+    """Row of each occupation of `modes` kept modes in a partial trace
+    of a `photons`-photon state: ascending photon number, each sector
+    in enumerate_basis order."""
+    occs = [occ for k in range(photons + 1)
+            for occ in enumerate_basis(modes, k).states]
+    return {occ: r for r, occ in enumerate(occs)}
+
+
 def test_partial_trace_recovers_product_factors():
+    # one photon on modes 0-1 times one photon on modes 2-3
     rng = np.random.default_rng(23)
-    a = random_upto_state(2, 1, rng)
-    b = random_upto_state(2, 1, rng)
-    full = enumerate_basis_upto(4, 2)
+    a = random_state(2, 1, rng)
+    b = random_state(2, 1, rng)
+    full = enumerate_basis(4, 2)
     amps = np.zeros(full.size, dtype=complex)
     for i, occ_a in enumerate(a.basis.states):
         for j, occ_b in enumerate(b.basis.states):
             amps[full.index_of(occ_a + occ_b)] = a.amplitudes[i] * b.amplitudes[j]
     state = QuantumState.pure(full, amps)
+    rows = reduced_rows(2, 2)
 
-    reduced_a = partial_trace(state, keep_modes=(0, 1))
-    for i, occ_i in enumerate(a.basis.states):
-        for j, occ_j in enumerate(a.basis.states):
-            ri = reduced_a.basis.index_of(occ_i)
-            rj = reduced_a.basis.index_of(occ_j)
-            assert reduced_a.density()[ri, rj] == pytest.approx(
-                a.density()[i, j], abs=1e-12
-            )
-    # populations beyond the factor's photon content vanish
-    assert np.trace(reduced_a.density()).real == pytest.approx(1.0, abs=1e-12)
+    for keep, factor in (((0, 1), a), ((2, 3), b)):
+        reduced = partial_trace(state, keep_modes=keep)
+        assert reduced.shape == (len(rows), len(rows))
+        idx = [rows[occ] for occ in factor.basis.states]
+        dev = np.abs(reduced[np.ix_(idx, idx)] - factor.density())
+        assert np.max(dev) <= 1e-12
+        # the factor holds one photon: the other sectors stay empty
+        rest = np.ones(reduced.shape, dtype=bool)
+        rest[np.ix_(idx, idx)] = False
+        assert np.max(np.abs(reduced[rest])) <= 1e-12
 
-    reduced_b = partial_trace(state, keep_modes=(2, 3))
-    rb = reduced_b.density()
-    for i, occ_i in enumerate(b.basis.states):
-        ri = reduced_b.basis.index_of(occ_i)
-        assert rb[ri, ri].real == pytest.approx(
-            b.density()[i, i].real, abs=1e-12
-        )
+
+def brute_force_partial_trace(state, keep):
+    """rho_keep[r(k), r(k')] = sum over pairs of basis states whose
+    environment occupations agree, one matrix entry at a time."""
+    basis = state.basis
+    env = [m for m in range(basis.modes) if m not in keep]
+    rows = reduced_rows(len(keep), basis.photons)
+    rho = state.density()
+    out = np.zeros((len(rows), len(rows)), dtype=complex)
+    for i, occ_i in enumerate(basis.states):
+        for j, occ_j in enumerate(basis.states):
+            if all(occ_i[m] == occ_j[m] for m in env):
+                out[rows[tuple(occ_i[m] for m in keep)],
+                    rows[tuple(occ_j[m] for m in keep)]] += rho[i, j]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(2, 4), st.integers(0, 3)), seeds, st.data())
+def test_partial_trace_is_a_density_matrix_over_every_subset(geometry, seed,
+                                                             data):
+    basis = enumerate_basis(*geometry)
+    rank = data.draw(st.integers(1, basis.size))
+    state = QuantumState(basis, random_factor(basis.size, rank,
+                                              np.random.default_rng(seed)))
+    for size in range(1, basis.modes):
+        for keep in itertools.combinations(range(basis.modes), size):
+            reduced = partial_trace(state, keep_modes=keep)
+            assert np.max(np.abs(reduced - reduced.conj().T)) <= 1e-12
+            assert abs(np.trace(reduced) - 1.0) <= 1e-12
+            assert np.linalg.eigvalsh(reduced)[0] >= -1e-12
+            want = brute_force_partial_trace(state, keep)
+            assert np.max(np.abs(reduced - want)) <= 1e-12
 
 
 def dual_rail_joint_state(beta2, refl):
@@ -385,9 +399,8 @@ def test_partial_trace_dual_rail_matches_closed_form():
     beta2, refl = 0.3, 0.7
     joint = dual_rail_joint_state(beta2, refl)
     reduced = partial_trace(joint, keep_modes=(0, 1))
-    assert reduced.basis.states == ((0, 0), (1, 0), (0, 1))
     closed = output_state_dual_rail(QubitInput.from_beta2(beta2), refl)
-    assert np.allclose(reduced.density(), closed, atol=1e-12)
+    assert np.allclose(reduced, closed, atol=1e-12)
 
 
 def test_partial_trace_dual_rail_complex_amplitudes():
@@ -403,7 +416,19 @@ def test_partial_trace_dual_rail_complex_amplitudes():
     joint = apply(state, lift_unitary(mode_u, basis))
     reduced = partial_trace(joint, keep_modes=(0, 1))
     closed = output_state_dual_rail(QubitInput(alpha, beta), refl)
-    assert np.allclose(reduced.density(), closed, atol=1e-12)
+    assert np.allclose(reduced, closed, atol=1e-12)
+
+
+def test_basis_upto_sector_sizes():
+    """A partial trace's rows are the kept modes' sectors 0..p in
+    ascending photon number, each in enumerate_basis order."""
+    basis = enumerate_basis(3, 1)
+    # the photon in mode 0, 1 or 2 leaves modes (0, 1) in |10>, |01>, |00>
+    for occ, row in (((1, 0, 0), 1), ((0, 1, 0), 2), ((0, 0, 1), 0)):
+        reduced = partial_trace(one_hot(basis, occ), keep_modes=(0, 1))
+        assert np.array_equal(reduced, np.diag(np.eye(3)[row]))
+    state = one_hot(enumerate_basis(4, 2), (0, 0, 0, 2))
+    assert partial_trace(state, keep_modes=(0, 1, 2)).shape == (1 + 3 + 6,) * 2
 
 
 def test_partial_trace_rejects_bad_subsets():
@@ -433,7 +458,7 @@ def test_purity_pure_and_mixed():
     basis = enumerate_basis(2, 1)
     pure = one_hot(basis, (1, 0))
     assert purity(pure.density()) == pytest.approx(1.0, abs=1e-12)
-    mixed = QuantumState.from_density(basis, np.eye(2) / 2)
+    mixed = QuantumState(basis, np.eye(2) / math.sqrt(2))
     assert purity(mixed) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -483,7 +508,7 @@ def test_fock_probabilities():
     basis = enumerate_basis(3, 1)
     state = one_hot(basis, (0, 1, 0))
     assert np.allclose(populations(state), [0, 1, 0])
-    mixed = QuantumState.from_density(basis, np.eye(3) / 3)
+    mixed = QuantumState(basis, np.eye(3) / math.sqrt(3))
     assert np.allclose(populations(mixed), np.full(3, 1 / 3))
     joint = dual_rail_joint_state(0.3, 0.7)
     probs = populations(joint)
@@ -507,14 +532,6 @@ def test_quantum_state_validation():
     with pytest.raises(ValueError):
         QuantumState.pure(basis, [1.0, 1.0])
     with pytest.raises(ValueError):
-        QuantumState.from_density(basis, np.array([[0.5, 0.5], [0.4, 0.5]]))
-    bad_trace = np.diag([0.9, 0.2])
-    with pytest.raises(ValueError):
-        QuantumState.from_density(basis, bad_trace)
-    not_psd = np.array([[1.2, 0.0], [0.0, -0.2]])
-    with pytest.raises(ValueError):
-        QuantumState.from_density(basis, not_psd)
-    with pytest.raises(ValueError):
         QuantumState(basis, np.array([[0.9], [0.9]]))
     with pytest.raises(DimensionError):
         QuantumState(basis, np.ones(2) / np.sqrt(2))
@@ -523,36 +540,26 @@ def test_quantum_state_validation():
     state = QuantumState(basis, factor)
     assert not state.is_pure
     assert np.allclose(state.density(), np.diag([0.36, 0.64]))
-    again = QuantumState.from_density(basis, state.density()).ket_factor()
-    assert np.allclose(again @ again.conj().T, state.density())
-
-
-def random_factor(dim, rank, rng):
-    k = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    return k / np.linalg.norm(k)
 
 
 @settings(max_examples=60, deadline=None)
 @given(geometries, seeds, st.data())
 def test_density_factor_round_trip_and_rank(geometry, seed, data):
-    basis = lift_basis(*geometry)
+    basis = enumerate_basis(*geometry)
     rank = data.draw(st.integers(1, basis.size))
     factor = random_factor(basis.size, rank, np.random.default_rng(seed))
-    rho = factor @ factor.conj().T
-    state = QuantumState.from_density(basis, rho)
-    k = state.ket_factor()
-    assert np.max(np.abs(k @ k.conj().T - rho)) <= 1e-12
-    assert state.density() is rho
-    assert k.shape[1] == rank
-    for s in (state, QuantumState(basis, factor)):
-        assert s.is_pure == (rank == 1)
-        assert (s.amplitudes is None) == (rank > 1)
+    state = QuantumState(basis, factor)
+    assert state.ket_factor() is factor
+    assert np.array_equal(state.density(), factor @ factor.conj().T)
+    assert state.density() is state.density()
+    assert state.is_pure == (rank == 1)
+    assert (state.amplitudes is None) == (rank > 1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(geometries, seeds)
 def test_pure_state_amplitudes_and_probabilities_bit_exact(geometry, seed):
-    basis = lift_basis(*geometry)
+    basis = enumerate_basis(*geometry)
     v = random_factor(basis.size, 1, np.random.default_rng(seed))[:, 0]
     state = QuantumState.pure(basis, v)
     assert state.is_pure

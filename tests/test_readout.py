@@ -156,6 +156,25 @@ def test_train_rejects_empty_data():
         train(model, (np.zeros((0, 3)), np.zeros(0, dtype=int)))
 
 
+def test_train_raises_at_the_first_non_finite_batch_loss(recwarn):
+    x, y = toy_clusters(10)
+    model = ReadoutModel.initialize(3, 4, 3, seed=5)
+    with pytest.raises(FloatingPointError, match="batch loss nan in epoch 1"):
+        train(model, (x, y), epochs=3, lr=1e300, seed=5, batch_size=4)
+    assert [str(w.message) for w in recwarn] == []
+
+
+def test_train_raises_when_the_last_step_leaves_an_infinite_weight(recwarn):
+    # one finite batch loss, then a step of 1e300 times a gradient of
+    # order 1e10 overflows the weights
+    x, y = toy_clusters(2)
+    model = ReadoutModel.initialize(3, 4, 3, seed=6)
+    with pytest.raises(FloatingPointError, match="after the last step"):
+        train(model, (1e10 * x, y), epochs=1, lr=1e300, seed=6,
+              batch_size=len(y))
+    assert [str(w.message) for w in recwarn] == []
+
+
 # ---------------------------------------------------------------------------
 # IDX files
 
