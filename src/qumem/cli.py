@@ -359,11 +359,17 @@ RC_SCHEMA = {
 }
 
 
+# the largest reservoir dimension whose two dense complex mesh lifts
+# (dim x dim, 16 bytes an entry) fit in 1 GiB
+_MAX_RC_DIM = 5792
+
+
 def _relate_rc(config):
     """train_features and test_features are set together.  Without
     them, entanglement needs even n_train and n_test, and the reservoir
     dimension C(modes + photons - 1, photons) must hold d_loc^2
-    (entanglement) or a digit column (mnist)."""
+    (entanglement) or a digit column (mnist) and be at most 5792, the
+    largest whose two dense mesh lifts fit in 1 GiB."""
     if (config["train_features"] is None) != (config["test_features"] is None):
         raise ConfigError(
             "train_features and test_features must be set together")
@@ -376,7 +382,15 @@ def _relate_rc(config):
                               f"(balanced classes), got {config[key]}")
     what, need = (("d_loc^2", config["d_loc"] ** 2) if entanglement
                   else ("a digit column", _CROP_SHAPE[0]))
-    dim = math.comb(config["modes"] + config["photons"] - 1, config["photons"])
+    modes, photons = config["modes"], config["photons"]
+    # C(modes + photons - 1, photons) >= max(modes, photons + 1), so a
+    # huge count is refused without forming its binomial
+    dim = (math.comb(modes + photons - 1, photons)
+           if max(modes, photons) <= _MAX_RC_DIM else math.inf)
+    if dim > _MAX_RC_DIM:
+        raise ConfigError(
+            f"the reservoir dimension C(modes + photons - 1, photons) is "
+            f"above {_MAX_RC_DIM}: its two dense mesh lifts need over 1 GiB")
     if dim < need:
         raise ConfigError(
             f"the reservoir dimension C(modes + photons - 1, photons) = "

@@ -17,19 +17,19 @@ rail is reinjected: the feedback occupation is measured (which dephases
 across feedback outcomes) and moved back onto the through rail, so the
 map is trace preserving and photon-number conserving.
 
-The engine works on a ket factor K of shape (dim, rank), rho = K K^+:
-a pure input is its amplitude column and a coherent mixture its
-weighted kets.  The input mesh is applied once per distinct input
-object of a sequence.  A coherent input is its mixture weights over
-one table of meshed coherent kets, built once per reservoir and input
-length, so meshing it only scales the table's kept columns.  Each
-coupler acts only on groups of basis states that differ in how the
-photons of its pair are split, so the bank is applied group by group
-with small (q+1) x (q+1) lifts; every lift of a step comes from one
-product of the couplers' monomials with a precomputed lift table, and
-the lifted bank matrix is never built.  Reinjection and the output mesh
-run only where an output is measured: each feedback outcome is an
-incoherent branch, and one reduction sums the branches.
+The memory is three scalar recurrences.  After a linear-optics step a
+feedback-rail mean photon number depends only on the one-body matrix
+G_ij = <a_i^+ a_j> of the meshed input, so memristor k, whose coupler
+acts on its own pair (t, f), is driven by R g_tt + (1 - R) g_ff +
+2 sqrt(R (1 - R)) Im g_tf: its R and theta_k = (g_tt, g_ff, Im g_tf),
+computed once per distinct input object, from a gather through a table
+of annihilation operators meshed in mode space, or as a coherent
+input's mixture weights over the theta of a table of meshed coherent
+kets built once per reservoir and input length.  Only the measured
+final step works in the Fock space, on a ket factor K (dim x rank,
+rho = K K^+): the bank acts on groups of basis states with small lifts
+from one lift table, and each feedback outcome is an incoherent branch
+of reinjection and the output mesh, added in turn.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .fock import (
     _check_shots,
     _is_int,
     _lift_sectors,
+    _sector,
     enumerate_basis,
     lift_unitary,
 )
@@ -247,14 +248,14 @@ class Reservoir:
         self.u_out = build_mesh(cfg.modes, rng=rng)
         self.u_in_f = lift_unitary(self.u_in, self.basis)
         self.u_out_f = lift_unitary(self.u_out, self.basis)
-        # input length -> u_in_f @ _coherent_kets(length, dim)
+        # input length -> (u_in_f @ _coherent_kets(length, dim), its theta)
         self._coherent_tables = {}
         self.rails = list(geometry.rails)
         self.reflectivities = _read_only(np.full(len(self.rails), 0.5))
         self._rng = np.random.default_rng(cfg.sample_seed)
         self._pair_layout = geometry.pair_layout
         self._lift_table = geometry.lift_table
-        self._fb_occ = geometry.fb_occ
+        self._annihilation = geometry.annihilation
         # each feedback-rail outcome with the output mesh columns of its
         # reinjection targets
         self._reinjection_groups = [
@@ -262,7 +263,7 @@ class Reservoir:
             for idx, targets in geometry.reinjection
         ]
 
-    # -- per-step pieces -------------------------------------------------------
+    # -- pieces of a run -------------------------------------------------------
 
     def apply_layer(self, factor, reflectivities):
         """Memristor bank at reflectivities R (one per memristor) on a
@@ -286,23 +287,16 @@ class Reservoir:
             out[index] = buf
         return out
 
-    def feedback_probabilities(self, factor):
-        """Per-memristor feedback-rail photon expectation of rho = K K^+."""
-        diag = (factor.real ** 2 + factor.imag ** 2).sum(axis=1)
-        return diag @ self._fb_occ
-
     def output_probabilities(self, factor):
         """Fock distribution after reinjection and the output mesh: each
-        feedback-rail outcome is an incoherent branch."""
-        groups = self._reinjection_groups
-        amps = np.empty((len(groups), self.basis.size, factor.shape[1]),
-                        dtype=complex)
-        for (idx, u_cols), branch in zip(groups, amps):
+        feedback-rail outcome is an incoherent branch, added in turn."""
+        branch = np.empty((self.basis.size, factor.shape[1]), dtype=complex)
+        parts = branch.view(float)   # real and imaginary parts, interleaved
+        probs = np.zeros(self.basis.size)
+        for idx, u_cols in self._reinjection_groups:
             np.matmul(u_cols, factor[idx], out=branch)
-        power = amps.real ** 2
-        power += amps.imag ** 2
-        # branch by branch, in order, as a running sum would add them
-        return power.sum(axis=2).sum(axis=0)
+            probs += np.einsum("ij,ij->i", parts, parts)
+        return probs
 
     def _measured_probs(self, probs):
         probs = np.clip(probs, 0.0, None)
@@ -316,18 +310,44 @@ class Reservoir:
         """Input mesh applied to the ket factor of an input.  A coherent
         input scales the kept columns of its length's meshed ket table
         by sqrt(weight): the same factor, meshed before it is weighted."""
-        if x.state.dim != self.basis.size:
-            raise DimensionError("input state does not match the reservoir")
         weights = x.weights
         if weights is None:
             return self.u_in_f @ x.state.ket_factor()
-        table = self._coherent_tables.get(weights.size)
-        if table is None:
-            table = _read_only(
-                self.u_in_f @ _coherent_kets(weights.size, self.basis.size))
-            self._coherent_tables[weights.size] = table
         keep = np.flatnonzero(weights)
-        return table[:, keep] * np.sqrt(weights[keep])
+        return (self._coherent_table(weights.size)[0][:, keep]
+                * np.sqrt(weights[keep]))
+
+    def _coherent_table(self, n):
+        """Meshed ket table of coherent inputs of length n, and its theta."""
+        table = self._coherent_tables.get(n)
+        if table is None:
+            kets = self.u_in_f @ _coherent_kets(n, self.basis.size)
+            table = _read_only(kets), _read_only(self._theta(kets))
+            self._coherent_tables[n] = table
+        return table
+
+    def _theta(self, factor, mesh=None):
+        """(rank, memristors, 3): per column of K and rail (bypass, t, f),
+        g_tt, g_ff and Im g_tf of G_ij = <a_i^+ a_j> (meshed as
+        conj(U) G U^T if a mode matrix U = mesh is given)."""
+        index, weight = self._annihilation
+        lowered = factor[index] * weight[:, :, None]
+        g = np.einsum("isk,jsk->kij", lowered.conj(), lowered)
+        if mesh is not None:
+            g = mesh.conj() @ g @ mesh.T
+        _, t, f = np.array(self.rails).T
+        return np.stack([g[..., t, t].real, g[..., f, f].real,
+                         g[..., t, f].imag], axis=-1)
+
+    def _input_theta(self, x):
+        """Theta of an input after the input mesh, as Python floats."""
+        if x.state.dim != self.basis.size:
+            raise DimensionError("input state does not match the reservoir")
+        w = x.weights
+        if w is None:
+            return self._theta(x.state.ket_factor(),
+                               self.u_in.matrix).sum(axis=0).tolist()
+        return np.tensordot(w, self._coherent_table(w.size)[1], 1).tolist()
 
     def _bank(self):
         """Fresh memristors at R = 0.5 and time 0, one per rail."""
@@ -340,30 +360,28 @@ class Reservoir:
         """Run a fresh memristor bank over a sequence of `EncodedInput`s
         at t = 1..n and return the measured distribution of the final
         step.  Earlier optical states are discarded by construction
-        (memory lives in the reflectivities), so only the last output is
-        computed, and an input object repeated in the sequence passes
-        the input mesh once."""
+        (memory lives in the reflectivities), so each step advances the
+        bank on its input's theta, computed once per input object, and
+        only the final step meshes its input and is measured."""
         inputs = list(inputs)
         if not inputs:
             raise ValueError("input sequence must be non-empty")
-        meshed = {}
-        for x in inputs:
-            if id(x) not in meshed:
-                meshed[id(x)] = self._mesh_input(x)
+        distinct = {id(x): x for x in inputs}
+        thetas = {key: self._input_theta(x) for key, x in distinct.items()}
         bank = self._bank()
         for t, x in enumerate(inputs, 1):
-            factor = self.apply_layer(meshed[id(x)], [m.R for m in bank])
-            _advance(bank, float(t), self.feedback_probabilities(factor))
+            held = [mem.R for mem in bank]
+            # Python floats: numpy scalars make each advance slower
+            for mem, r, theta in zip(bank, held, thetas[id(x)]):
+                mem.advance(float(t), estimate_n_in(_feedback(r, *theta), r))
         self.reflectivities = _read_only(np.array([m.R for m in bank]))
+        factor = self.apply_layer(self._mesh_input(inputs[-1]), held)
         return self._measured_probs(self.output_probabilities(factor))
 
 
-def _advance(bank, t, fb_probs):
-    """One unit time step, to time t, of every memristor of a bank, each
-    fed the input estimated from its feedback-rail expectation."""
-    # Python floats: numpy scalars make each advance about 10% slower
-    for mem, fb in zip(bank, fb_probs.tolist()):
-        mem.advance(t, estimate_n_in(fb, mem.R))
+def _feedback(r, g_tt, g_ff, g_tf):
+    """Feedback-rail mean photon number behind coupler(R), from theta."""
+    return r * g_tt + (1.0 - r) * g_ff + 2.0 * math.sqrt(r * (1.0 - r)) * g_tf
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +402,18 @@ class _Geometry:
     pair_layout: tuple   # per pair: (index, ((q, start, stop), ...))
     lift_table: _LiftTable
     reinjection: tuple   # per feedback pattern: (indices, target indices)
-    fb_occ: np.ndarray   # (dim, memristors) feedback-rail occupations
+    annihilation: tuple  # (index, weight), each (modes, dim of p-1 photons)
+
+
+def _annihilation(basis):
+    """a_j from the p- to the (p-1)-photon sector as a gather: for mode j
+    and (p-1)-photon state s, the index of s + e_j and sqrt of its
+    occupation of mode j, so (a_j K)[s] = weight[j, s] K[index[j, s]]."""
+    lower = _sector(basis.modes, basis.photons - 1)
+    index = np.array([[basis.index_of(occ[:j] + (occ[j] + 1,) + occ[j + 1:])
+                       for occ in lower] for j in range(basis.modes)])
+    weight = np.sqrt(np.array(lower, dtype=float).T + 1.0)
+    return _read_only(index), _read_only(weight)
 
 
 def _pair_layout(occ, photons, thru, fb):
@@ -438,7 +467,7 @@ def _geometry(modes, photons):
                           for _, thru, fb in rails),
         lift_table=_LiftTable(photons),
         reinjection=_reinjection(basis, rails),
-        fb_occ=_read_only(occ[:, [fb for _, _, fb in rails]].astype(float)),
+        annihilation=_annihilation(basis),
     )
 
 

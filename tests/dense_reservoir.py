@@ -5,16 +5,25 @@ Every step rebuilds the lifted memristor bank as a full dim x dim
 matrix from per-pair coupler lifts, pushes a pure amplitude vector or a
 full density matrix through the input mesh and the bank, and computes
 reinjection and the output mesh on the whole state.  It shares only the
-meshes, rails, fresh memristor bank, window step (`_advance`) and
-sampling generator of `Reservoir`, so the ket-factor engine can be
-checked against it step for step.
+meshes, rails, fresh memristor bank and sampling generator of
+`Reservoir`, and reads each feedback-rail expectation off the dense
+state's diagonal, so the engine's scalar feedback recurrence and its
+final ket-factor step can be checked against it step for step.
 """
 
 import numpy as np
 
 from permanent_lift import lift_sector
 from qumem.fock import DimensionError, _sector, coupler
-from qumem.reservoir import Reservoir, _advance
+from qumem.memristor import estimate_n_in
+from qumem.reservoir import Reservoir
+
+
+def advance_bank(bank, t, fb_probs):
+    """One unit time step, to time t, of every memristor of a bank, each
+    fed the input estimated from its feedback-rail expectation."""
+    for mem, fb in zip(bank, fb_probs.tolist()):
+        mem.advance(float(t), estimate_n_in(fb, mem.R))
 
 
 class DenseReservoir(Reservoir):
@@ -107,7 +116,7 @@ class DenseReservoir(Reservoir):
                 rho = self._reinject_density(rho)
                 rho = self.u_out_f @ rho @ self.u_out_f.conj().T
                 probs = rho.diagonal().real
-        _advance(bank, t, fb_probs)
+        advance_bank(bank, t, fb_probs)
         return probs
 
     def run_sequence(self, inputs):

@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -512,6 +513,30 @@ def test_rc_decoupled_feature_stages(tmp_path):
     assert metrics["config"]["train_features"].endswith("train_features.csv")
 
 
+def test_rc_fed_its_own_features_rewrites_them_and_retrains_alike(tmp_path):
+    """The feature hand-off: a run fed the "%.12g" CSVs of an earlier
+    run writes them again byte for byte, and every number of its
+    metrics.json is within 1e-10 relative of the first run's (the CSVs
+    keep 12 digits, the first run trained on the full floats)."""
+    base = {"n_train": 40, "n_test": 40, "copies": 30, "d_loc": 6}
+    first, second = tmp_path / "first", tmp_path / "second"
+    fed = {**base, "train_features": str(first / "train_features.csv"),
+           "test_features": str(first / "test_features.csv")}
+    for config, out in ((base, first), (fed, second)):
+        path = tmp_path / f"{out.name}.json"
+        path.write_text(json.dumps(config))
+        assert run_cli("rc", "entanglement", "--config", str(path),
+                       "--out", str(out)) == EXIT_OK
+    for name in ("train_features.csv", "test_features.csv"):
+        assert (second / name).read_bytes() == (first / name).read_bytes()
+    want, got = (json.loads((out / "metrics.json").read_text())
+                 for out in (first, second))
+    assert got.pop("config") == {**want.pop("config"), **fed}
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.allclose(got[key], want[key], rtol=1e-10, atol=0), key
+
+
 def test_rc_shots_exact_flag_overrides_config(tmp_path):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({
@@ -539,6 +564,8 @@ RC_BAD = [
     {"data_dir": 7}, {"train_features": ""}, {"test_features": ["a.csv"]},
     # reservoir geometry: 13^2 and 2^2 exceed C(11, 3) = 165 and C(3, 1) = 3
     {"d_loc": 13}, {"modes": 3, "photons": 1, "d_loc": 2},
+    # C(1201, 2) = 720,600 and the unformed C(1e12, 3) exceed the 5792 cap
+    {"modes": 1200, "photons": 2}, {"modes": 10**12},
 ]
 
 
@@ -566,6 +593,34 @@ def test_rc_bad_config_exits_2_before_writing(tmp_path, capsys, monkeypatch,
                    "--out", str(out)) == EXIT_CONFIG
     assert not out.exists()
     assert_names_key(capsys.readouterr().err, "rc", bad)
+
+
+def test_rc_oversized_reservoir_exits_2_at_once(tmp_path, capsys):
+    """A reservoir past the dense engine's size cap is refused by the
+    config check, before its basis is enumerated, and leaves no --out."""
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"modes": 1200, "photons": 2}))
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    assert run_cli("rc", "entanglement", "--config", str(config),
+                   "--out", str(out)) == EXIT_CONFIG
+    assert time.perf_counter() - start < 1.0
+    assert not out.exists()
+    assert "5792" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("modes, photons, accepted", [
+    (1200, 1, True), (5792, 1, True), (5793, 1, False), (31, 3, True),
+    (32, 3, False),
+])
+def test_rc_size_cap_is_the_dimension_5792(modes, photons, accepted):
+    # C(33, 3) = 5456 and C(34, 3) = 5984
+    overrides = {"task": "entanglement", "modes": modes, "photons": photons}
+    if accepted:
+        assert resolve_config("rc", overrides=overrides)["modes"] == modes
+    else:
+        with pytest.raises(ConfigError, match="5792"):
+            resolve_config("rc", overrides=overrides)
 
 
 def test_rc_mnist_small_reservoir_exits_2_before_reading_data(

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_device
-from dense_reservoir import DenseReservoir
+from dense_reservoir import DenseReservoir, advance_bank
 from test_fock import haar_unitary
 from qumem.fock import (
     MAX_SHOTS,
@@ -28,7 +28,7 @@ from qumem.reservoir import (
     amplitude_encode,
     build_mesh,
     coherent_encode,
-    _advance,
+    _feedback,
     _geometry,
     haar_vector,
     sample_entangled,
@@ -183,18 +183,19 @@ def test_coherent_mesh_is_weights_over_one_meshed_ket_table(v, w):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     tables = res._coherent_tables
     assert sorted(tables) == sorted({len(v), len(w)})
-    table = tables[len(v)]
+    table, thetas = tables[len(v)]
     assert table.shape == (res.basis.size, len(v))
-    assert not table.flags.writeable
+    assert thetas.shape == (len(v), len(res.rails), 3)
+    assert not table.flags.writeable and not thetas.flags.writeable
     res._mesh_input(coherent_encode(v, res.basis))
     res._mesh_input(amplitude_encode(v, res.basis))
     assert res._coherent_tables == tables
-    assert res._coherent_tables[len(v)] is table
+    assert res._coherent_tables[len(v)][0] is table
     # a reservoir of the same config meshes with a table of its own
     other = Reservoir(ReservoirConfig(mesh_seed=31))
     assert other._coherent_tables == {}
     other._mesh_input(coherent_encode(v, other.basis))
-    assert other._coherent_tables[len(v)] is not table
+    assert other._coherent_tables[len(v)][0] is not table
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +233,81 @@ def test_mesh_matches_coupler_by_coupler_reference():
 def _random_factor(dim, rank, rng):
     k = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     return k / np.linalg.norm(k)
+
+
+def theta_feedback(res, factor, reflectivities):
+    """Per-memristor feedback-rail expectation of rho = K K^+ behind the
+    bank at R, from the scalar formula on the theta of K."""
+    thetas = res._theta(factor).sum(axis=0).tolist()
+    return np.array([_feedback(r, *theta)
+                     for r, theta in zip(reflectivities, thetas)])
+
+
+def structural_feedback(res, factor, reflectivities):
+    """The same expectation read off the Fock space: the bank applied to
+    K, then the diagonal of K K^+ against each feedback rail's
+    occupation."""
+    out = res.apply_layer(factor, reflectivities)
+    diag = (out.real ** 2 + out.imag ** 2).sum(axis=1)
+    fb_occ = res.basis.occupation_matrix()[:, [fb for _, _, fb in res.rails]]
+    return diag @ fb_occ.astype(float)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(3, 1), (6, 2), (7, 2), (9, 3)]),
+       st.integers(0, 2**32 - 1), st.integers(1, 4),
+       st.sampled_from([0.0, R_MIN, 1.0, None]))
+def test_theta_feedback_matches_structural_feedback(geometry, seed, rank,
+                                                    r_value):
+    """The scalar formula on theta gives the feedback-rail expectation
+    of the bank applied in the Fock space (None: uniform R per rail)."""
+    modes, photons = geometry
+    res = Reservoir(ReservoirConfig(modes=modes, photons=photons,
+                                    mesh_seed=1, window=3))
+    rng = np.random.default_rng(seed)
+    r_set = [float(rng.uniform()) if r_value is None else r_value
+             for _ in res.rails]
+    factor = _random_factor(res.basis.size, rank, rng)
+    got = theta_feedback(res, factor, r_set)
+    want = structural_feedback(res, factor, r_set)
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(weight_vectors)
+def test_input_theta_is_theta_of_the_meshed_input(v):
+    """A coherent input's theta, its weights over the table's per-ket
+    theta, and an amplitude input's, its one-body matrix meshed in mode
+    space, are the theta of the input's factor after the input mesh."""
+    res = Reservoir(ReservoirConfig(mesh_seed=37))
+    for enc in (coherent_encode(v, res.basis), amplitude_encode(v, res.basis)):
+        want = res._theta(res._mesh_input(enc)).sum(axis=0)
+        got = np.array(res._input_theta(enc))
+        assert got.shape == (len(res.rails), 3)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def buffered_output_probabilities(res, factor):
+    """output_probabilities with every branch in one (branches, dim,
+    rank) buffer and one reduction over it."""
+    groups = res._reinjection_groups
+    amps = np.empty((len(groups), res.basis.size, factor.shape[1]),
+                    dtype=complex)
+    for (idx, u_cols), branch in zip(groups, amps):
+        np.matmul(u_cols, factor[idx], out=branch)
+    power = amps.real ** 2
+    power += amps.imag ** 2
+    return power.sum(axis=2).sum(axis=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 18))
+def test_output_probabilities_match_buffered_form(seed, rank):
+    res = Reservoir(ReservoirConfig(mesh_seed=11))
+    factor = _random_factor(res.basis.size, rank, np.random.default_rng(seed))
+    got = res.output_probabilities(factor)
+    want = buffered_output_probabilities(res, factor)
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
 
 
 def test_layer_lift_matches_generic_lift():
@@ -305,7 +381,8 @@ def test_reservoirs_share_read_only_geometry_but_not_meshes():
     assert a._pair_layout is b._pair_layout
     for index, _ in a._pair_layout:
         assert not index.flags.writeable
-    assert not a._fb_occ.flags.writeable
+    assert a._annihilation is b._annihilation
+    assert not any(arr.flags.writeable for arr in a._annihilation)
     assert a._lift_table is b._lift_table
     table = a._lift_table
     assert not any(arr.flags.writeable
@@ -320,7 +397,8 @@ def test_layer_identity_at_zero_reflectivity():
     amps = np.array([0.6, 0.8, 0.0], dtype=complex)
     out = res.apply_layer(amps[:, None], [0.0])
     assert np.allclose(out[:, 0], amps, atol=1e-12)
-    assert np.allclose(res.feedback_probabilities(out), 0.0, atol=1e-14)
+    assert np.allclose(theta_feedback(res, amps[:, None], [0.0]), 0.0,
+                       atol=1e-14)
     # nothing on the feedback rail: reinjection leaves the state alone
     direct = np.abs(res.u_out_f @ amps) ** 2
     assert np.allclose(res.output_probabilities(out), direct, atol=1e-12)
@@ -331,7 +409,8 @@ def test_layer_feedback_probability_matches_reflectivity():
     # single photon on the through rail (mode 1)
     state = QuantumState.pure(res.basis, [0.0, 1.0, 0.0])
     out = res.apply_layer(state.ket_factor(), [0.3])
-    assert res.feedback_probabilities(out)[0] == pytest.approx(0.3, abs=1e-12)
+    assert theta_feedback(res, state.ket_factor(), [0.3])[0] == pytest.approx(
+        0.3, abs=1e-12)
     # reinjection conserves the photon
     probs = res.output_probabilities(out)
     totals = res.basis.occupation_matrix().sum(axis=1)
@@ -388,7 +467,7 @@ def test_single_photon_feedback_is_reflectivity_times_through_population(
     factor = _random_factor(res.basis.size, rank, np.random.default_rng(seed))
     factor[occ[:, fb].sum(axis=1) > 0] = 0.0
     population = (np.abs(factor) ** 2).sum(axis=1) @ occ[:, thru]
-    got = res.feedback_probabilities(res.apply_layer(factor, r_set))
+    got = theta_feedback(res, factor, r_set)
     want = r_set * population
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -530,7 +609,7 @@ def test_step_probabilities_normalised():
 @pytest.mark.parametrize("window", [1, 3, 100])
 def test_memristor_bank_matches_list_window_reference(window, feedback):
     """A run's bank (the MemristorState window law at unit steps, with
-    the feedback inversion, stepped by `_advance`) stays within 1e-12 of
+    the feedback inversion, stepped at unit times) stays within 1e-12 of
     a discrete window of the last `window` clamped estimates, over fresh
     banks started as runs start them, and is bit-identical to it before
     the first eviction and on re-sum steps."""
@@ -560,7 +639,7 @@ def test_memristor_bank_matches_list_window_reference(window, feedback):
             exact.append(not feedback
                          or cadence.exact_after(before, len(ref.samples)))
         t += 1
-        _advance(bank, float(t), fb_probs)
+        advance_bank(bank, t, fb_probs)
         for mem, ref, ex in zip(bank, refs, exact):
             assert abs(mem.R - ref.R) <= 1e-12
             if ex:
