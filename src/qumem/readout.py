@@ -334,14 +334,9 @@ def encode_columns(image, basis, encoding=QUANTUM):
     if encoding == QUANTUM:
         return [amplitude_encode(c, basis) for c in cols]
     if encoding == COHERENT:
-        # a blank column has no mixture weights; reuse the quantum
-        # zero-vector fallback state for it
-        return [
-            coherent_encode(c, basis)
-            if c.sum() > 0
-            else amplitude_encode(c, basis)
-            for c in cols
-        ]
+        # only an all-zero column takes the amplitude zero-vector fallback
+        return [coherent_encode(c, basis) if c.any()
+                else amplitude_encode(c, basis) for c in cols]
     raise ValueError(f"unknown encoding {encoding!r}")
 
 

@@ -21,15 +21,16 @@ The memory is three scalar recurrences.  After a linear-optics step a
 feedback-rail mean photon number depends only on the one-body matrix
 G_ij = <a_i^+ a_j> of the meshed input, so memristor k, whose coupler
 acts on its own pair (t, f), is driven by R g_tt + (1 - R) g_ff +
-2 sqrt(R (1 - R)) Im g_tf: its R and theta_k = (g_tt, g_ff, Im g_tf),
-computed once per distinct input object, from a gather through a table
-of annihilation operators meshed in mode space, or as a coherent
-input's mixture weights over the theta of a table of meshed coherent
-kets built once per reservoir and input length.  Only the measured
-final step works in the Fock space, on a ket factor K (dim x rank,
-rho = K K^+): the bank acts on groups of basis states with small lifts
-from one lift table, and each feedback outcome is an incoherent branch
-of reinjection and the output mesh, added in turn.
+2 sqrt(R (1 - R)) Im g_tf: its R and theta_k = (g_tt, g_ff, Im g_tf).
+A run takes theta of all its distinct inputs in one product per kind:
+a gather of the amplitude inputs' joined ket factors by a table of
+annihilation operators, meshed in mode space, and per length the
+stacked weights of the coherent inputs (which carry only weights and
+build a state on demand) times the theta of a meshed coherent-ket
+table.  Only the final, measured step works in the Fock space, on a
+ket factor K (rho = K K^+): the bank acts on basis-state groups with
+small lifts from one lift table, and each feedback outcome is an
+incoherent branch of reinjection and the output mesh, added in turn.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,16 +84,33 @@ class ReservoirConfig:
         _check_shots(self.shots)
 
 
-@dataclass
 class EncodedInput:
-    """A reservoir input state, flagged when an all-zero vector fell
-    back to the first basis state.  A coherent mixture also carries
-    its normalised weights (read-only, one per coherent ket); amplitude
-    inputs carry None."""
+    """A reservoir input, flagged when an all-zero vector fell back to
+    the first basis state.  A coherent mixture carries its normalised
+    weights (read-only; None on amplitude inputs) and basis, and builds
+    its `state`, the kets times sqrt(weight), zero weights dropped, on
+    first read."""
 
-    state: QuantumState
-    zero_fallback: bool = False
-    weights: np.ndarray = field(default=None, compare=False)
+    def __init__(self, state=None, zero_fallback=False, weights=None,
+                 basis=None):
+        self._state, self.zero_fallback, self.weights = (
+            state, zero_fallback, weights)
+        self.basis = basis if state is None else state.basis
+
+    @property
+    def state(self):
+        if self._state is None:
+            w, keep = self.weights, self.weights > 0
+            kets = _coherent_kets(w.size, self.basis.size)[:, keep]
+            self._state = QuantumState(self.basis, kets * np.sqrt(w[keep]),
+                                       validate=False)
+        return self._state
+
+    def __eq__(self, other):   # the weights take no part
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.state, self.zero_fallback)
+                == (other.state, other.zero_fallback))
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +161,8 @@ def coherent_encode(v, basis):
     """Classical baseline: statistical mixture of fixed coherent kets.
 
     Component j of v weights the truncated coherent ket of amplitude j,
-    so the data enters only through the mixture weights, which the
-    returned input carries.  The state is held as its ket factor, the
-    kets scaled by sqrt(weight) (zero weights dropped), which is exact.
+    so the data enters only through the mixture weights.  The returned
+    input carries them and the basis; its state is built on demand.
     """
     v = np.asarray(v, dtype=float).reshape(-1)
     if np.any(v < 0):
@@ -159,12 +176,7 @@ def coherent_encode(v, basis):
         raise DimensionError(
             f"vector of length {v.size} exceeds basis size {basis.size}"
         )
-    weights = _read_only(v / total)
-    keep = np.flatnonzero(weights)
-    factor = (_coherent_kets(v.size, basis.size)[:, keep]
-              * np.sqrt(weights[keep]))
-    return EncodedInput(QuantumState(basis, factor, validate=False),
-                        weights=weights)
+    return EncodedInput(weights=_read_only(v / total), basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -339,15 +351,26 @@ class Reservoir:
         return np.stack([g[..., t, t].real, g[..., f, f].real,
                          g[..., t, f].imag], axis=-1)
 
-    def _input_theta(self, x):
-        """Theta of an input after the input mesh, as Python floats."""
-        if x.state.dim != self.basis.size:
+    def _input_theta(self, inputs):
+        """id -> theta (nested lists) after the input mesh of distinct
+        inputs, one product per kind and coherent length."""
+        if any(x.basis.size != self.basis.size for x in inputs):
             raise DimensionError("input state does not match the reservoir")
-        w = x.weights
-        if w is None:
-            return self._theta(x.state.ket_factor(),
-                               self.u_in.matrix).sum(axis=0).tolist()
-        return np.tensordot(w, self._coherent_table(w.size)[1], 1).tolist()
+        groups, thetas = {}, {}
+        for x in inputs:   # amplitude inputs under None
+            groups.setdefault(getattr(x.weights, "size", None), []).append(x)
+        for n, group in groups.items():
+            if n is None:
+                factors = [x.state.ket_factor() for x in group]
+                per_column = self._theta(np.concatenate(factors, axis=1),
+                                         self.u_in.matrix)
+                got = [part.sum(axis=0).tolist() for part in np.split(
+                    per_column, np.cumsum([f.shape[1] for f in factors])[:-1])]
+            else:
+                got = np.tensordot(np.stack([x.weights for x in group]),
+                                   self._coherent_table(n)[1], 1).tolist()
+            thetas.update(zip(map(id, group), got))
+        return thetas
 
     def _bank(self):
         """Fresh memristors at R = 0.5 and time 0, one per rail."""
@@ -366,14 +389,14 @@ class Reservoir:
         inputs = list(inputs)
         if not inputs:
             raise ValueError("input sequence must be non-empty")
-        distinct = {id(x): x for x in inputs}
-        thetas = {key: self._input_theta(x) for key, x in distinct.items()}
-        bank = self._bank()
-        for t, x in enumerate(inputs, 1):
-            held = [mem.R for mem in bank]
-            # Python floats: numpy scalars make each advance slower
-            for mem, r, theta in zip(bank, held, thetas[id(x)]):
+        thetas = self._input_theta({id(x): x for x in inputs}.values())
+        bank, held = self._bank(), []
+        # memristor k runs its whole recurrence on theta k of each step
+        for mem, drive in zip(bank, zip(*[thetas[id(x)] for x in inputs])):
+            for t, theta in enumerate(drive, 1):
+                r = mem.R   # Python floats: numpy scalars slow each advance
                 mem.advance(float(t), estimate_n_in(_feedback(r, *theta), r))
+            held.append(r)
         self.reflectivities = _read_only(np.array([m.R for m in bank]))
         factor = self.apply_layer(self._mesh_input(inputs[-1]), held)
         return self._measured_probs(self.output_probabilities(factor))

@@ -387,6 +387,24 @@ def test_encode_columns_handles_blank_column():
     assert not seq_q[5].zero_fallback
     seq_c = encode_columns(image, basis, "coherent")
     assert len(seq_c) == 12
+    # only the blank columns fall back; the others are mixtures
+    assert [x.zero_fallback for x in seq_c] == [j != 5 for j in range(12)]
+    assert [x.weights is None for x in seq_c] == [j != 5 for j in range(12)]
+
+
+@pytest.mark.parametrize("column", [
+    [-1.0] * 17 + [0.5],     # sum <= 0
+    [0.5] * 17 + [-0.1],     # sum > 0
+], ids=["non-positive-sum", "positive-sum"])
+def test_encode_columns_coherent_rejects_negative_columns(column):
+    """A column with a negative entry is no mixture, whatever its sum:
+    only an all-zero column takes the amplitude fallback."""
+    from qumem.fock import enumerate_basis
+
+    image = np.full((18, 12), 0.25)
+    image[:, 0] = column
+    with pytest.raises(ValueError, match="non-negative"):
+        encode_columns(image, enumerate_basis(9, 3), "coherent")
 
 
 def test_entanglement_dataset_balanced_and_reproducible():

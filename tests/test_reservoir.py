@@ -19,7 +19,7 @@ from qumem.fock import (
     purity,
 )
 from qumem.memristor import R_MIN
-from qumem.readout import encode_columns
+from qumem.readout import encode_columns, image_features
 from qumem.reservoir import (
     COHERENT,
     EncodedInput,
@@ -28,6 +28,7 @@ from qumem.reservoir import (
     amplitude_encode,
     build_mesh,
     coherent_encode,
+    _coherent_kets,
     _feedback,
     _geometry,
     haar_vector,
@@ -282,9 +283,125 @@ def test_input_theta_is_theta_of_the_meshed_input(v):
     res = Reservoir(ReservoirConfig(mesh_seed=37))
     for enc in (coherent_encode(v, res.basis), amplitude_encode(v, res.basis)):
         want = res._theta(res._mesh_input(enc)).sum(axis=0)
-        got = np.array(res._input_theta(enc))
+        got = np.array(res._input_theta([enc])[id(enc)])
         assert got.shape == (len(res.rails), 3)
         assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def per_input_theta(res, x):
+    """Theta of one input after the input mesh, one input at a time: an
+    amplitude input's gather meshed in mode space, summed over its
+    columns, or a coherent input's weights over its length's table."""
+    if x.state.dim != res.basis.size:
+        raise DimensionError("input state does not match the reservoir")
+    w = x.weights
+    if w is None:
+        return res._theta(x.state.ket_factor(), res.u_in.matrix).sum(axis=0)
+    return np.tensordot(w, res._coherent_table(w.size)[1], 1)
+
+
+def _mixed_inputs(basis, rng):
+    """Amplitude inputs, coherent inputs of lengths 18 and 7, zero
+    fallbacks, a rank-3 density input, and repeats of one object."""
+    inputs = [amplitude_encode(rng.uniform(size=18), basis)
+              for _ in range(rng.integers(0, 4))]
+    inputs += [coherent_encode(rng.uniform(size=n) *
+                               (rng.uniform(size=n) > 0.3) + 1e-3, basis)
+               for n in rng.choice([18, 7], size=rng.integers(0, 6))]
+    inputs += [amplitude_encode(np.zeros(18), basis)] * rng.integers(0, 3)
+    if rng.uniform() < 0.5:
+        k = rng.normal(size=(basis.size, 3)) + 1j * rng.normal(
+            size=(basis.size, 3))
+        inputs.append(EncodedInput(QuantumState(basis, k / np.linalg.norm(k),
+                                                validate=False)))
+    inputs = inputs or [coherent_encode(rng.uniform(size=7), basis)]
+    return [inputs[i] for i in rng.integers(0, len(inputs), size=12)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_batched_theta_matches_per_input_theta(seed, single):
+    """One run's theta, batched over its distinct inputs, is the theta
+    of each input on its own: bit for bit for amplitude inputs, within
+    1e-15 of its largest entry for coherent ones (a stacked product
+    rounds apart from one row at a time)."""
+    res = Reservoir(ReservoirConfig(mesh_seed=41))
+    rng = np.random.default_rng(seed)
+    inputs = _mixed_inputs(res.basis, rng)[: 1 if single else None]
+    distinct = list({id(x): x for x in inputs}.values())
+    thetas = res._input_theta(distinct)
+    assert sorted(thetas) == sorted(map(id, distinct))
+    for x in distinct:
+        want = per_input_theta(res, x)
+        got = np.array(thetas[id(x)])
+        assert got.shape == want.shape == (len(res.rails), 3)
+        if x.weights is None:
+            assert got.tolist() == want.tolist()
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_batched_theta_checks_every_input_dimension():
+    res = Reservoir(ReservoirConfig(mesh_seed=41))
+    other = enumerate_basis(6, 2)
+    for stranger in (amplitude_encode([1.0, 2.0], other),
+                     coherent_encode([1.0, 2.0], other)):
+        with pytest.raises(DimensionError):
+            res._input_theta([amplitude_encode([1.0], res.basis), stranger])
+
+
+def eager_coherent_factor(v, basis):
+    """The ket factor coherent_encode used to build at once: the kets of
+    the nonzero weights, each scaled by sqrt(weight)."""
+    v = np.asarray(v, dtype=float)
+    weights = v / v.sum()
+    keep = np.flatnonzero(weights)
+    return _coherent_kets(v.size, basis.size)[:, keep] * np.sqrt(
+        weights[keep])
+
+
+@settings(max_examples=60, deadline=None)
+@given(weight_vectors)
+def test_lazy_coherent_state_is_the_eager_factor(v):
+    """A coherent input holds no state until it is read; then it builds
+    the factor eager encoding built, bit for bit, once."""
+    enc = coherent_encode(v, BASIS93)
+    assert enc._state is None and enc.basis is BASIS93
+    state = enc.state
+    want = eager_coherent_factor(v, BASIS93)
+    got = state.ket_factor()
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert state.is_pure == (np.count_nonzero(v) == 1)
+    assert state.dim == BASIS93.size and state.basis is BASIS93
+    assert enc.state is state
+
+
+def test_coherent_runs_build_no_coherent_state(monkeypatch):
+    """Theta, the input mesh and the dimension check read a coherent
+    input's weights and basis only, so a run and a digit pipeline never
+    build its state."""
+    built = []
+    lazy = EncodedInput.state
+
+    def counting(self):
+        if self.weights is not None:
+            built.append(self)
+        return lazy.fget(self)
+
+    monkeypatch.setattr(EncodedInput, "state", property(counting))
+    res = Reservoir(ReservoirConfig(mesh_seed=27, window=5))
+    rng = np.random.default_rng(3)
+    shape = (3, 18, 12)
+    images = rng.uniform(size=shape) * (rng.uniform(size=shape) > 0.5)
+    images[:, :, 2] = 0.0
+    seq = encode_columns(images[0], res.basis, COHERENT)
+    res.run_sequence(seq)
+    image_features(res, images, COHERENT)
+    assert built == []
+    rank = np.count_nonzero(images[0][:, 0])
+    assert seq[0].state.ket_factor().shape == (res.basis.size, rank)
+    assert built == [seq[0]]
 
 
 def buffered_output_probabilities(res, factor):
