@@ -161,30 +161,8 @@ def resolve_config(command, path=None, overrides=None):
 
 def write_json(path, payload):
     """Numpy scalars and arrays are written as their Python values."""
-    write_atomic(path, _json_text(payload, "\n") + "\n")
-
-
-def _json_text(obj, pad):
-    """`json.dumps(obj, indent=2, sort_keys=True)` after the indent pad,
-    with finite floats and ints, alone or in a float list, by `repr`."""
-    if isinstance(obj, (np.ndarray, np.generic)):
-        obj = obj.tolist()
-    inner = pad + "  "
-    if type(obj) is int or type(obj) is float and math.isfinite(obj):
-        return repr(obj)
-    if obj is None or isinstance(obj, (str, int, float)):   # bool is an int
-        return json.dumps(obj)
-    if type(obj) is list and obj:
-        fast = set(map(type, obj)) == {float} and all(map(math.isfinite, obj))
-        items = ([str(obj)[1:-1].replace(", ", "," + inner)] if fast
-                 else [_json_text(value, inner) for value in obj])
-        return f"[{inner}{(',' + inner).join(items)}{pad}]"
-    if type(obj) is dict and obj and set(map(type, obj)) == {str}:
-        items = [f"{json.dumps(key)}: {_json_text(value, inner)}"
-                 for key, value in sorted(obj.items())]
-        return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
-    return json.dumps(obj, indent=2, sort_keys=True,
-                      default=lambda o: o.tolist()).replace("\n", pad)
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True,
+                                  default=lambda obj: obj.tolist()) + "\n")
 
 
 # ---------------------------------------------------------------------------

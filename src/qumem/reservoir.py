@@ -22,12 +22,12 @@ feedback-rail mean photon number depends only on the one-body matrix
 G_ij = <a_i^+ a_j> of the meshed input, so memristor k, whose coupler
 acts on its own pair (t, f), is driven by R g_tt + (1 - R) g_ff +
 2 sqrt(R (1 - R)) Im g_tf: its R and theta_k = (g_tt, g_ff, Im g_tf).
-A run takes theta of all its distinct inputs in one product per kind:
-a gather of the amplitude inputs' joined ket factors by a table of
-annihilation operators, meshed in mode space, and per length the
-stacked weights of the coherent inputs (which carry only weights and
-build a state on demand) times the theta of a meshed coherent-ket
-table.  Only the final, measured step works in the Fock space, on a
+A run takes theta of all its distinct inputs at once: an amplitude
+input by a gather of its ket factor through a table of annihilation
+operators, meshed in mode space, and the coherent inputs of one length
+as one product of their stacked weights with the theta of a table of
+meshed coherent kets (a coherent input carries only its weights and
+builds a state on demand).  Only the final, measured step works in the Fock space, on a
 ket factor K (rho = K K^+): the bank acts on basis-state groups with
 small lifts from one lift table, and each feedback outcome is an
 incoherent branch of reinjection and the output mesh, added in turn.
@@ -93,6 +93,8 @@ class EncodedInput:
 
     def __init__(self, state=None, zero_fallback=False, weights=None,
                  basis=None):
+        if state is None and (weights is None or basis is None):
+            raise TypeError("an input needs a state, or weights and a basis")
         self._state, self.zero_fallback, self.weights = (
             state, zero_fallback, weights)
         self.basis = basis if state is None else state.basis
@@ -353,7 +355,8 @@ class Reservoir:
 
     def _input_theta(self, inputs):
         """id -> theta (nested lists) after the input mesh of distinct
-        inputs, one product per kind and coherent length."""
+        inputs: one gather per amplitude input, one product per
+        coherent length."""
         if any(x.basis.size != self.basis.size for x in inputs):
             raise DimensionError("input state does not match the reservoir")
         groups, thetas = {}, {}
@@ -361,11 +364,8 @@ class Reservoir:
             groups.setdefault(getattr(x.weights, "size", None), []).append(x)
         for n, group in groups.items():
             if n is None:
-                factors = [x.state.ket_factor() for x in group]
-                per_column = self._theta(np.concatenate(factors, axis=1),
-                                         self.u_in.matrix)
-                got = [part.sum(axis=0).tolist() for part in np.split(
-                    per_column, np.cumsum([f.shape[1] for f in factors])[:-1])]
+                got = [self._theta(x.state.ket_factor(), self.u_in.matrix)
+                       .sum(axis=0).tolist() for x in group]
             else:
                 got = np.tensordot(np.stack([x.weights for x in group]),
                                    self._coherent_table(n)[1], 1).tolist()

@@ -1,14 +1,10 @@
 import json
-import math
 import re
 import struct
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from qumem import cli
 from qumem.cli import (
@@ -22,7 +18,6 @@ from qumem.cli import (
     build_parser,
     main,
     resolve_config,
-    write_json,
 )
 from qumem.hysteresis import run_closed_loop
 
@@ -67,43 +62,6 @@ def test_resolve_config_merges_overrides(tmp_path):
 def test_resolve_config_keeps_values_as_given():
     config = resolve_config("hysteresis", overrides={"T_osc": 2, "dt": 0.01})
     assert type(config["T_osc"]) is int and config["dt"] == 0.01
-
-
-SPECIAL_FLOATS = st.sampled_from(
-    [-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf])
-json_floats = st.one_of(SPECIAL_FLOATS, st.floats())
-json_leaves = st.one_of(
-    st.none(), st.booleans(), st.integers(), json_floats,
-    st.text(alphabet=st.characters(codec="utf-8")) | st.sampled_from(
-        ['"quoted"', "back\\slash", "tab\tnew\nline", "\x00\x1f", "é€😀"]),
-    st.builds(np.float64, json_floats), st.builds(np.int64, st.integers(
-        -2**63, 2**63 - 1)), st.builds(np.bool_, st.booleans()),
-    hnp.arrays(st.sampled_from([np.float64, np.int64, np.bool_]),
-               hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
-                                max_side=4)),
-    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2,
-                                            max_side=6),
-               elements=json_floats),
-)
-json_payloads = st.recursive(
-    json_leaves,
-    lambda children: st.lists(children, max_size=5)
-    | st.lists(json_floats, max_size=8)
-    | st.dictionaries(st.text(max_size=6), children, max_size=5),
-    max_leaves=40)
-
-
-@settings(max_examples=300, deadline=None)
-@given(json_payloads)
-def test_write_json_writes_the_bytes_of_json_dumps(tmp_path_factory, payload):
-    """write_json renders lists of finite floats on a fast path; every
-    payload still comes out as json.dumps with indent 2 and sorted keys
-    writes it, numpy values as their Python ones."""
-    path = tmp_path_factory.getbasetemp() / "payload.json"
-    write_json(path, payload)
-    want = json.dumps(payload, indent=2, sort_keys=True,
-                      default=lambda o: o.tolist()) + "\n"
-    assert path.read_bytes() == want.encode()
 
 
 def test_help_lists_every_config_key_with_default_and_rule(capsys):

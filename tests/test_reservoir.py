@@ -163,6 +163,17 @@ def test_coherent_encode_records_read_only_weights():
     assert enc == EncodedInput(enc.state)
 
 
+def test_encoded_input_needs_a_state_or_weights_and_basis():
+    weights = np.array([0.25, 0.75])
+    for kwargs in ({}, {"zero_fallback": True}, {"weights": weights},
+                   {"basis": BASIS93}):
+        with pytest.raises(TypeError, match="state, or weights and a basis"):
+            EncodedInput(**kwargs)
+    enc = EncodedInput(weights=weights, basis=BASIS93)
+    want = coherent_encode(weights, BASIS93).state.ket_factor()
+    assert enc.state.ket_factor().tobytes() == want.tobytes()
+
+
 weight_vectors = st.lists(
     st.one_of(st.just(0.0), st.floats(1e-3, 10.0)), min_size=1, max_size=18,
 ).filter(lambda v: sum(v) > 0)
