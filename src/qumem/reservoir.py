@@ -19,18 +19,18 @@ map is trace preserving and photon-number conserving.
 
 The memory is three scalar recurrences.  After a linear-optics step a
 feedback-rail mean photon number depends only on the one-body matrix
-G_ij = <a_i^+ a_j> of the meshed input, so memristor k, whose coupler
-acts on its own pair (t, f), is driven by R g_tt + (1 - R) g_ff +
+G_ij = <a_i^+ a_j> of the meshed input on the memristor's own pair
+(t, f), so memristor k is driven by R g_tt + (1 - R) g_ff +
 2 sqrt(R (1 - R)) Im g_tf: its R and theta_k = (g_tt, g_ff, Im g_tf).
-A run takes theta of all its distinct inputs at once: an amplitude
-input by a gather of its ket factor through a table of annihilation
-operators, meshed in mode space, and the coherent inputs of one length
-as one product of their stacked weights with the theta of a table of
-meshed coherent kets (a coherent input carries only its weights and
-builds a state on demand).  Only the final, measured step works in the Fock space, on a
-ket factor K (rho = K K^+): the bank acts on basis-state groups with
-small lifts from one lift table, and each feedback outcome is an
-incoherent branch of reinjection and the output mesh, added in turn.
+Every encoding gets theta the same way, from the rails' annihilators
+on its ket factor after the input mesh in the Fock space, once per
+distinct input of a run; coherent inputs of one length weight the
+theta of one table of meshed coherent kets (a coherent input carries
+only its weights and builds a state on demand).  Only the final,
+measured step works in the Fock space, on a ket factor K
+(rho = K K^+): the bank acts on basis-state groups with small lifts
+from one lift table, and each feedback outcome is an incoherent branch
+of reinjection and the output mesh, added in turn.
 """
 
 from __future__ import annotations
@@ -107,12 +107,6 @@ class EncodedInput:
             self._state = QuantumState(self.basis, kets * np.sqrt(w[keep]),
                                        validate=False)
         return self._state
-
-    def __eq__(self, other):   # the weights take no part
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.state, self.zero_fallback)
-                == (other.state, other.zero_fallback))
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +213,21 @@ def _embed(amps, basis):
     return QuantumState.pure(basis, vec, validate=False)
 
 
+def _bipartite_basis(d_loc, basis):
+    """The basis (9 modes, 3 photons unless given) for d_loc^2 amplitudes."""
+    if not (_is_int(d_loc) and d_loc >= 1):
+        raise ValueError(f"d_loc must be an integer >= 1, got {d_loc!r}")
+    basis = enumerate_basis(9, 3) if basis is None else basis
+    if d_loc * d_loc > basis.size:
+        raise DimensionError("d_loc^2 exceeds the reservoir dimension")
+    return basis
+
+
 def sample_entangled(d_loc, seed, basis=None):
     """Haar-random pure state on the d_loc x d_loc bipartite subspace
     (almost surely entangled), embedded on the first d_loc^2 basis
     states."""
-    basis = enumerate_basis(9, 3) if basis is None else basis
-    if d_loc * d_loc > basis.size:
-        raise DimensionError("d_loc^2 exceeds the reservoir dimension")
+    basis = _bipartite_basis(d_loc, basis)
     rng = np.random.default_rng(seed)
     return _embed(haar_vector(d_loc * d_loc, rng), basis)
 
@@ -233,9 +235,7 @@ def sample_entangled(d_loc, seed, basis=None):
 def sample_separable(d_loc, seed, basis=None):
     """Tensor product of two Haar-random d_loc states (Schmidt rank 1),
     embedded on the first d_loc^2 basis states."""
-    basis = enumerate_basis(9, 3) if basis is None else basis
-    if d_loc * d_loc > basis.size:
-        raise DimensionError("d_loc^2 exceeds the reservoir dimension")
+    basis = _bipartite_basis(d_loc, basis)
     rng = np.random.default_rng(seed)
     product = np.outer(haar_vector(d_loc, rng), haar_vector(d_loc, rng))
     return _embed(product.reshape(-1), basis)
@@ -340,23 +340,19 @@ class Reservoir:
             self._coherent_tables[n] = table
         return table
 
-    def _theta(self, factor, mesh=None):
-        """(rank, memristors, 3): per column of K and rail (bypass, t, f),
-        g_tt, g_ff and Im g_tf of G_ij = <a_i^+ a_j> (meshed as
-        conj(U) G U^T if a mode matrix U = mesh is given)."""
+    def _theta(self, factor):
+        """(rank, memristors, 3): per column of K and memristor, g_tt,
+        g_ff and Im g_tf of G_ij = <a_i^+ a_j> on its (t, f) rails."""
         index, weight = self._annihilation
-        lowered = factor[index] * weight[:, :, None]
-        g = np.einsum("isk,jsk->kij", lowered.conj(), lowered)
-        if mesh is not None:
-            g = mesh.conj() @ g @ mesh.T
-        _, t, f = np.array(self.rails).T
-        return np.stack([g[..., t, t].real, g[..., f, f].real,
-                         g[..., t, f].imag], axis=-1)
+        lowered = factor[index] * weight[..., None]
+        g = np.einsum("imsk,jmsk->kmij", lowered.conj(), lowered)
+        return np.stack([g[..., 0, 0].real, g[..., 1, 1].real,
+                         g[..., 0, 1].imag], axis=-1)
 
     def _input_theta(self, inputs):
-        """id -> theta (nested lists) after the input mesh of distinct
-        inputs: one gather per amplitude input, one product per
-        coherent length."""
+        """id -> theta (nested lists) of distinct inputs after the input
+        mesh: the theta of each amplitude input's meshed factor, and one
+        product per coherent length with its table's theta."""
         if any(x.basis.size != self.basis.size for x in inputs):
             raise DimensionError("input state does not match the reservoir")
         groups, thetas = {}, {}
@@ -364,8 +360,8 @@ class Reservoir:
             groups.setdefault(getattr(x.weights, "size", None), []).append(x)
         for n, group in groups.items():
             if n is None:
-                got = [self._theta(x.state.ket_factor(), self.u_in.matrix)
-                       .sum(axis=0).tolist() for x in group]
+                got = [self._theta(self._mesh_input(x)).sum(axis=0).tolist()
+                       for x in group]
             else:
                 got = np.tensordot(np.stack([x.weights for x in group]),
                                    self._coherent_table(n)[1], 1).tolist()
@@ -425,17 +421,18 @@ class _Geometry:
     pair_layout: tuple   # per pair: (index, ((q, start, stop), ...))
     lift_table: _LiftTable
     reinjection: tuple   # per feedback pattern: (indices, target indices)
-    annihilation: tuple  # (index, weight), each (modes, dim of p-1 photons)
+    annihilation: tuple  # (index, weight), each (2, memristors, dim of p-1)
 
 
-def _annihilation(basis):
-    """a_j from the p- to the (p-1)-photon sector as a gather: for mode j
-    and (p-1)-photon state s, the index of s + e_j and sqrt of its
-    occupation of mode j, so (a_j K)[s] = weight[j, s] K[index[j, s]]."""
+def _annihilation(basis, rails):
+    """Memristor m's through- (i = 0) and feedback-rail (i = 1)
+    annihilator from the p- to the (p-1)-photon sector as a gather: for
+    (p-1)-photon state s, (a K)[s] = weight[i, m, s] K[index[i, m, s]]."""
     lower = _sector(basis.modes, basis.photons - 1)
-    index = np.array([[basis.index_of(occ[:j] + (occ[j] + 1,) + occ[j + 1:])
-                       for occ in lower] for j in range(basis.modes)])
-    weight = np.sqrt(np.array(lower, dtype=float).T + 1.0)
+    modes = np.array(rails)[:, 1:].T
+    index = np.array([[[basis.index_of(occ[:j] + (occ[j] + 1,) + occ[j + 1:])
+                        for occ in lower] for j in row] for row in modes])
+    weight = np.sqrt(np.array(lower, dtype=float).T[modes] + 1.0)
     return _read_only(index), _read_only(weight)
 
 
@@ -490,7 +487,7 @@ def _geometry(modes, photons):
                           for _, thru, fb in rails),
         lift_table=_LiftTable(photons),
         reinjection=_reinjection(basis, rails),
-        annihilation=_annihilation(basis),
+        annihilation=_annihilation(basis, rails),
     )
 
 

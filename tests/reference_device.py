@@ -1,8 +1,6 @@
 """Row-by-row reference implementations of the device path, for tests.
 
 These are the straightforward forms the library's fast paths replace:
-the memristor built from a law name beside its parameters (the
-library takes the law from the parameter it is given),
 the MLE tomography that evaluates its likelihood one parameter point
 and one analysis setting at a time, from an initial estimate that
 recognises each setting by its coupler (the library fixes its four
@@ -16,10 +14,9 @@ the trace CSV written through `csv.writer`, the feature CSV written
 in place row by row, and the reservoir's coupler mesh built from one
 validated `coupler` block and two scalar draws per coupler.  The fast
 paths perform the same floating-point operations in the same order, so
-tests compare the two
-for exact equality; the windowed law's running sum is compared to
-1e-12, and exactly before the first eviction and on the steps
-`ResumCountdown` names.
+tests compare the two for exact equality; the windowed law's running
+sum is compared to 1e-12, and exactly before the first eviction and on
+the steps `ResumCountdown` names.
 """
 
 from __future__ import annotations
@@ -34,14 +31,7 @@ import numpy as np
 
 from qumem.fock import ModeUnitary, coupler, purity
 from qumem.hysteresis import EXACT, Trace
-from qumem.memristor import (
-    FROZEN,
-    LOWPASS,
-    R_MIN,
-    WINDOWED,
-    MemristorState,
-    estimate_n_in,
-)
+from qumem.memristor import R_MIN, WINDOWED, estimate_n_in
 from qumem.tomography import (
     _EPS,
     _MAX_ITER,
@@ -239,40 +229,6 @@ def ascend(counts, settings=SETTINGS):
 
 # ---------------------------------------------------------------------------
 # memristor laws
-
-class LawKnobMemristor(MemristorState):
-    """`MemristorState` built the way it was while its law was a knob:
-    the law named by a string, beside a window (1 s unless given, read
-    by the windowed law only) and a cutoff, each checked against the
-    law.  `advance` is the library's."""
-
-    def __init__(self, reflectivity=0.5, window_seconds=1.0, law=WINDOWED,
-                 f_cut=None):
-        laws = (WINDOWED, LOWPASS, FROZEN)
-        if law not in laws:
-            raise ValueError(f"law must be one of {laws}")
-        if not math.isfinite(reflectivity):
-            raise ValueError("reflectivity must be finite")
-        if not math.isfinite(window_seconds):
-            raise ValueError("window_seconds must be finite")
-        if f_cut is not None and not math.isfinite(f_cut):
-            raise ValueError("f_cut must be finite")
-        if law == LOWPASS and (f_cut is None or f_cut <= 0):
-            raise ValueError("lowpass law needs a positive f_cut")
-        if law == WINDOWED and window_seconds <= 0:
-            raise ValueError("windowed law needs a positive window")
-        self.law = law
-        self.T = float(window_seconds)
-        self.f_cut = f_cut
-        self.feedback_window = (1.0 / f_cut if law == LOWPASS
-                                else self.T if law == WINDOWED else None)
-        self.R = min(max(reflectivity, R_MIN), 1.0)
-        self.window = deque()
-        self._terms = deque()
-        self._total = 0.0
-        self._countdown = 1
-        self.last_t = 0.0
-
 
 class TripleWindowMemristor:
     """Windowed law of `MemristorState` that keeps (t, n_in, dt)

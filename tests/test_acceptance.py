@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from qumem.fock import enumerate_basis, fidelity, lift_unitary, purity
+from qumem.fock import enumerate_basis, lift_unitary, purity
 from qumem.hysteresis import (
     DetectionConfig,
     DriveConfig,
@@ -24,10 +24,8 @@ from qumem.hysteresis import (
 from qumem.memristor import (
     MemristorState,
     QubitInput,
-    dual_rail_purity,
     output_state_dual_rail,
     output_state_single_rail,
-    purity_closed_form,
 )
 from qumem.readout import (
     ReadoutModel,

@@ -344,33 +344,6 @@ def test_running_window_sum_matches_reference(window, steps):
                             reference_device.ResumCountdown())
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from([WINDOWED, LOWPASS, FROZEN]), st.floats(-1.0, 2.0),
-       st.floats(1e-3, 10.0), law_samples)
-def test_parameter_forms_advance_as_the_law_knob_did(law, r0, scale,
-                                                     steps):
-    """Each law built from its parameter alone steps bit for bit as the
-    law named by the former `law` knob, which also carried a window
-    (here `scale`) under the low-pass and frozen laws."""
-    form = {WINDOWED: {"window_seconds": scale}, LOWPASS: {"f_cut": scale},
-            FROZEN: {}}[law]
-    mem = MemristorState(r0, **form)
-    ref = reference_device.LawKnobMemristor(
-        r0, window_seconds=scale, law=law,
-        f_cut=scale if law == LOWPASS else None)
-    assert (mem.law, mem.f_cut, mem.feedback_window) == (
-        ref.law, ref.f_cut, ref.feedback_window)
-    assert mem.T == (ref.T if law == WINDOWED else None)
-    assert mem.R == ref.R
-    t = 0.0
-    for dt, n_in in steps:
-        t += dt
-        mem.advance(t, n_in)
-        ref.advance(t, n_in)
-        assert mem.R == ref.R
-        assert len(mem.window) == len(ref.window)
-
-
 def test_law_follows_the_parameter_given():
     windowed = MemristorState(0.5, window_seconds=2)
     assert (windowed.law, windowed.T, windowed.f_cut) == (WINDOWED, 2.0, None)

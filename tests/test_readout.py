@@ -9,9 +9,7 @@ from qumem.readout import (
     DataError,
     read_features_csv,
     write_features_csv,
-    MnistSubset,
     ReadoutModel,
-    accuracy,
     build_entanglement_dataset,
     columns_as_sequence,
     crop_center,
