@@ -500,6 +500,9 @@ def cmd_tomography(config, out_dir, check):
             "fidelity": report.fidelity_to_theory,
             "purity": report.purity,
         })
+    # fitted from the grid's phased theory states, not from the
+    # reconstructions: it reads phi_global back at any shots and seed,
+    # so the drift check below tests fit_global_phase alone
     samples = [(f.reflectivity, f.rho[1, 2]) for f in fixtures
                if abs(f.rho[1, 2]) > 1e-9]
     phi_fit = fit_global_phase(samples)

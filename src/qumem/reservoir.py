@@ -82,6 +82,16 @@ class ReservoirConfig:
             raise ValueError(f"window must be an integer >= 1, "
                              f"got {self.window!r}")
         _check_shots(self.shots)
+        if not isinstance(self.feedback, (bool, np.bool_)):
+            raise ValueError(f"feedback must be a bool, "
+                             f"got {self.feedback!r}")
+        if not (_is_int(self.mesh_seed) and self.mesh_seed >= 0):
+            raise ValueError(f"mesh_seed must be an integer >= 0, "
+                             f"got {self.mesh_seed!r}")
+        if not (self.sample_seed is None
+                or _is_int(self.sample_seed) and self.sample_seed >= 0):
+            raise ValueError(f"sample_seed must be None or an integer "
+                             f">= 0, got {self.sample_seed!r}")
 
 
 class EncodedInput:

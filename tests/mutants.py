@@ -8,6 +8,7 @@ killed by a test that stays.
 
     python tests/mutants.py --check
     python tests/mutants.py KILLS.json [--jobs N] [NAME ...]
+    python tests/mutants.py --compare BEFORE.json AFTER.json
 
 --check exits 1 unless every target occurs once; it runs no tests.
 Otherwise each mutation (all unless named) is applied to a temporary
@@ -15,6 +16,9 @@ copy of src/, tests/, demos/ and pyproject.toml, which then runs
 `python -m pytest tests --hypothesis-seed=0` (the unmutated copy runs
 first and must pass).  KILLS.json gets each mutation's failing tests,
 a timeout counting as a kill, and stdout a markdown row per mutation.
+--compare prints both kill counts of each mutation of two such files
+and exits 1 if a mutation killed in BEFORE survives in AFTER (or is
+missing from it).
 """
 
 import argparse
@@ -95,6 +99,36 @@ MUTATIONS = [  # (name, target, text)
     ("dataset-labels", "labels.append(0)", "labels.append(1)"),
     ("copies-one-short", "[EncodedInput(state)] * copies",
      "[EncodedInput(state)] * (copies - 1)"),
+    # fock: basis order, the sector recursion, couplers and functionals
+    ("sector-order-step", "i = min(i + 1, modes - 2)",
+     "i = min(i, modes - 2)"),
+    ("lift-no-col-scale", "u[:, col_mode] * col_scale", "u[:, col_mode]"),
+    ("lift-no-sqrt-occupation", "np.sqrt(np.arange(1.0, k + 1))",
+     "np.arange(1.0, k + 1)"),
+    ("lift-first-parent-only", "out += term", "out = term"),
+    ("coupler-reflection-sign", "[[t, 1j * r], [1j * r, t]]",
+     "[[t, -1j * r], [-1j * r, t]]"),
+    ("density-no-conj", "(fac @ fac.conj().T)", "(fac @ fac.T)"),
+    ("partial-trace-overwrites", "out[np.ix_(ridx, ridx)] +=",
+     "out[np.ix_(ridx, ridx)] ="),
+    ("purity-untransposed", '"ij,ji->", rho, rho', '"ij,ij->", rho, rho'),
+    ("psd-sqrt-no-sqrt", "(evecs * np.sqrt(evals))", "(evecs * evals)"),
+    ("fidelity-root-unsquared", "min(root * root, 1.0)", "min(root, 1.0)"),
+    # tomography: the likelihood, the ascent and the phase model
+    ("stencil-sign", "[_H] * 4 + [-_H] * 4", "[-_H] * 4 + [_H] * 4"),
+    ("ascent-step-growth", "best, step * 1.5", "best, step * 2.0"),
+    ("ascent-tol-tenfold", "rel_change >= _REL_TOL",
+     "rel_change >= 10 * _REL_TOL"),
+    ("line-search-quarter", "np.array([[1.0], [0.5]])",
+     "np.array([[1.0], [0.25]])"),
+    ("inversion-rows", "counts[[0, 1, 3]]", "counts[[0, 1, 2]]"),
+    ("cholesky-im-sign", "params[:, 1] + 1j * params[:, 2]",
+     "params[:, 1] - 1j * params[:, 2]"),
+    ("likelihood-clamp", "[..., None], _EPS)", "[..., None], 1e-9)"),
+    ("likelihood-signed-zero", "[:, -1] + 0.0", "[:, -1]"),
+    ("ascend-slice-first", "lls[end - len(asked):end]", "lls[:len(asked)]"),
+    ("install-p00-unweighted", "(1.0 - p00_estimate) * block", "block"),
+    ("coherence-phase-no-pi", "+ math.pi - phi_global", "- phi_global"),
 ]
 
 
@@ -145,13 +179,48 @@ def run_tests(mutation):
         return sorted(failed) or ([f"<pytest exit {code}>"] if code else [])
 
 
+def kill_cell(failed):
+    """A kill-table cell: how many test functions a mutation's failing
+    tests belong to, "survives", "timeout", or "not run" (None)."""
+    if failed is None:
+        return "not run"
+    if failed == ["timeout"]:
+        return "timeout"
+    return len({test.split("[")[0] for test in failed}) or "survives"
+
+
+def compare(before, after):
+    """The markdown rows of two kill tables, and the mutations killed in
+    `before` that survive in (or are missing from) `after`."""
+    names = [m[0] for m in MUTATIONS]
+    names += [n for n in {**before, **after} if n not in names]
+    rows = ["| mutation | before | after |", "| --- | --- | --- |"]
+    lost = []
+    for name in names:
+        was, now = before.get(name), after.get(name)
+        if was is None and now is None:
+            continue
+        rows.append(f"| `{name}` | {kill_cell(was)} | {kill_cell(now)} |")
+        if was and not now:
+            lost.append(name)
+    return rows, lost
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--check", action="store_true")
     parser.add_argument("out", nargs="?")
     parser.add_argument("names", nargs="*")
     parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"))
     args = parser.parse_args(argv)
+    if args.compare:
+        rows, lost = compare(*(json.loads(Path(p).read_text())
+                               for p in args.compare))
+        print("\n".join(rows))
+        for name in lost:
+            print(f"killed before, not after: {name}")
+        return 1 if lost else 0
     if args.check or args.out is None:
         problems = check()
         print("\n".join(problems + [f"{len(MUTATIONS)} mutations, "
@@ -167,9 +236,7 @@ def main(argv=None):
     Path(args.out).write_text(json.dumps(kills, indent=2) + "\n")
     print("| mutation | test functions that kill it |\n| --- | --- |")
     for name, failed in kills.items():
-        functions = {test.split("[")[0] for test in failed}
-        cell = "timeout" if failed == ["timeout"] else len(functions)
-        print(f"| `{name}` | {cell or 'survives'} |")
+        print(f"| `{name}` | {kill_cell(failed)} |")
     return 0
 
 

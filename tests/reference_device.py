@@ -4,24 +4,18 @@ These are the straightforward forms the library's fast paths replace:
 the MLE tomography that evaluates its likelihood one parameter point
 and one analysis setting at a time, from an initial estimate that
 recognises each setting by its coupler (the library fixes its four
-couplers and reads their rows), the ascent of one count table on its
-own (the library runs a batch of tables in lock step), the
-windowed memristor law that folds (t, n_in, dt) window triples in
-order on every step, the closed hysteresis loop that recomputes its
-drive on every step and keeps every pulse count in a list, the
-discrete window of the reservoir's memristor bank kept as a list,
-the trace CSV written through `csv.writer`, the feature CSV written
-in place row by row, and the reservoir's coupler mesh built from one
-validated `coupler` block and two scalar draws per coupler.  The fast
-paths perform the same floating-point operations in the same order, so
-tests compare the two for exact equality; the windowed law's running
-sum is compared to 1e-12, and exactly before the first eviction and on
-the steps `ResumCountdown` names.
+couplers and reads their rows, and ascends a batch of count tables in
+lock step), the windowed memristor law that folds (t, n_in, dt) window
+triples in order on every step, and the closed hysteresis loop that
+recomputes its drive on every step and keeps every pulse count in a
+list.  The fast paths perform the same floating-point operations in the
+same order, so tests compare the two for exact equality; the windowed
+law's running sum is compared to 1e-12, and exactly before the first
+eviction and on the steps `ResumCountdown` names.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import deque
 from functools import reduce
@@ -29,17 +23,10 @@ from operator import add
 
 import numpy as np
 
-from qumem.fock import ModeUnitary, coupler, purity
+from qumem.fock import coupler, purity
 from qumem.hysteresis import EXACT, Trace
 from qumem.memristor import R_MIN, WINDOWED, estimate_n_in
-from qumem.tomography import (
-    _EPS,
-    _MAX_ITER,
-    _REL_TOL,
-    ReconstructionReport,
-    _cholesky_blocks,
-    _cholesky_params,
-)
+from qumem.tomography import _EPS, ReconstructionReport, _cholesky_params
 
 
 # ---------------------------------------------------------------------------
@@ -58,13 +45,6 @@ def _cholesky_block(params):
 # the analysis settings as (reflectivity, relative phase) of the coupler:
 # bare detection, then balanced interference at phases 0, pi/2, -pi/2
 SETTINGS = ((0.0, 0.0), (0.5, 0.0), (0.5, math.pi / 2), (0.5, -math.pi / 2))
-
-
-def _analysis_unitaries(settings):
-    """The settings' couplers stacked as (S, 2, 2), with their conjugate
-    transposes."""
-    v = np.array([coupler(r, phase) for r, phase in settings])
-    return v, v.conj().transpose(0, 2, 1)
 
 
 def _linear_inversion(counts, settings):
@@ -115,9 +95,9 @@ def log_likelihood(params, counts, settings=SETTINGS):
     return ll
 
 
-def mle_reconstruct(counts, p00_estimate, settings=SETTINGS,
-                    rel_tol=1e-9, max_iter=2000):
-    """Finite-difference gradient ascent, one likelihood call per point."""
+def mle_ascent(counts, settings=SETTINGS, rel_tol=1e-9, max_iter=2000):
+    """Finite-difference gradient ascent, one likelihood call per point:
+    (unit-trace block, final log-likelihood, iterations)."""
     counts = np.asarray(counts, dtype=float)
     params = _cholesky_params(_linear_inversion(counts, settings))
     ll = log_likelihood(params, counts, settings)
@@ -153,8 +133,13 @@ def mle_reconstruct(counts, p00_estimate, settings=SETTINGS,
         step *= 1.5
         if rel_change < rel_tol:
             break
+    return _cholesky_block(params), ll, iterations
 
-    block = _cholesky_block(params)
+
+def mle_reconstruct(counts, p00_estimate, settings=SETTINGS):
+    """The ascent's block with p00 in the vacuum corner, rescaled to unit
+    trace."""
+    block, ll, iterations = mle_ascent(counts, settings)
     rho = np.zeros((3, 3), dtype=complex)
     rho[0, 0] = p00_estimate
     rho[1:, 1:] = (1.0 - p00_estimate) * block
@@ -164,67 +149,6 @@ def mle_reconstruct(counts, p00_estimate, settings=SETTINGS,
         purity=purity(rho),
         meta={"log_likelihood": ll, "iterations": iterations},
     )
-
-
-def stacked_log_likelihoods(params, table, mats):
-    """Log-likelihoods of (n, 4) parameter rows on one count table (as
-    nested lists), the click distributions in one stacked pass."""
-    v, vh = mats
-    rotated = v @ _cholesky_blocks(params)[:, None] @ vh
-    p = np.maximum(rotated.diagonal(axis1=-2, axis2=-1).real, 0.0)
-    q = p / (p[..., 0] + p[..., 1])[..., None]
-    cells = [n for row in table for n in row]
-    positive = [k for k, n in enumerate(cells) if n > 0]
-    ns = [cells[k] for k in positive]
-    q = np.maximum(q.reshape(len(params), -1)[:, positive], _EPS)
-    lls = []
-    for q_row in q.tolist():
-        ll = 0.0
-        for n, log_q in zip(ns, map(math.log, q_row)):
-            ll += n * log_q
-        lls.append(ll)
-    return lls
-
-
-def ascend(counts, settings=SETTINGS):
-    """The ascent of one count table on its own: (unit-trace block,
-    final log-likelihood, iterations)."""
-    params = _cholesky_params(_linear_inversion(counts, settings))
-    table = counts.tolist()
-    mats = _analysis_unitaries(settings)
-    (ll,) = stacked_log_likelihoods(params[None], table, mats)
-    step = 0.1
-    h = 1e-6
-    iterations = 0
-    for iterations in range(1, _MAX_ITER + 1):
-        points = np.tile(params, (8, 1))  # rows 2i, 2i+1: params[i] +- h
-        for i in range(4):
-            points[2 * i, i] += h
-            points[2 * i + 1, i] -= h
-        lls = stacked_log_likelihoods(points, table, mats)
-        grad = (np.array(lls[0::2]) - lls[1::2]) / (2 * h)
-        gnorm = np.linalg.norm(grad)
-        if gnorm == 0:
-            break
-        improved = False
-        while step > 1e-14 and not improved:
-            cands = params + np.array([[step], [step * 0.5]]) * grad / gnorm
-            for cand, cand_ll in zip(
-                    cands, stacked_log_likelihoods(cands, table, mats)):
-                if cand_ll > ll:
-                    improved = True
-                    break
-                step *= 0.5
-                if step <= 1e-14:
-                    break
-        if not improved:
-            break
-        rel_change = abs(cand_ll - ll) / max(abs(ll), 1.0)
-        params, ll = cand, cand_ll
-        step *= 1.5
-        if rel_change < _REL_TOL:
-            break
-    return _cholesky_blocks(params[None])[0], ll, iterations
 
 
 # ---------------------------------------------------------------------------
@@ -277,34 +201,6 @@ class ResumCountdown:
             self.left = len_after
             return True
         return not self.evicted
-
-
-class ListDiscreteMemristor:
-    """Discrete-time window kept as a list of samples, re-summed per
-    step, starting from R = 0.5."""
-
-    def __init__(self, window, frozen=False):
-        self.window = int(window)
-        self.frozen = frozen
-        self.samples = []
-        self.R = 0.5
-
-    def _clamp(self, r):
-        return min(max(r, R_MIN), 1.0)
-
-    def update(self, n_est):
-        if self.frozen:
-            return self.R
-        self.samples.append(float(n_est))
-        if len(self.samples) > self.window:
-            del self.samples[0]
-        acc = reduce(add, (s - 0.5 for s in self.samples), 0.0)
-        self.R = self._clamp(0.5 + acc / self.window)
-        return self.R
-
-    def reset(self):
-        self.samples = []
-        self.R = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -374,44 +270,3 @@ def run_loop(drive, mem, det):
         ),
     }
     return Trace(t_arr, nin_arr, nout_arr, r_arr, meta)
-
-
-# ---------------------------------------------------------------------------
-# trace CSV
-
-def write_trace_csv(trace, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "n_in", "n_out", "R"])
-        for row in zip(trace.t, trace.n_in, trace.n_out, trace.R):
-            writer.writerow([f"{v:.12g}" for v in row])
-
-
-# ---------------------------------------------------------------------------
-# feature CSV
-
-def write_features_csv(path, probs, labels):
-    probs = np.asarray(probs, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    with open(path, "w") as fh:
-        fh.write("label," + ",".join(f"p{i}" for i in range(probs.shape[1]))
-                 + "\n")
-        for row, lab in zip(probs, labels):
-            fh.write(str(int(lab)) + "," +
-                     ",".join(f"{v:.12g}" for v in row) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# reservoir mesh
-
-def build_mesh(modes, rng):
-    """The coupler mesh of `reservoir.build_mesh`, coupler by coupler:
-    a reflectivity and a phase drawn one at a time, each block a checked
-    `coupler(r, phase)`."""
-    u = np.eye(modes, dtype=complex)
-    for layer in range(modes):
-        for j in range(layer % 2, modes - 1, 2):
-            r = rng.uniform()
-            ph = rng.uniform(0.0, 2.0 * math.pi)
-            u[j : j + 2, :] = coupler(r, ph) @ u[j : j + 2, :]
-    return ModeUnitary(u)

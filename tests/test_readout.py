@@ -3,7 +3,6 @@ import struct
 import numpy as np
 import pytest
 
-import reference_device
 from qumem import _atomic
 from qumem.readout import (
     DataError,
@@ -20,6 +19,7 @@ from qumem.readout import (
     presoftmax,
     read_idx_images,
     read_idx_labels,
+    to_readout_features,
     train,
 )
 
@@ -278,7 +278,22 @@ def test_load_mnist_count_shortfall(synthetic_mnist_dir):
 # ---------------------------------------------------------------------------
 # sequences and datasets
 
+def test_readout_features_are_occupancy_relative_to_uniform():
+    """Each row is its distribution times its width d, so its entries
+    average 1: a lone distribution and a matrix of them."""
+    rng = np.random.default_rng(4)
+    for probs in (rng.dirichlet(np.ones(165)),
+                  rng.dirichlet(np.ones(12), size=5)):
+        features = to_readout_features(probs)
+        assert np.array_equal(features, probs * probs.shape[-1])
+        assert np.all(np.abs(features.mean(axis=-1) - 1.0) <= 1e-15)
+
+
 def test_features_csv_roundtrip(tmp_path):
+    """The CSV is the header label,p0,p1,... and one row per sequence:
+    its label, then every probability as "%.12g", each line ended by
+    "\n".  Signed zeros, non-finite values and an empty table included;
+    reading the file back gives the table."""
     rng = np.random.default_rng(9)
     probs = rng.dirichlet(np.ones(165), size=7)
     labels = rng.integers(0, 3, size=7)
@@ -287,21 +302,22 @@ def test_features_csv_roundtrip(tmp_path):
     probs2, labels2 = read_features_csv(path)
     assert np.allclose(probs2, probs, atol=1e-10)
     assert np.array_equal(labels2, labels)
-
-
-def test_features_csv_bytes_match_row_writer(tmp_path):
-    rng = np.random.default_rng(10)
     cases = [
-        (rng.dirichlet(np.ones(165), size=5), rng.integers(0, 3, size=5)),
+        (probs, labels),
         (np.array([[0.0, -0.0, 1e-300, 123456789012345.0],
                    [1 / 3, np.inf, -np.inf, np.nan]]), np.array([-1, 12])),
         (np.zeros((0, 4)), np.zeros(0, dtype=int)),
     ]
-    for k, (probs, labels) in enumerate(cases):
-        got, want = tmp_path / f"got{k}.csv", tmp_path / f"want{k}.csv"
-        write_features_csv(got, probs, labels)
-        reference_device.write_features_csv(want, probs, labels)
-        assert got.read_bytes() == want.read_bytes()
+    for k, (table, labs) in enumerate(cases):
+        path = tmp_path / f"case{k}.csv"
+        write_features_csv(path, table, labs)
+        header, *lines, end = path.read_bytes().decode().split("\n")
+        width = table.shape[1]
+        assert header == "label," + ",".join(f"p{i}" for i in range(width))
+        assert end == ""
+        assert [line.split(",") for line in lines] == [
+            [str(lab)] + ["%.12g" % v for v in row]
+            for row, lab in zip(table.tolist(), labs.tolist())]
 
 
 def test_failed_features_write_leaves_no_partial_or_temp_file(

@@ -69,6 +69,27 @@ def test_config_accepts_integer_shots_and_window():
     assert ReservoirConfig(shots=None).shots is None
 
 
+@pytest.mark.parametrize("field, value", [
+    ("feedback", "no"), ("feedback", 0), ("feedback", None),
+    ("mesh_seed", -1), ("mesh_seed", 2.5), ("mesh_seed", True),
+    ("mesh_seed", None), ("sample_seed", -3), ("sample_seed", "x"),
+    ("sample_seed", 2.5), ("sample_seed", False),
+])
+def test_config_rejects_bad_feedback_and_seeds(field, value):
+    """A string does not turn feedback on, and a seed numpy would refuse
+    is refused by the config, before any reservoir is built."""
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        ReservoirConfig(**{field: value})
+
+
+def test_config_accepts_numpy_bools_and_seeds():
+    config = ReservoirConfig(feedback=np.bool_(False), mesh_seed=np.int64(0),
+                             sample_seed=np.uint32(7))
+    assert (config.feedback, config.mesh_seed, config.sample_seed) == (
+        False, 0, 7)
+    assert ReservoirConfig(sample_seed=0).sample_seed == 0
+
+
 def test_shots_stop_at_the_largest_int64_draw():
     """numpy draws at most 2**63 - 1 shots: one more is a config error,
     and the largest count samples a run."""
@@ -224,18 +245,20 @@ def test_mesh_deterministic():
                           build_mesh(9, np.random.default_rng(4)).matrix)
 
 
-def test_mesh_matches_coupler_by_coupler_reference():
-    """One draw call and written-out blocks give the mesh bits of one
-    checked coupler and two scalar draws per coupler, and leave the
-    generator where those draws leave it."""
-    for seed in range(200):
-        rng = np.random.default_rng(seed)
-        ref_rng = np.random.default_rng(seed)
-        for modes in (9, 9, 2, 5):
-            got = build_mesh(modes, rng).matrix
-            want = reference_device.build_mesh(modes, ref_rng).matrix
-            assert got.tobytes() == want.tobytes()
-        assert rng.uniform() == ref_rng.uniform()
+def test_two_mode_mesh_is_one_coupler():
+    """A 2-mode mesh is the one coupler(r, 2 pi u) of the generator's
+    first two uniforms, entry for entry (zeros may differ in sign), and
+    a mesh leaves the generator where two draws per coupler leave it:
+    36 couplers at 9 modes, 10 at 5."""
+    for seed in range(50):
+        r, u = np.random.default_rng(seed).uniform(size=2)
+        mesh = build_mesh(2, np.random.default_rng(seed)).matrix
+        assert np.array_equal(mesh, coupler(r, 2.0 * math.pi * u))
+    for modes, couplers in ((9, 36), (5, 10), (2, 1)):
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        build_mesh(modes, rng)
+        twin.uniform(size=2 * couplers)
+        assert rng.uniform() == twin.uniform()
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +616,22 @@ def test_sampled_run_sequence_matches_dense_engine():
     assert np.array_equal(fast.run_sequence([x]), dense.run_sequence([x]))
 
 
+def test_sampled_runs_draw_from_the_sample_seed_stream():
+    """A sampled run's distribution is its exact twin's, drawn as
+    default_rng(sample_seed).multinomial(shots, p) / shots, one draw per
+    run in run order, from the reservoir's own generator."""
+    cfg = ReservoirConfig(window=3, shots=400, sample_seed=7)
+    sampled = Reservoir(cfg)
+    exact = Reservoir(ReservoirConfig(window=3))
+    rng = np.random.default_rng(2)
+    seqs = [[amplitude_encode(rng.uniform(size=18), sampled.basis)
+             for _ in range(length)] for length in (4, 2)]
+    stream = np.random.default_rng(7)
+    for seq in seqs:
+        want = stream.multinomial(400, exact.run_sequence(seq)) / 400
+        assert np.array_equal(sampled.run_sequence(seq), want)
+
+
 @pytest.mark.parametrize("shots", [None, 400])
 def test_digit_sequences_match_dense_engine(shots):
     """Image columns as `rc mnist --encoding coherent` feeds them:
@@ -641,35 +680,33 @@ def test_step_probabilities_normalised():
 def test_memristor_bank_matches_list_window_reference(window, feedback):
     """A run's bank (the MemristorState window law at unit steps, with
     the feedback inversion, stepped at unit times) stays within 1e-12 of
-    a discrete window of the last `window` clamped estimates, over fresh
-    banks started as runs start them, and is bit-identical to it before
-    the first eviction and on re-sum steps."""
+    the law that folds its whole window of clamped estimates at
+    t = 1, 2, ... on every step, over fresh banks started as runs start
+    them, and is bit-identical to it before the first eviction and on
+    re-sum steps.  Without feedback every R stays at 0.5."""
     rng = np.random.default_rng(window)
     res = Reservoir(ReservoirConfig(modes=9, photons=1, window=window,
                                     feedback=feedback))
-    refs = [reference_device.ListDiscreteMemristor(window,
-                                                   frozen=not feedback)
-            for _ in res.rails]
     for k in range(500):
         if k in (0, 120, 121, 400):
             bank, t = res._bank(), 0
-            for ref in refs:
-                ref.reset()
+            refs = [reference_device.TripleWindowMemristor(0.5, window)
+                    for _ in res.rails]
             cadences = [reference_device.ResumCountdown() for _ in refs]
             assert [mem.R for mem in bank] == [ref.R for ref in refs]
         # np.float64 feedback expectations: some above R (estimate
         # clamped to 1), some zero (R driven to the floor at window 1)
         fb_probs = rng.random(len(refs))
         fb_probs[rng.random(len(refs)) < 0.2] = 0.0
+        t += 1
         # both sides invert through the bank's R, so that a last-bit
         # difference between re-sums does not change the reference's input
         exact = []
         for ref, mem, fb, cadence in zip(refs, bank, fb_probs, cadences):
-            before = len(ref.samples)
-            ref.update(min(max(fb / mem.R, 0.0), 1.0))
-            exact.append(not feedback
-                         or cadence.exact_after(before, len(ref.samples)))
-        t += 1
+            before = len(ref.window)
+            if feedback:
+                ref.advance(float(t), min(max(fb / mem.R, 0.0), 1.0))
+            exact.append(cadence.exact_after(before, len(ref.window)))
         advance_bank(bank, t, fb_probs)
         for mem, ref, ex in zip(bank, refs, exact):
             assert abs(mem.R - ref.R) <= 1e-12

@@ -212,13 +212,17 @@ def test_mle_fidelity_improves_with_shots():
 def test_stacked_log_likelihoods_match_pointwise():
     """Every row is scored on its own count table, zero cells and
     all-zero tables included, and each value equals the one-point
-    evaluation's bit for bit (signed zeros too)."""
+    evaluation's bit for bit (signed zeros too).  Row 1 is the pure
+    block diag(1, 0), whose bare detection never clicks on the second
+    rail: its clicks there score log(_EPS)."""
     rng = np.random.default_rng(5)
     tables = rng.integers(0, 500, size=(32, 4, 2))
     tables = np.where(rng.random(tables.shape) < 0.3, 0, tables)
     tables[0] = 0
+    tables[1, 0, 1] = 7
     tables = tables.astype(float)
     params = rng.normal(size=(32, 4))
+    params[1] = [1.0, 0.0, 0.0, 0.0]
     got = _log_likelihoods(params, tables.reshape(32, -1))
     want = [reference_device.log_likelihood(row, table)
             for row, table in zip(params, tables)]
@@ -439,7 +443,9 @@ def test_bad_pending_entries_stay_out_of_the_batch(monkeypatch):
 
 @functools.lru_cache(maxsize=None)
 def reference_ascent(data):
-    return reference_device.ascend(np.frombuffer(data).reshape(-1, 2))
+    """The pointwise oracle's ascent of a count table, by its bytes: the
+    table that stops at _MAX_ITER takes seconds, so each runs once."""
+    return reference_device.mle_ascent(np.frombuffer(data).reshape(-1, 2))
 
 
 def lockstep_batches():
@@ -456,10 +462,10 @@ def lockstep_batches():
 
 @pytest.mark.parametrize("name", ["mixed", "permuted", "one"])
 def test_lockstep_ascent_matches_per_table_reference(name):
-    """Each table of a lock-step batch ascends exactly as it does alone:
-    block, log-likelihood and iteration count, with duplicates, any
-    order, a batch of one, and tables that stop at _MAX_ITER and at the
-    first iteration."""
+    """Each table of a lock-step batch ascends exactly as the pointwise
+    oracle ascends it alone: block, log-likelihood and iteration count,
+    with duplicates, any order, a batch of one, and tables that stop at
+    _MAX_ITER and at the first iteration."""
     tables = lockstep_batches()[name]
     got = tomography._ascend(tables)
     assert len(got) == len(tables)
