@@ -159,9 +159,10 @@ def resolve_config(command, path=None, overrides=None):
     return config
 
 
-def write_json(path, payload):
-    """Numpy scalars and arrays are written as their Python values."""
-    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True,
+def write_json(path, payload, indent=2):
+    """Numpy scalars and arrays are written as their Python values.
+    indent=None writes one line through json's C encoder."""
+    write_atomic(path, json.dumps(payload, indent=indent, sort_keys=True,
                                   default=lambda obj: obj.tolist()) + "\n")
 
 
@@ -453,7 +454,7 @@ def cmd_rc(config, out_dir, check):
     write_json(out_dir / "metrics.json", metrics)
     write_json(out_dir / "checkpoint.json",
                {"w1": result.model.w1, "w2": result.model.w2,
-                "config": config})
+                "config": config}, indent=None)
     if check:
         acc = result.test_accuracy
         task, enc = config["task"], config["encoding"]

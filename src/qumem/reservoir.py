@@ -30,7 +30,8 @@ only its weights and builds a state on demand).  Only the final,
 measured step works in the Fock space, on a ket factor K
 (rho = K K^+): the bank acts on basis-state groups with small lifts
 from one lift table, and each feedback outcome is an incoherent branch
-of reinjection and the output mesh, added in turn.
+of reinjection and the output mesh; outcomes of one basis state (all
+photons fed back) are one real product, the rest one reduction.
 """
 
 from __future__ import annotations
@@ -280,12 +281,13 @@ class Reservoir:
         self._pair_layout = geometry.pair_layout
         self._lift_table = geometry.lift_table
         self._annihilation = geometry.annihilation
-        # each feedback-rail outcome with the output mesh columns of its
-        # reinjection targets
+        # single-state outcomes with |u_out_f|^2 of their targets, then
+        # each other outcome with the output mesh columns of its targets
+        (idx, targets), rest = geometry.reinjection
+        self._single_branches = idx, _read_only(
+            np.abs(self.u_out_f[:, targets]) ** 2)
         self._reinjection_groups = [
-            (idx, self.u_out_f[:, targets])
-            for idx, targets in geometry.reinjection
-        ]
+            (idx, self.u_out_f[:, targets]) for idx, targets in rest]
 
     # -- pieces of a run -------------------------------------------------------
 
@@ -313,14 +315,18 @@ class Reservoir:
 
     def output_probabilities(self, factor):
         """Fock distribution after reinjection and the output mesh: each
-        feedback-rail outcome is an incoherent branch, added in turn."""
-        branch = np.empty((self.basis.size, factor.shape[1]), dtype=complex)
-        parts = branch.view(float)   # real and imaginary parts, interleaved
-        probs = np.zeros(self.basis.size)
-        for idx, u_cols in self._reinjection_groups:
+        feedback-rail outcome is an incoherent branch.  Single-state
+        branches add |u_out column|^2 times the squared row norms of K;
+        the others fill one buffer, reduced at once."""
+        single, table = self._single_branches
+        rows = factor[single].view(float)   # real and imaginary parts
+        probs = table @ np.einsum("ij,ij->i", rows, rows)
+        branches = np.empty((len(self._reinjection_groups), self.basis.size,
+                             factor.shape[1]), dtype=complex)
+        for branch, (idx, u_cols) in zip(branches, self._reinjection_groups):
             np.matmul(u_cols, factor[idx], out=branch)
-            probs += np.einsum("ij,ij->i", parts, parts)
-        return probs
+        parts = branches.view(float)
+        return probs + np.einsum("bij,bij->i", parts, parts)
 
     def _measured_probs(self, probs):
         probs = np.clip(probs, 0.0, None)
@@ -430,7 +436,7 @@ class _Geometry:
     rails: tuple
     pair_layout: tuple   # per pair: (index, ((q, start, stop), ...))
     lift_table: _LiftTable
-    reinjection: tuple   # per feedback pattern: (indices, target indices)
+    reinjection: tuple   # ((indices, targets) of single-state ones, others)
     annihilation: tuple  # (index, weight), each (2, memristors, dim of p-1)
 
 
@@ -470,7 +476,8 @@ def _pair_layout(occ, photons, thru, fb):
 
 def _reinjection(basis, rails):
     """Feedback-rail measurement groups, each with its reinjection
-    targets (feedback occupation moved onto the through rail)."""
+    targets (feedback occupation moved onto the through rail); all
+    single-state groups are merged into the first pair."""
     target = np.empty(basis.size, dtype=int)
     patterns = {}
     for i, occupation in enumerate(basis.states):
@@ -481,8 +488,11 @@ def _reinjection(basis, rails):
             occ[fb] = 0
         target[i] = basis.index_of(tuple(occ))
         patterns.setdefault(pat, []).append(i)
-    return tuple((_read_only(np.array(idx)), _read_only(target[idx]))
-                 for idx in patterns.values())
+    single = [idx[0] for idx in patterns.values() if len(idx) == 1]
+    return ((_read_only(np.array(single, dtype=int)),
+             _read_only(target[single])),
+            tuple((_read_only(np.array(idx)), _read_only(target[idx]))
+                  for idx in patterns.values() if len(idx) > 1))
 
 
 @functools.lru_cache(maxsize=8)

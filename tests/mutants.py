@@ -7,7 +7,7 @@ arithmetic may leave tests/ only when every mutation it kills is also
 killed by a test that stays.
 
     python tests/mutants.py --check
-    python tests/mutants.py KILLS.json [--jobs N] [NAME ...]
+    python tests/mutants.py KILLS.json [--jobs N] [--first-failure] [NAME ...]
     python tests/mutants.py --compare BEFORE.json AFTER.json
 
 --check exits 1 unless every target occurs once; it runs no tests.
@@ -16,12 +16,16 @@ copy of src/, tests/, demos/ and pyproject.toml, which then runs
 `python -m pytest tests --hypothesis-seed=0` (the unmutated copy runs
 first and must pass).  KILLS.json gets each mutation's failing tests,
 a timeout counting as a kill, and stdout a markdown row per mutation.
---compare prints both kill counts of each mutation of two such files
-and exits 1 if a mutation killed in BEFORE survives in AFTER (or is
-missing from it).
+--first-failure stops each run at its first failing test (pytest -x)
+and records only "killed" or "survives": enough for --compare, not
+for a table of kills per test, which needs the full run.  --compare
+prints both kill counts of each mutation of two such files and exits
+1 if a mutation killed in BEFORE survives in AFTER (or is missing from
+it).
 """
 
 import argparse
+import functools
 import json
 import os
 import shutil
@@ -66,8 +70,10 @@ MUTATIONS = [  # (name, target, text)
      "lifts(np.sqrt(r) + 0j, 1j * np.sqrt(1.0 - r))"),
     ("layer-reflection-sign", "0j, 1j * np.sqrt(r))", "0j, -1j * np.sqrt(r))"),
     ("reinjection-overwrites", "occ[thru] += occ[fb]", "occ[thru] = occ[fb]"),
-    ("output-last-branch-only", 'probs += np.einsum("ij,ij->i"',
-     'probs = np.einsum("ij,ij->i"'),
+    ("output-last-branch-only", 'np.einsum("bij,bij->i", parts, parts)',
+     'np.einsum("ij,ij->i", parts[-1], parts[-1])'),
+    ("output-single-state-unsquared", "np.abs(self.u_out_f[:, targets]) ** 2",
+     "np.abs(self.u_out_f[:, targets])"),
     ("sampling-stream-shifted", "default_rng(cfg.sample_seed)",
      "default_rng(cfg.sample_seed); self._rng.random()"),
     ("mesh-half-phase", "ph = 2.0 * math.pi *", "ph = math.pi *"),
@@ -144,9 +150,10 @@ def check():
     return problems
 
 
-def run_tests(mutation):
+def run_tests(mutation, first_failure=False):
     """Failing tests of tests/ ("timeout" on a timeout) on a copy of the
-    tree with the mutation (None: unmutated) applied."""
+    tree with the mutation (None: unmutated) applied; with
+    `first_failure`, pytest stops at the first."""
     with tempfile.TemporaryDirectory(prefix="qumem-mutant-") as tmp:
         work = Path(tmp)
         for name in ("src", "tests", "demos"):
@@ -161,7 +168,8 @@ def run_tests(mutation):
                    PYTHONDONTWRITEBYTECODE="1")
         proc = subprocess.Popen(
             [sys.executable, "-m", "pytest", "tests", "-q", "-p",
-             "no:cacheprovider", "--hypothesis-seed=0", "--junitxml=r.xml"],
+             "no:cacheprovider", "--hypothesis-seed=0", "--junitxml=r.xml"]
+            + ["-x"] * first_failure,
             cwd=work, env=env, stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL, start_new_session=True)
         try:
@@ -181,12 +189,21 @@ def run_tests(mutation):
 
 def kill_cell(failed):
     """A kill-table cell: how many test functions a mutation's failing
-    tests belong to, "survives", "timeout", or "not run" (None)."""
+    tests belong to, "survives", "timeout", "not run" (None), or a
+    first-failure run's "killed" or "survives"."""
     if failed is None:
         return "not run"
+    if isinstance(failed, str):
+        return failed
     if failed == ["timeout"]:
         return "timeout"
     return len({test.split("[")[0] for test in failed}) or "survives"
+
+
+def killed(failed):
+    """Whether a KILLS.json entry, of a full or a first-failure run,
+    records a kill."""
+    return failed == "killed" or isinstance(failed, list) and bool(failed)
 
 
 def compare(before, after):
@@ -201,7 +218,7 @@ def compare(before, after):
         if was is None and now is None:
             continue
         rows.append(f"| `{name}` | {kill_cell(was)} | {kill_cell(now)} |")
-        if was and not now:
+        if killed(was) and not killed(now):
             lost.append(name)
     return rows, lost
 
@@ -212,8 +229,9 @@ def main(argv=None):
     parser.add_argument("out", nargs="?")
     parser.add_argument("names", nargs="*")
     parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--first-failure", action="store_true")
     parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"))
-    args = parser.parse_args(argv)
+    args = parser.parse_intermixed_args(argv)
     if args.compare:
         rows, lost = compare(*(json.loads(Path(p).read_text())
                                for p in args.compare))
@@ -226,13 +244,17 @@ def main(argv=None):
         print("\n".join(problems + [f"{len(MUTATIONS)} mutations, "
                                     f"{len(problems)} problems"]))
         return 1 if problems else 0
-    failed = run_tests(None)
+    failed = run_tests(None, args.first_failure)
     if failed:
         sys.exit(f"the unmutated tree fails: {failed}")
     chosen = [m for m in MUTATIONS if not args.names or m[0] in args.names]
     with ThreadPoolExecutor(args.jobs) as pool:
-        kills = dict(zip([m[0] for m in chosen],
-                         pool.map(run_tests, chosen)))
+        kills = dict(zip([m[0] for m in chosen], pool.map(
+            functools.partial(run_tests, first_failure=args.first_failure),
+            chosen)))
+    if args.first_failure:
+        kills = {name: "killed" if failed else "survives"
+                 for name, failed in kills.items()}
     Path(args.out).write_text(json.dumps(kills, indent=2) + "\n")
     print("| mutation | test functions that kill it |\n| --- | --- |")
     for name, failed in kills.items():

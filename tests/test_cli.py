@@ -456,8 +456,16 @@ def test_rc_mnist_pipeline_on_synthetic_idx(tmp_path, tiny_digit_dir, monkeypatc
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["n_parameters"] == 1680
     assert 0.0 <= metrics["test_accuracy"] <= 1.0
-    checkpoint = json.loads((out / "checkpoint.json").read_text())
+    # the checkpoint is one line of canonical JSON
+    text = (out / "checkpoint.json").read_text()
+    assert text.count("\n") == 1
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    checkpoint = json.loads(text)
+    assert sorted(checkpoint) == ["config", "w1", "w2"]
+    assert checkpoint["config"] == metrics["config"]
     assert np.array(checkpoint["w1"]).shape == (165, 10)
+    assert np.array(checkpoint["w2"]).shape == (
+        10, len(metrics["config"]["digits"]))
 
 
 @pytest.mark.parametrize("digits", [[0, 3], [0, 1, 3, 8]])

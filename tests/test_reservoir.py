@@ -489,16 +489,29 @@ def test_layer_conserves_photons_at_full_reflection():
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([(3, 1), (6, 2), (7, 2), (9, 3)]),
-       st.integers(0, 2**32 - 1), st.integers(1, 4))
+       st.integers(0, 2**32 - 1), st.integers(1, 18), st.booleans())
 def test_layer_and_reinjection_conserve_probability_and_photons(
-        geometry, seed, rank):
+        geometry, seed, rank, fed_back):
+    """The output distribution of K after the layer matches the dense
+    reinjection and output mesh of rho = K K^+.  With `fed_back`, K is
+    cut to the states with every photon on a feedback rail, the
+    branches of one basis state each."""
     modes, photons = geometry
-    res = Reservoir(ReservoirConfig(modes=modes, photons=photons,
-                                    mesh_seed=seed, window=3))
+    # the engine's own apply_layer and output_probabilities, beside the
+    # dense reference's _reinject_density
+    res = DenseReservoir(ReservoirConfig(modes=modes, photons=photons,
+                                         mesh_seed=seed, window=3))
     rng = np.random.default_rng(seed)
     r_set = [float(rng.uniform(R_MIN, 1.0)) for _ in res.rails]
-    factor = _random_factor(res.basis.size, rank, rng)
-    probs = res.output_probabilities(res.apply_layer(factor, r_set))
+    factor = res.apply_layer(_random_factor(res.basis.size, rank, rng), r_set)
+    if fed_back:
+        fb = [f for _, _, f in res.rails]
+        factor[res.basis.occupation_matrix()[:, fb].sum(axis=1) < photons] = 0
+        factor /= np.linalg.norm(factor)
+    probs = res.output_probabilities(factor)
+    rho = res._reinject_density(factor @ factor.conj().T)
+    want = (res.u_out_f @ rho @ res.u_out_f.conj().T).diagonal().real
+    assert np.max(np.abs(probs - want)) <= 1e-12
     assert abs(probs.sum() - 1.0) <= 1e-12
     totals = res.basis.occupation_matrix().sum(axis=1)
     assert abs(probs @ totals - photons) <= 1e-12
