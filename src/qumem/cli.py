@@ -163,6 +163,7 @@ def write_json(path, payload, indent=2):
     """Numpy scalars and arrays are written as their Python values.
     indent=None writes one line through json's C encoder."""
     write_atomic(path, json.dumps(payload, indent=indent, sort_keys=True,
+                                  check_circular=False,
                                   default=lambda obj: obj.tolist()) + "\n")
 
 

@@ -33,6 +33,7 @@ import numpy as np
 ATOL_UNITARY = 1e-10
 ATOL_STATE = 1e-10
 MAX_SHOTS = 2**63 - 1  # the largest count numpy's int64 draws take
+_LIFT_ROWS = 24        # output rows per block of a sector lift's sums
 
 
 class DimensionError(ValueError):
@@ -251,6 +252,8 @@ def _lift_sectors(u, modes, photons):
         L_k[o, b] = (1/sqrt(b_j)) sum_i sqrt(o_i) U[i, j] L_{k-1}[o - e_i, b - e_j]
 
     (Miatto & Quesada, Quantum 4, 366 (2020)).  No permanent is formed.
+    Each sector is filled _LIFT_ROWS output rows at a time, so the
+    temporaries of a sum are one row block, not the whole sector.
     """
     lifts = [np.ones((1, 1), dtype=complex)]
     for k, (rows, parents, col_mode, col_parent, col_scale) in enumerate(
@@ -260,12 +263,16 @@ def _lift_sectors(u, modes, photons):
         table = np.zeros((k * modes + 1, col_mode.size), dtype=complex)
         table[:-1] = (np.sqrt(np.arange(1.0, k + 1))[:, None, None]
                       * u_cols).reshape(k * modes, -1)
-        out = table[rows[0]]
-        out *= cols[parents[0]]
-        for row, parent in zip(rows[1:], parents[1:]):
-            term = table[row]
-            term *= cols[parent]
-            out += term
+        out = np.empty((col_mode.size, col_mode.size), dtype=complex)
+        for start in range(0, col_mode.size, _LIFT_ROWS):
+            block = slice(start, start + _LIFT_ROWS)
+            acc = out[block]
+            np.take(table, rows[0, block], axis=0, out=acc)
+            acc *= cols[parents[0, block]]
+            for row, parent in zip(rows[1:, block], parents[1:, block]):
+                term = table[row]
+                term *= cols[parent]
+                acc += term
         lifts.append(out)
     return lifts
 

@@ -172,7 +172,7 @@ def coherent_encode(v, basis):
     input carries them and the basis; its state is built on demand.
     """
     v = np.asarray(v, dtype=float).reshape(-1)
-    if np.any(v < 0):
+    if (v < 0).any():
         raise ValueError("mixture weights must be non-negative")
     total = v.sum()
     if not math.isfinite(total):
@@ -379,8 +379,10 @@ class Reservoir:
                 got = [self._theta(self._mesh_input(x)).sum(axis=0).tolist()
                        for x in group]
             else:
-                got = np.tensordot(np.stack([x.weights for x in group]),
-                                   self._coherent_table(n)[1], 1).tolist()
+                theta = self._coherent_table(n)[1]
+                got = (np.stack([x.weights for x in group])
+                       @ theta.reshape(n, -1)).reshape(
+                           len(group), *theta.shape[1:]).tolist()
             thetas.update(zip(map(id, group), got))
         return thetas
 
@@ -402,21 +404,24 @@ class Reservoir:
         if not inputs:
             raise ValueError("input sequence must be non-empty")
         thetas = self._input_theta({id(x): x for x in inputs}.values())
+        times = [float(t) for t in range(1, len(inputs) + 1)]
         bank, held = self._bank(), []
-        # memristor k runs its whole recurrence on theta k of each step
+        # memristor k runs its whole recurrence on theta k of each step,
+        # in Python floats (numpy scalars slow each advance): at R = r its
+        # feedback rail holds r g_tt + (1 - r) g_ff + 2 sqrt(r (1 - r))
+        # Im g_tf photons on average, and the measured final step keeps
+        # the R it started from
         for mem, drive in zip(bank, zip(*[thetas[id(x)] for x in inputs])):
-            for t, theta in enumerate(drive, 1):
-                r = mem.R   # Python floats: numpy scalars slow each advance
-                mem.advance(float(t), estimate_n_in(_feedback(r, *theta), r))
-            held.append(r)
+            advance, r = mem.advance, mem.R
+            for t, (g_tt, g_ff, g_tf) in zip(times, drive):
+                last = r
+                r = advance(t, estimate_n_in(
+                    r * g_tt + (1.0 - r) * g_ff
+                    + 2.0 * math.sqrt(r * (1.0 - r)) * g_tf, r)).R
+            held.append(last)
         self.reflectivities = _read_only(np.array([m.R for m in bank]))
         factor = self.apply_layer(self._mesh_input(inputs[-1]), held)
         return self._measured_probs(self.output_probabilities(factor))
-
-
-def _feedback(r, g_tt, g_ff, g_tf):
-    """Feedback-rail mean photon number behind coupler(R), from theta."""
-    return r * g_tt + (1.0 - r) * g_ff + 2.0 * math.sqrt(r * (1.0 - r)) * g_tf
 
 
 # ---------------------------------------------------------------------------

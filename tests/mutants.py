@@ -63,9 +63,9 @@ MUTATIONS = [  # (name, target, text)
     ("theta-im-sign", "g[..., 0, 1].imag", "g[..., 1, 0].imag"),
     ("feedback-wrong-sqrt", "math.sqrt(r * (1.0 - r)) * g_tf",
      "math.sqrt(r) * g_tf"),
-    ("bank-time-shifted", "mem.advance(float(t),",
-     "mem.advance(float(t + 1),"),
-    ("bank-held-after-step", "held.append(r)", "held.append(mem.R)"),
+    ("bank-time-shifted", "for t in range(1, len(inputs) + 1)]",
+     "for t in range(2, len(inputs) + 2)]"),
+    ("bank-held-after-step", "held.append(last)", "held.append(r)"),
     ("layer-t-and-r-swapped", "lifts(np.sqrt(1.0 - r) + 0j, 1j * np.sqrt(r))",
      "lifts(np.sqrt(r) + 0j, 1j * np.sqrt(1.0 - r))"),
     ("layer-reflection-sign", "0j, 1j * np.sqrt(r))", "0j, -1j * np.sqrt(r))"),
@@ -111,7 +111,7 @@ MUTATIONS = [  # (name, target, text)
     ("lift-no-col-scale", "u[:, col_mode] * col_scale", "u[:, col_mode]"),
     ("lift-no-sqrt-occupation", "np.sqrt(np.arange(1.0, k + 1))",
      "np.arange(1.0, k + 1)"),
-    ("lift-first-parent-only", "out += term", "out = term"),
+    ("lift-first-parent-only", "acc += term", "acc = term"),
     ("coupler-reflection-sign", "[[t, 1j * r], [1j * r, t]]",
      "[[t, -1j * r], [-1j * r, t]]"),
     ("density-no-conj", "(fac @ fac.conj().T)", "(fac @ fac.T)"),

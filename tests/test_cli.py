@@ -1,12 +1,14 @@
 import json
+import os
 import re
+import stat
 import struct
 import time
 
 import numpy as np
 import pytest
 
-from qumem import cli
+from qumem import _atomic, cli
 from qumem.cli import (
     COMMANDS,
     EXIT_CHECK,
@@ -308,6 +310,32 @@ def test_purity_map_command(tmp_path):
     assert np.allclose(grid, grid[:, ::-1], atol=1e-12)
     assert grid[0, 0] == pytest.approx(1.0)
     assert grid[-1, 10] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_outputs_take_their_mode_from_the_umask(tmp_path, umask, mode):
+    """Outputs are created as `open` creates a file, 0666 under the
+    umask, whether they are new or replace a file of another mode."""
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"grid": 3}))
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        assert run_cli("purity-map", "--config", str(config),
+                       "--out", str(out)) == EXIT_OK
+        replaced = tmp_path / "replaced.txt"
+        replaced.write_text("old")
+        replaced.chmod(0o400 if mode == 0o644 else 0o666)
+        _atomic.write_atomic(replaced, "new")
+    finally:
+        os.umask(old)
+    files = [*out.iterdir(), replaced]
+    assert [stat.S_IMODE(p.stat().st_mode) for p in files] == (
+        [mode] * len(files))
+    assert replaced.read_text() == "new"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "c.json", "out", "replaced.txt"]
 
 
 def test_tomography_command_exact(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,25 @@ def test_lift_matches_permanent_oracle_at_reservoir_size():
         u = haar_unitary(basis.modes, rng)
         dev = np.max(np.abs(lift_unitary(u, basis) - permanent_lift(u, basis)))
         assert dev <= 1e-12
+
+
+def test_lift_in_row_blocks_at_twelve_modes_and_four_photons():
+    """At (12, 4) (1365 states, a partial last row block) the lift's
+    peak traced memory stays under twice its output, and the lift is
+    multiplicative and unitary."""
+    basis = enumerate_basis(12, 4)
+    rng = np.random.default_rng(43)
+    u, v = haar_unitary(12, rng), haar_unitary(12, rng)
+    lv = lift_unitary(v, basis)   # builds the cached index tables
+    tracemalloc.start()
+    try:
+        lu = lift_unitary(u, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * lu.nbytes
+    assert np.max(np.abs(lift_unitary(u @ v, basis) - lu @ lv)) <= 1e-12
+    assert np.max(np.abs(lu.conj().T @ lu - np.eye(basis.size))) <= 1e-12
 
 
 def test_lift_rejects_reordered_basis():

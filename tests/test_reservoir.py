@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_device
@@ -22,13 +22,13 @@ from qumem.memristor import R_MIN
 from qumem.readout import encode_columns, image_features
 from qumem.reservoir import (
     COHERENT,
+    QUANTUM,
     EncodedInput,
     Reservoir,
     ReservoirConfig,
     amplitude_encode,
     build_mesh,
     coherent_encode,
-    _feedback,
     _geometry,
     haar_vector,
     sample_entangled,
@@ -267,6 +267,11 @@ def test_two_mode_mesh_is_one_coupler():
 def _random_factor(dim, rank, rng):
     k = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     return k / np.linalg.norm(k)
+
+
+def _feedback(r, g_tt, g_ff, g_tf):
+    """Feedback-rail mean photon number behind coupler(R), from theta."""
+    return r * g_tt + (1.0 - r) * g_ff + 2.0 * math.sqrt(r * (1.0 - r)) * g_tf
 
 
 def theta_feedback(res, factor, reflectivities):
@@ -725,6 +730,58 @@ def test_memristor_bank_matches_list_window_reference(window, feedback):
             assert abs(mem.R - ref.R) <= 1e-12
             if ex:
                 assert mem.R == ref.R
+
+
+def _stepped_run(res, inputs):
+    """Reflectivities and measured distribution of a run stepped one
+    sample at a time: at t = 1, 2, ... every memristor of a fresh bank
+    advances on the inversion of its feedback at its R, and the final
+    input goes through the input mesh and the bank at the R of the
+    final step, then reinjection, the output mesh and the measurement."""
+    thetas = res._input_theta({id(x): x for x in inputs}.values())
+    bank = res._bank()
+    for t, x in enumerate(inputs, 1):
+        held = [mem.R for mem in bank]
+        advance_bank(bank, t, np.array([_feedback(r, *theta) for r, theta
+                                        in zip(held, thetas[id(x)])]))
+    factor = res.apply_layer(res._mesh_input(inputs[-1]), held)
+    return (np.array([mem.R for mem in bank]),
+            res._measured_probs(res.output_probabilities(factor)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(window=st.sampled_from([1, 2, 3, 5, 8, 40]), length=st.integers(1, 40),
+       encoding=st.sampled_from([QUANTUM, COHERENT]),
+       pool=st.sampled_from([1, 2, 3, None]), feedback=st.booleans(),
+       shots=st.sampled_from([None, 300]), seed=st.integers(0, 2**32 - 1))
+@example(window=1, length=30, encoding=QUANTUM, pool=1, feedback=True,
+         shots=None, seed=0)
+@example(window=3, length=40, encoding=COHERENT, pool=2, feedback=True,
+         shots=None, seed=1)
+@example(window=40, length=12, encoding=QUANTUM, pool=None, feedback=True,
+         shots=300, seed=2)
+def test_run_sequence_is_the_bank_stepped_sample_by_sample(
+        window, length, encoding, pool, feedback, shots, seed):
+    """run_sequence's reflectivities and distribution are bit for bit
+    those of its bank stepped one sample at a time, over windows shorter
+    and longer than the run (eviction and re-sum), inputs repeated (a
+    pool of input objects in random order) or distinct (pool None),
+    amplitude or coherent, with feedback on and off."""
+    cfg = ReservoirConfig(window=window, feedback=feedback, shots=shots,
+                          sample_seed=seed % 1000)
+    res, ref = Reservoir(cfg), Reservoir(cfg)
+    rng = np.random.default_rng(seed)
+    encode = amplitude_encode if encoding == QUANTUM else coherent_encode
+    objects = [encode(rng.uniform(size=18), res.basis)
+               for _ in range(pool or length)]
+    inputs = (objects if pool is None
+              else [objects[k] for k in rng.integers(pool, size=length)])
+    probs = res.run_sequence(inputs)
+    want_r, want_probs = _stepped_run(ref, inputs)
+    assert res.reflectivities.tobytes() == want_r.tobytes()
+    assert probs.tobytes() == want_probs.tobytes()
+    if not feedback:
+        assert set(want_r.tolist()) == {0.5}
 
 
 def test_frozen_memristors_make_step_memoryless():
