@@ -279,7 +279,9 @@ def _lift_sectors(u, modes, photons):
 
 def lift_unitary(u, basis):
     """Lift a mode unitary to the Fock space over `basis`, which must be
-    in the order of `enumerate_basis`."""
+    in the order of `enumerate_basis`.  The result is read-only and
+    memoised on the matrix's bytes and the basis geometry: the last two
+    lifts are kept, so lifting a unitary again returns the same array."""
     if isinstance(u, ModeUnitary):
         u = u.matrix
     u = np.asarray(u, dtype=complex)
@@ -289,7 +291,16 @@ def lift_unitary(u, basis):
         )
     if basis.states != _sector(basis.modes, basis.photons):
         raise ValueError("lifting needs a basis in enumerate_basis order")
-    return _lift_sectors(u, basis.modes, basis.photons)[-1]
+    return _memo_lift(u.tobytes(), basis.modes, basis.photons)
+
+
+@functools.lru_cache(maxsize=2)
+def _memo_lift(key, modes, photons):
+    """Read-only lift of the mode matrix whose C-order bytes are `key`."""
+    u = np.frombuffer(key, dtype=complex).reshape(modes, modes)
+    lifted = _lift_sectors(u, modes, photons)[-1]
+    lifted.flags.writeable = False
+    return lifted
 
 
 def apply(state, lifted):

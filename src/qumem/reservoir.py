@@ -212,6 +212,17 @@ def build_mesh(modes, rng):
     return ModeUnitary(u)
 
 
+@functools.lru_cache(maxsize=8)
+def _meshes(modes, mesh_seed):
+    """The (u_in, u_out) meshes of a mesh seed, drawn in that order from
+    one generator; their matrices are read-only."""
+    rng = np.random.default_rng(mesh_seed)
+    pair = build_mesh(modes, rng=rng), build_mesh(modes, rng=rng)
+    for mesh in pair:
+        _read_only(mesh.matrix)
+    return pair
+
+
 def haar_vector(dim, rng):
     """Haar-random pure state on a dim-dimensional space."""
     z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -261,16 +272,17 @@ class Reservoir:
     Each run_sequence() builds its own bank, so no run depends on an
     earlier one; between runs the instance keeps only the sampling
     generator and `reflectivities`, the read-only R each memristor
-    ended the last run with (0.5 before the first).
+    ended the last run with (0.5 before the first).  The meshes of a
+    mesh seed are drawn once per process, and their lifts come from
+    `lift_unitary`'s memo, so reservoirs of one seed share these
+    read-only arrays.
     """
 
     def __init__(self, config):
         self.config = cfg = config
         geometry = _geometry(cfg.modes, cfg.photons)
         self.basis = geometry.basis
-        rng = np.random.default_rng(cfg.mesh_seed)
-        self.u_in = build_mesh(cfg.modes, rng=rng)
-        self.u_out = build_mesh(cfg.modes, rng=rng)
+        self.u_in, self.u_out = _meshes(cfg.modes, cfg.mesh_seed)
         self.u_in_f = lift_unitary(self.u_in, self.basis)
         self.u_out_f = lift_unitary(self.u_out, self.basis)
         # input length -> (u_in_f @ _coherent_kets(length, dim), its theta)

@@ -79,6 +79,8 @@ MUTATIONS = [  # (name, target, text)
     ("mesh-half-phase", "ph = 2.0 * math.pi *", "ph = math.pi *"),
     ("mesh-t-and-r-swapped", "math.sqrt(1.0 - r), 1j * math.sqrt(r),",
      "math.sqrt(r), 1j * math.sqrt(1.0 - r),"),
+    ("mesh-cache-ignores-seed", "_meshes(cfg.modes, cfg.mesh_seed)",
+     "_meshes(cfg.modes, 2021)"),
     ("coherent-ket-unnormalised", "ket / np.linalg.norm(ket)", "ket"),
     ("coherent-mesh-no-sqrt", "* np.sqrt(weights[keep]))", "* weights[keep])"),
     ("coherent-state-no-sqrt", "kets * np.sqrt(w[keep])", "kets * w[keep]"),
@@ -112,6 +114,10 @@ MUTATIONS = [  # (name, target, text)
     ("lift-no-sqrt-occupation", "np.sqrt(np.arange(1.0, k + 1))",
      "np.arange(1.0, k + 1)"),
     ("lift-first-parent-only", "acc += term", "acc = term"),
+    ("lift-key-drops-photons", "u.tobytes(), basis.modes, basis.photons)",
+     "u.tobytes(), basis.modes, 1)"),
+    ("lift-memo-writable", "lifted.flags.writeable = False",
+     "lifted.flags.writeable = True"),
     ("coupler-reflection-sign", "[[t, 1j * r], [1j * r, t]]",
      "[[t, -1j * r], [-1j * r, t]]"),
     ("density-no-conj", "(fac @ fac.conj().T)", "(fac @ fac.T)"),

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permanent_lift import permanent, permanent_lift
+from qumem import fock
 from qumem.fock import (
     OccupationBasis,
     DimensionError,
@@ -279,6 +280,33 @@ def test_lift_rejects_reordered_basis():
     shuffled = OccupationBasis(3, 2, basis.states[::-1])
     with pytest.raises(ValueError):
         lift_unitary(np.eye(3), shuffled)
+
+
+def test_lift_memo_keys_on_the_photon_count():
+    """One unitary lifted on the (3, 1) and (3, 2) bases, in either
+    order, gets each basis its own lift."""
+    u = haar_unitary(3, np.random.default_rng(53))
+    for order in ((1, 2), (2, 1)):
+        for photons in order:
+            basis = enumerate_basis(3, photons)
+            lifted = lift_unitary(u, basis)
+            assert lifted.shape == (basis.size, basis.size)
+            assert np.max(np.abs(lifted - permanent_lift(u, basis))) <= 1e-12
+
+
+def test_lift_memo_shares_read_only_lifts_and_keeps_two():
+    basis = enumerate_basis(4, 2)
+    rng = np.random.default_rng(59)
+    us = [haar_unitary(4, rng) for _ in range(4)]
+    first = lift_unitary(us[0], basis)
+    # equal matrices share one lift, whatever their memory layout
+    assert lift_unitary(np.asfortranarray(us[0]), basis) is first
+    assert lift_unitary(ModeUnitary(us[0]), basis) is first
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0
+    for u in us:
+        assert not lift_unitary(u, basis).flags.writeable
+        assert fock._memo_lift.cache_info().currsize <= 2
 
 
 # ---------------------------------------------------------------------------

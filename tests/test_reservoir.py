@@ -451,6 +451,35 @@ def test_reservoirs_share_read_only_geometry_but_not_meshes():
     assert np.array_equal(b.u_out_f, lift_unitary(b.u_out, b.basis))
 
 
+def test_reservoirs_of_one_mesh_seed_share_read_only_meshes_and_lifts():
+    a = Reservoir(ReservoirConfig(mesh_seed=17, window=3))
+    b = Reservoir(ReservoirConfig(mesh_seed=17, window=5, feedback=False))
+    for name in ("u_in", "u_out", "u_in_f", "u_out_f"):
+        assert getattr(a, name) is getattr(b, name)
+    for arr in (a.u_in.matrix, a.u_out.matrix, a.u_in_f, a.u_out_f):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+
+
+def test_warm_caches_give_the_cold_meshes_and_lifts_bit_for_bit():
+    """After reservoirs of other seeds and geometries have filled the
+    mesh and lift caches, each reservoir still gets the meshes of a
+    fresh generator on its seed and their freshly computed lifts."""
+    geometries = [(9, 3, 4), (6, 2, 8), (9, 3, 8), (6, 2, 4), (9, 3, 2021)]
+    for modes, photons, seed in geometries:
+        Reservoir(ReservoirConfig(modes=modes, photons=photons,
+                                  mesh_seed=seed))
+    for modes, photons, seed in geometries[::-1]:
+        res = Reservoir(ReservoirConfig(modes=modes, photons=photons,
+                                        mesh_seed=seed))
+        rng = np.random.default_rng(seed)
+        for mesh, lifted in ((res.u_in, res.u_in_f), (res.u_out, res.u_out_f)):
+            cold = build_mesh(modes, rng).matrix
+            assert mesh.matrix.tobytes() == cold.tobytes()
+            assert lifted.tobytes() == _lift_sectors(
+                cold, modes, photons)[-1].tobytes()
+
+
 def test_layer_identity_at_zero_reflectivity():
     res = small_reservoir()
     amps = np.array([0.6, 0.8, 0.0], dtype=complex)
@@ -808,6 +837,26 @@ def test_feedback_propagates_memory():
 
     diff = np.max(np.abs(final_probs(cols_a) - final_probs(cols_b)))
     assert diff > 1e-12
+
+
+@pytest.mark.parametrize("feedback", [True, False])
+def test_memory_outlives_the_window_only_with_feedback(feedback):
+    """R sums the last W feedback estimates, but each was read at the R
+    of the step before, so with feedback an input older than W steps
+    still reaches the final reflectivities; without it every R stays
+    exactly 0.5."""
+    rng = np.random.default_rng(47)
+    cols = [rng.uniform(size=18) for _ in range(10)]
+    older = [rng.uniform(size=18)] + cols[1:]  # t = 1, 9 > W steps back
+    res = Reservoir(ReservoirConfig(window=4, feedback=feedback))
+    finals = []
+    for seq in (cols, older):
+        res.run_sequence([amplitude_encode(c, res.basis) for c in seq])
+        finals.append(res.reflectivities.tolist())
+    if feedback:
+        assert finals[0] != finals[1]
+    else:
+        assert finals == [[0.5] * len(res.rails)] * 2
 
 
 def test_frozen_output_depends_only_on_last_input():
