@@ -10,18 +10,20 @@ Limiting behaviour: for window T << T_osc the orbit collapses onto the
 nonlinear resistor line n_in - n_in^2; for T = T_osc (and beyond) the
 window integral vanishes and the orbit is the straight line 0.5 n_in.
 
-A `DriveConfig` computes its sample times, drive values and their CSV
-text once, so the panels of one command that share a drive share them:
-each run steps only the detector and the memristor, and each trace
-writes only its own n_out and R columns.
+The sample times and drive values of a `DriveConfig`, their CSV text
+and their arrays are built once per drive value and kept for the last
+two drives, so the panels of one command, and the commands of one
+process, that share a drive share them: each run steps only the
+detector and the memristor, and each trace writes only its own n_out
+and R columns.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +47,9 @@ class DriveConfig:
     """Sinusoidal drive: <n_in(t)> = sin^2(pi t / T_osc).
 
     The run's samples (`samples`) and the "t,n_in" text of its trace
-    CSV rows (`csv_lead`) are computed on first use and kept."""
+    CSV rows (`csv_lead`) are built once per drive value: equal drives
+    (T_osc 10 and 10.0, dt None and T_osc / 1000) share them, and the
+    last two drives' stay kept."""
 
     T_osc: float
     n_periods: int = 2
@@ -78,18 +82,29 @@ class DriveConfig:
     def steps_per_period(self):
         return round(self.T_osc / self.dt)
 
-    @cached_property
+    @property
     def samples(self):
-        """(t, n_in) of every step of a run, as tuples of floats:
+        """(t, n_in) of every step of a run, as shared tuples of floats:
         t = (k + 1) dt for k < n_periods * steps_per_period."""
-        t = tuple((k + 1) * self.dt
-                  for k in range(self.n_periods * self.steps_per_period))
-        return t, tuple(map(self.n_in, t))
+        return _drive_tables(self)[0]
 
-    @cached_property
+    @property
     def csv_lead(self):
         """The "t,n_in" start of each trace CSV row, as "%.12g"."""
-        return tuple("%.12g,%.12g" % row for row in zip(*self.samples))
+        return _drive_tables(self)[1]
+
+
+@functools.lru_cache(maxsize=2)
+def _drive_tables(drive):
+    """A drive's (t, n_in) sample tuples, their "t,n_in" CSV text and
+    read-only t and n_in arrays, keyed by the drive's value."""
+    t = tuple((k + 1) * drive.dt
+              for k in range(drive.n_periods * drive.steps_per_period))
+    n_in = tuple(map(drive.n_in, t))
+    t_arr, n_in_arr = np.array(t), np.array(n_in)
+    t_arr.flags.writeable = n_in_arr.flags.writeable = False
+    lead = tuple("%.12g,%.12g" % row for row in zip(t, n_in))
+    return (t, n_in), lead, t_arr, n_in_arr
 
 
 @dataclass(frozen=True)
@@ -164,9 +179,11 @@ class DetectorModel:
 class Trace:
     """Closed-loop run record: columns (t, n_in, n_out, R).
 
-    A run's trace, and its `steady()` slices, keep the "t,n_in" text of
-    their CSV rows from the drive's `DriveConfig.csv_lead`; any other
-    trace has `write_csv` format it from t and n_in."""
+    A run's t and n_in are its drive's read-only arrays, shared with
+    the runs of equal drives.  A run's trace, and its `steady()`
+    slices, keep the "t,n_in" text of their CSV rows from the drive's
+    `DriveConfig.csv_lead`; any other trace has `write_csv` format it
+    from t and n_in."""
 
     t: np.ndarray
     n_in: np.ndarray
@@ -261,8 +278,9 @@ def run_closed_loop(drive, mem, det=DetectionConfig()):
             else None
         ),
     }
-    n_in, R = np.array(n_ins), np.array(rs)
-    trace = Trace(np.array(times), n_in, (1.0 - R) * n_in, R, meta)
+    R = np.array(rs)
+    *_, t_arr, n_in_arr = _drive_tables(drive)
+    trace = Trace(t_arr, n_in_arr, (1.0 - R) * n_in_arr, R, meta)
     trace._csv_lead = drive.csv_lead
     return trace
 

@@ -29,6 +29,7 @@ arg rho[1,2] = asin(sqrt(R)) + pi - phi_global.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -90,19 +91,27 @@ class Fixture:
 def table_fixtures(phi_global=PHI_GLOBAL):
     """The 16-point characterisation grid: |beta|^2 in {0, 0.3, 0.7, 1}
     crossed with R in {0, 0.3, 0.5, 0.7, 1} on the measured combinations,
-    as phased 3x3 theory matrices."""
+    as phased 3x3 theory matrices.  Each matrix is read-only and built
+    once per process for its (beta2, R, phi_global), so every grid and
+    round trip of a process shares it."""
     grid = [
         (0.0, 0.0),
         (0.3, 0.0), (0.3, 0.3), (0.3, 0.5), (0.3, 0.7), (0.3, 1.0),
         (0.7, 0.0), (0.7, 0.3), (0.7, 0.5), (0.7, 0.7), (0.7, 1.0),
         (1.0, 0.0), (1.0, 0.3), (1.0, 0.5), (1.0, 0.7), (1.0, 1.0),
     ]
-    fixtures = []
-    for beta2, refl in grid:
-        rho = output_state_dual_rail(QubitInput.from_beta2(beta2), refl)
-        rho = apply_phase_model(rho, refl, phi_global)
-        fixtures.append(Fixture(beta2, refl, rho))
-    return fixtures
+    return [Fixture(beta2, refl, _theory_state(beta2, refl, phi_global))
+            for beta2, refl in grid]
+
+
+@functools.lru_cache(maxsize=32)
+def _theory_state(beta2, reflectivity, phi_global):
+    """The read-only phased 3x3 theory state of a round trip."""
+    rho = apply_phase_model(
+        output_state_dual_rail(QubitInput.from_beta2(beta2), reflectivity),
+        reflectivity, phi_global)
+    rho.flags.writeable = False
+    return rho
 
 
 def _complex_matrix(entries):
@@ -156,22 +165,30 @@ def simulate_counts(rho_true, shots=None, seed=None):
     infinite-statistics (exact) mode and returns these probabilities as
     float rows; otherwise each row is a multinomial draw of `shots`
     detected photons.  A block without population gives zero rows: no
-    photon ever reaches the kept rails, so there are no clicks.
+    photon ever reaches the kept rails, so there are no clicks.  The
+    distributions of the last 32 states are kept, keyed by the state's
+    bytes and shape; only the draws are made on every call.
     """
     _check_shots(shots)
-    block = np.array(rho_true, dtype=complex)[1:, 1:]  # one-photon block
-    rows = []
+    rho = np.asarray(rho_true, dtype=complex)
     rng = np.random.default_rng(seed)
+    return np.array([
+        np.zeros(2) if p is None else p if shots is None
+        else rng.multinomial(int(shots), p).astype(float)
+        for p in _click_rows(rho.tobytes(), rho.shape)])
+
+
+@functools.lru_cache(maxsize=32)
+def _click_rows(key, shape):
+    """The click distribution behind each analysis coupler of the state
+    whose C-order bytes are `key`, None where no photon clicks."""
+    block = np.frombuffer(key, dtype=complex).reshape(shape)[1:, 1:]
+    rows = []
     for v, vh in zip(_COUPLERS, _COUPLERS_H):
         p = np.clip(np.real(np.diag(v @ block @ vh)), 0.0, None)
         total = p.sum()
-        if total <= _EPS:
-            rows.append(np.zeros(2))
-        elif shots is None:
-            rows.append(p / total)
-        else:
-            rows.append(rng.multinomial(int(shots), p / total).astype(float))
-    return np.array(rows)
+        rows.append(None if total <= _EPS else p / total)
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +444,7 @@ def reconstruction_roundtrip(beta2, reflectivity, shots=None, seed=None,
     is used instead of drawing it again.
     """
     _check_shots(shots)
-    rho_true = apply_phase_model(
-        output_state_dual_rail(QubitInput.from_beta2(beta2), reflectivity),
-        reflectivity, phi_global,
-    )
+    rho_true = _theory_state(beta2, reflectivity, phi_global)
     rng, count_seed = _roundtrip_rng(seed)
     if counts is None:
         counts = simulate_counts(rho_true, shots, seed=count_seed)

@@ -85,7 +85,8 @@ MUTATIONS = [  # (name, target, text)
     ("coherent-mesh-no-sqrt", "* np.sqrt(weights[keep]))", "* weights[keep])"),
     ("coherent-state-no-sqrt", "kets * np.sqrt(w[keep])", "kets * w[keep]"),
     ("amplitude-norm-squared", "v / norm", "v / norm ** 2"),
-    # hysteresis: the closed loop, the detector and the trace CSV
+    # hysteresis: the closed loop, the drive cache, the detector and the
+    # trace CSV
     ("drive-lead-digits", 'tuple("%.12g,', 'tuple("%.13g,'),
     ("trace-csv-digits", '%.12g\\r\\n".join', '%.11g\\r\\n".join'),
     ("trace-csv-lead-digits", 'lead = ["%.12g,%.12g"',
@@ -96,7 +97,15 @@ MUTATIONS = [  # (name, target, text)
      "self._alpha = math.exp"),
     ("loop-drops-r", "estimate(max_rate * r * n_in)",
      "estimate(max_rate * n_in)"),
-    ("loop-n-out", "(1.0 - R) * n_in, R, meta)", "R * n_in, R, meta)"),
+    ("loop-n-out", "(1.0 - R) * n_in_arr, R, meta)",
+     "R * n_in_arr, R, meta)"),
+    ("drive-key-ignores-dt", "dt: float = None",
+     "dt: float = field(default=None, compare=False)"),
+    ("drive-key-ignores-periods", "n_periods: int = 2",
+     "n_periods: int = field(default=2, compare=False)"),
+    ("drive-arrays-writable",
+     "t_arr.flags.writeable = n_in_arr.flags.writeable = False",
+     "t_arr.flags.writeable = n_in_arr.flags.writeable = True"),
     ("loop-counts-per-window", "* det.rc / drive.dt", "* det.rc * drive.dt"),
     # readout: encodings, features, training and the feature CSV
     ("features-csv-digits", '["%.12g"] * width', '["%.13g"] * width'),
@@ -126,7 +135,7 @@ MUTATIONS = [  # (name, target, text)
     ("purity-untransposed", '"ij,ji->", rho, rho', '"ij,ij->", rho, rho'),
     ("psd-sqrt-no-sqrt", "(evecs * np.sqrt(evals))", "(evecs * evals)"),
     ("fidelity-root-unsquared", "min(root * root, 1.0)", "min(root, 1.0)"),
-    # tomography: the likelihood, the ascent and the phase model
+    # tomography: the likelihood, the ascent, the phase model and the memos
     ("stencil-sign", "[_H] * 4 + [-_H] * 4", "[-_H] * 4 + [_H] * 4"),
     ("ascent-step-growth", "best, step * 1.5", "best, step * 2.0"),
     ("ascent-tol-tenfold", "rel_change >= _REL_TOL",
@@ -140,6 +149,10 @@ MUTATIONS = [  # (name, target, text)
     ("likelihood-signed-zero", "[:, -1] + 0.0", "[:, -1]"),
     ("ascend-slice-first", "lls[end - len(asked):end]", "lls[:len(asked)]"),
     ("install-p00-unweighted", "(1.0 - p00_estimate) * block", "block"),
+    ("theory-state-writable", "rho.flags.writeable = False",
+     "rho.flags.writeable = True"),
+    ("click-key-drops-shape", "_click_rows(rho.tobytes(), rho.shape)",
+     "_click_rows(rho.tobytes(), (3, 3))"),
     ("coherence-phase-no-pi", "+ math.pi - phi_global", "- phi_global"),
 ]
 

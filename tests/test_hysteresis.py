@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_device
-from qumem import _atomic
+from qumem import _atomic, hysteresis
 from qumem.hysteresis import (
     EXACT,
     HIGH_FREQ,
@@ -142,6 +142,58 @@ def test_drive_config_keeps_large_finite_drives():
 def test_drive_config_rejects_non_integer_periods(n_periods):
     with pytest.raises(ValueError, match="must be an integer"):
         DriveConfig(T_osc=10.0, n_periods=n_periods)
+
+
+def _table_bytes(tables):
+    (t, n_in), lead, t_arr, n_in_arr = tables
+    return (np.array(t).tobytes(), np.array(n_in).tobytes(), lead,
+            t_arr.tobytes(), n_in_arr.tobytes())
+
+
+def test_warm_drive_tables_equal_a_cold_build():
+    """Drives that differ from one another in one field each take their
+    turn in the two-entry cache; every drive's sample tuples, row text
+    and arrays then equal a cold build bit for bit, and the properties
+    read the cached entry."""
+    cache = hysteresis._drive_tables
+    drives = [DriveConfig(T_osc=T_OSC), DriveConfig(T_osc=T_OSC, dt=0.005),
+              DriveConfig(T_osc=T_OSC, n_periods=3),
+              DriveConfig(T_osc=math.pi), DriveConfig(T_osc=T_OSC)]
+    cold = [_table_bytes(cache.__wrapped__(drive)) for drive in drives]
+    for drive, want in zip(drives * 2, cold * 2):
+        tables = cache(drive)
+        assert _table_bytes(tables) == want
+        assert drive.samples is tables[0] and drive.csv_lead is tables[1]
+        assert cache.cache_info().currsize <= 2
+
+
+def test_equal_drives_share_one_cache_entry():
+    """T_osc 10 and 10.0, and dt None and 0.01, give one drive value:
+    one entry, and the same samples as a cold build of either."""
+    cache = hysteresis._drive_tables
+    cache.cache_clear()
+    drives = [DriveConfig(T_osc=10), DriveConfig(T_osc=10.0, dt=0.01),
+              DriveConfig(T_osc=10.0, n_periods=2, dt=None)]
+    assert len(set(drives)) == 1
+    assert all(drive.samples is drives[0].samples for drive in drives)
+    assert cache.cache_info().currsize == 1
+    for drive in drives:
+        assert (_table_bytes(cache(drive))
+                == _table_bytes(cache.__wrapped__(drive)))
+
+
+def test_runs_share_read_only_drive_arrays():
+    """Runs of equal drives hold the same read-only t and n_in arrays,
+    as do their steady slices; n_out and R are each run's own."""
+    a = windowed_run(0.2, n_periods=2)
+    b = run_lpf_loop(DriveConfig(T_osc=10, n_periods=2), 2.0)
+    assert a.t is b.t and a.n_in is b.n_in
+    assert a.n_out is not b.n_out and a.R is not b.R
+    for trace in (a, a.steady(1)):
+        for column in (trace.t, trace.n_in):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.5
+    a.n_out[0] = a.R[0] = 0.5  # a run's own columns stay writable
 
 
 # ---------------------------------------------------------------------------

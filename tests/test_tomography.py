@@ -132,6 +132,54 @@ def test_simulate_counts_reproducible():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("shots", [None, 1000, 50])
+def test_simulate_counts_warm_memo_gives_cold_counts(shots):
+    """Counts drawn with every state's click rows already in the memo
+    equal those of a cold memo bit for bit, the zero rows of a state
+    without kept-rail population included."""
+    states = [fx.rho for fx in table_fixtures()]
+    states += [np.diag([1.0, 0.0, 0.0]).astype(complex),
+               phased_state(0.3, 0.5, 1.0)]
+    cold = []
+    for seed, rho in enumerate(states):
+        tomography._click_rows.cache_clear()
+        cold.append(simulate_counts(rho, shots, seed).tobytes())
+    for _ in range(2):
+        for seed, (rho, want) in enumerate(zip(states, cold)):
+            assert simulate_counts(rho, shots, seed).tobytes() == want
+
+
+def test_click_rows_are_keyed_by_shape():
+    """A state's bytes in another shape are not its click rows: the
+    flattened state fails as it does with a cold memo."""
+    rho = phased_state(0.3, 0.5)
+    for _ in range(2):
+        simulate_counts(rho)
+        with pytest.raises(IndexError):
+            simulate_counts(rho.ravel())
+
+
+def test_theory_states_are_shared_and_read_only():
+    """Every grid of a process holds the same read-only theory states,
+    the phased model states bit for bit, and its round trips read them."""
+    first, second = table_fixtures(), table_fixtures()
+    for a, b in zip(first, second):
+        assert a.rho is b.rho
+        assert a.rho.tobytes() == phased_state(a.beta2,
+                                               a.reflectivity).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            a.rho[0, 0] = 0.5
+    state = tomography._theory_state(0.3, 0.5, PHI_GLOBAL)
+    assert state is first[3].rho
+    hits = tomography._theory_state.cache_info().hits
+    reconstruction_roundtrip(0.3, 0.5)
+    assert tomography._theory_state.cache_info().hits == hits + 1
+    with pytest.raises(ValueError, match="read-only"):
+        state[1, 2] = 0.0
+    other = table_fixtures(1.0)[3].rho
+    assert other.tobytes() == phased_state(0.3, 0.5, 1.0).tobytes()
+
+
 @pytest.mark.parametrize("shots", [0, 2.5, -1, True, MAX_SHOTS + 1, 10**20],
                          ids=["zero", "fraction", "negative", "bool",
                               "int64-max-plus-1", "1e20"])
